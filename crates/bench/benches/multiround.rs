@@ -1,6 +1,5 @@
 //! Criterion benchmarks of the multi-round planners: LP-planner scaling in
-//! the round count, the heuristic planners, and warm-start effectiveness
-//! on the expanded scenario LPs.
+//! the round count and the heuristic planners.
 //!
 //! Running with `--smoke` skips the benchmark groups and instead times the
 //! (R = 4, p = 64) multi-round LP plan against the checked-in baseline
@@ -79,9 +78,8 @@ criterion_group!(
 // ---------------------------------------------------------------------------
 
 /// Times one (R = 4, p = 64) LP plan — a 512-variable expanded scenario LP
-/// plus lowering — best of `runs`, in nanoseconds. The basis cache makes
-/// repeat solves warm; timing the *cold* path requires a fresh scenario,
-/// so each run perturbs the platform seed (fresh costs, no cache hit).
+/// plus lowering — best of `runs`, in nanoseconds. Each run plans a
+/// freshly seeded platform, so the best-of covers several cost draws.
 fn time_plan_ns(runs: usize) -> f64 {
     black_box(plan_lp(&star(64, 100), 4).unwrap()); // warm-up
     let mut best = f64::INFINITY;

@@ -1,6 +1,6 @@
 //! Criterion benchmarks of the LP substrate: tableau vs revised simplex
-//! scaling on the paper's scheduling LPs (2p variables, 3p+1 constraints),
-//! pivot-rule sensitivity, and warm-start effectiveness.
+//! scaling on the paper's scheduling LPs (2p variables, 3p+1 constraints)
+//! and pivot-rule sensitivity.
 //!
 //! Running with `--smoke` skips the benchmark groups and instead times the
 //! p = 128 revised solve against the checked-in baseline
@@ -10,7 +10,7 @@
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use dls_core::lp_model::build_problem;
 use dls_core::PortModel;
-use dls_lp::{solve_revised_with, solve_with, BasisCache, Problem, SolverOptions};
+use dls_lp::{solve_revised_with, solve_with, Problem, SolverOptions};
 use dls_platform::{Heterogeneity, Platform, PlatformSampler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -76,48 +76,6 @@ fn bench_revised_lp_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_warm_start(c: &mut Criterion) {
-    // The sweep access pattern: FIFO then LIFO then a re-solve on the same
-    // platform, sharing one basis cache — vs the same three solves cold.
-    let mut rng = StdRng::seed_from_u64(13);
-    let platform = sampler(32).sample_abstract(5.0, 0.5, &mut rng);
-    let order = platform.order_by_c();
-    let rev: Vec<_> = order.iter().rev().copied().collect();
-    let (fifo, _) = build_problem(&platform, &order, &order, PortModel::OnePort).unwrap();
-    let (lifo, _) = build_problem(&platform, &order, &rev, PortModel::OnePort).unwrap();
-    let opts = SolverOptions::for_size(fifo.num_vars(), fifo.num_constraints());
-
-    let mut group = c.benchmark_group("revised/warm_start");
-    group.bench_function("cold_triple", |b| {
-        b.iter(|| {
-            let a = solve_revised_with::<f64>(&fifo, &opts, None).unwrap();
-            let b2 = solve_revised_with::<f64>(&lifo, &opts, None).unwrap();
-            let c2 = solve_revised_with::<f64>(&fifo, &opts, None).unwrap();
-            black_box((
-                a.solution.objective,
-                b2.solution.objective,
-                c2.solution.objective,
-            ))
-        })
-    });
-    group.bench_function("cached_triple", |b| {
-        b.iter(|| {
-            // One key per scenario shape, as `dls_core::lp_model` does: the
-            // FIFO re-solve warm-starts from the first solve's basis.
-            let mut cache = BasisCache::new();
-            let a = cache.solve::<f64>(1, &fifo, &opts).unwrap();
-            let b2 = cache.solve::<f64>(2, &lifo, &opts).unwrap();
-            let c2 = cache.solve::<f64>(1, &fifo, &opts).unwrap();
-            black_box((
-                a.solution.objective,
-                b2.solution.objective,
-                c2.solution.objective,
-            ))
-        })
-    });
-    group.finish();
-}
-
 fn bench_pivot_rules(c: &mut Criterion) {
     // Dantzig (default until bland_after) vs pure Bland on the same LP.
     let (_, lp) = fifo_lp(32, 11);
@@ -146,7 +104,6 @@ criterion_group!(
     benches,
     bench_fifo_lp_scaling,
     bench_revised_lp_scaling,
-    bench_warm_start,
     bench_pivot_rules
 );
 

@@ -71,8 +71,8 @@ criterion_group!(benches, bench_pipeline_depth_scaling, bench_collapse_only);
 
 /// Times one (depth-3, p = 64) collapse+solve+expand — fanout 4 arranges
 /// 64 workers at depth 3 — best of `runs`, in nanoseconds. Each run
-/// perturbs the platform seed so the LP basis cache cannot warm-start the
-/// measured solve (the gate times the cold path).
+/// solves a freshly seeded platform, so the best-of covers several cost
+/// draws.
 fn time_pipeline_ns(runs: usize) -> f64 {
     black_box(pipeline(&star(64, 100), 4)); // warm-up
     let mut best = f64::INFINITY;

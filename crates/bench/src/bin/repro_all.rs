@@ -58,7 +58,6 @@ fn main() {
     write_text(&out.join("fig09_trace.csv"), &f9.trace_csv).expect("csv");
 
     // --- Figures 10-13.
-    dls_core::lp_model::reset_warm_start_stats();
     for variant in [
         ("fig10", fig10_13::fig10_variant()),
         ("fig11", fig10_13::fig11_variant()),
@@ -274,25 +273,9 @@ fn main() {
     }
     write_text(&out.join("fig14_participation.txt"), &f14_all).expect("txt");
 
-    // One end-of-run metrics snapshot. With `DLS_TRACE` set the full
-    // registry goes through the selected sink (summary table / JSONL);
-    // otherwise keep the one-line hit-rate provenance note, now read from
-    // the same registry instead of bespoke counters.
-    match dls_obs::mode() {
-        dls_obs::Mode::Disabled => {
-            let snap = dls_obs::snapshot();
-            let warm_hits = snap.counter("basis_cache.hit").unwrap_or(0);
-            let lp_solves = warm_hits + snap.counter("basis_cache.miss").unwrap_or(0);
-            if lp_solves > 0 {
-                println!(
-                    "LP engine: {lp_solves} scenario LPs solved, {warm_hits} warm-started \
-                     ({:.1}% basis-cache hit rate)",
-                    100.0 * warm_hits as f64 / lp_solves as f64
-                );
-            }
-        }
-        _ => dls_obs::emit("repro_all"),
-    }
+    // One end-of-run metrics snapshot through the `DLS_TRACE` sink
+    // (summary table / JSONL / trace export); a no-op when tracing is off.
+    dls_obs::emit("repro_all");
     println!(
         "All artefacts regenerated in {:.1?}; outputs under {}/",
         t0.elapsed(),

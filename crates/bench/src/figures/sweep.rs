@@ -217,8 +217,7 @@ fn run_scheduler(
 /// The whole `(matrix size × platform)` grid is built up front and fed
 /// through one [`par_map`] call, so worker threads stay saturated across
 /// size boundaries (the per-size barrier of the original pipeline idled the
-/// pool at every size change) and each worker's thread-local LP basis cache
-/// warm-starts the strategies solved on the same platform.
+/// pool at every size change).
 ///
 /// # Panics
 /// The *baseline* strategy (first configured id) must solve every platform:

@@ -51,10 +51,6 @@ pub enum Provenance {
     Lp {
         /// Simplex pivots used.
         iterations: usize,
-        /// `true` when the solve warm-started from a cached basis of an
-        /// earlier LP on the same platform (see
-        /// [`crate::lp_model::warm_start_stats`]).
-        warm_start: bool,
     },
     /// An analytical closed form or chain solution — no LP involved.
     ClosedForm,
@@ -152,7 +148,6 @@ impl Solution {
             throughput: lp.throughput,
             provenance: Provenance::Lp {
                 iterations: lp.iterations,
-                warm_start: lp.warm_start,
             },
             execution: Execution::Direct,
         }

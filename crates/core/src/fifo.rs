@@ -44,7 +44,6 @@ pub fn optimal_fifo(platform: &Platform) -> Result<LpSchedule, CoreError> {
             // be recomputed from the timeline.
             lp_idles: vec![0.0; platform.num_workers()],
             iterations: sol.iterations,
-            warm_start: sol.warm_start,
         })
     }
 }

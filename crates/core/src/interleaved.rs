@@ -40,8 +40,8 @@
 //! Every LP here is built on the schedule-model IR ([`ScheduleModel`]:
 //! `alpha`/`send_start`/`return_start` groups, `precedence` rows for the
 //! resolved one-port disjunctions) and solved through
-//! [`lp_model::solve_model`], so repeated solves warm-start from the
-//! per-thread basis cache under the models' structural keys.
+//! [`lp_model::solve_model`], the same cold engine router as the scenario
+//! LPs.
 //!
 //! [`MasterPolicy::Interleaved`]: ../../dls_sim/enum.MasterPolicy.html
 
@@ -178,8 +178,6 @@ pub struct LeadOutcome {
     pub loads: Vec<f64>,
     /// Simplex pivots.
     pub iterations: usize,
-    /// Basis-cache warm start.
-    pub warm_start: bool,
 }
 
 /// The interleaving order every solver entry point uses: Theorem 1's
@@ -203,7 +201,7 @@ pub fn interleaved_profile(
     for lead in (1..=q).rev() {
         let merge = merge_with_lead(q, lead);
         let (ir, alphas) = interleaved_model(platform, order, &merge);
-        let sol = lp_model::solve_model(&ir, None)?;
+        let sol = lp_model::solve_model(&ir)?;
         let mut loads = vec![0.0; platform.num_workers()];
         for (k, &id) in order.iter().enumerate() {
             loads[id.index()] = sol.value(alphas.var(k).var_id()).max(0.0);
@@ -213,7 +211,6 @@ pub fn interleaved_profile(
             throughput: sol.objective,
             loads,
             iterations: sol.iterations,
-            warm_start: sol.warm_start,
         });
     }
     Ok(out)
@@ -360,7 +357,7 @@ impl Scheduler for InterleavedScheduler {
                 }
                 let merge = merge_with_lead(q, lead);
                 let (ir, alphas) = interleaved_model(platform, &order, &merge);
-                let lp = lp_model::solve_model(&ir, None)?;
+                let lp = lp_model::solve_model(&ir)?;
                 let mut loads = vec![0.0; platform.num_workers()];
                 for (k, &id) in order.iter().enumerate() {
                     loads[id.index()] = lp.value(alphas.var(k).var_id()).max(0.0);
@@ -370,7 +367,6 @@ impl Scheduler for InterleavedScheduler {
                     throughput: lp.objective,
                     provenance: Provenance::Lp {
                         iterations: lp.iterations,
-                        warm_start: lp.warm_start,
                     },
                     execution: Execution::Direct,
                 })
@@ -484,7 +480,7 @@ mod tests {
             let order = interleaved_order(&p);
             let merge = merge_with_lead(n, n);
             let (ir, _) = interleaved_model(&p, &order, &merge);
-            let merged = lp_model::solve_model(&ir, None).unwrap();
+            let merged = lp_model::solve_model(&ir).unwrap();
             let canonical = lp_model::solve_fifo(&p, &order, PortModel::OnePort).unwrap();
             assert!(
                 (merged.objective - canonical.throughput).abs() < 1e-7,
@@ -543,9 +539,12 @@ mod tests {
                 profile[0].throughput
             );
         }
-        // Repeated profiles warm-start from the per-lead basis slots.
+        // A repeated profile is the same profile, bit for bit.
         let again = interleaved_profile(&p, &order).unwrap();
-        assert!(again.iter().all(|o| o.warm_start));
+        for (a, b) in again.iter().zip(&profile) {
+            assert_eq!(a.throughput.to_bits(), b.throughput.to_bits());
+            assert_eq!(a.iterations, b.iterations);
+        }
     }
 
     #[test]

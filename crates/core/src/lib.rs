@@ -89,8 +89,8 @@ pub mod prelude {
     };
     pub use crate::lifo::optimal_lifo;
     pub use crate::lp_model::{
-        scenario_model, solve_fifo, solve_lifo, solve_model, solve_scenario, warm_start_stats,
-        with_engine, LpEngine, LpSchedule, ModelSolution,
+        scenario_model, solve_fifo, solve_lifo, solve_model, solve_scenario, with_engine, LpEngine,
+        LpSchedule, ModelSolution,
     };
     pub use crate::no_return::{no_return_platform, optimal_no_return};
     pub use crate::rounding::{integer_schedule, round_loads};

@@ -33,11 +33,10 @@
 //! The builder is exposed ([`build_problem`]) so tests can solve the same
 //! LP with the exact rational backend.
 
-use std::cell::{Cell, RefCell};
-use std::hash::{Hash, Hasher};
+use std::cell::Cell;
 use std::sync::OnceLock;
 
-use dls_lp::{BasisCache, LpError, Problem, Scalar, ScheduleModel, SolverOptions, VarId};
+use dls_lp::{LpError, Problem, Scalar, ScheduleModel, SolverOptions, VarId};
 use dls_platform::{Platform, WorkerId};
 
 use crate::error::CoreError;
@@ -48,27 +47,13 @@ use crate::schedule::{PortModel, Schedule};
 pub enum LpEngine {
     /// The dense two-phase tableau ([`dls_lp::solve_with`]).
     Tableau,
-    /// The revised simplex with eta-file updates and per-thread
-    /// [`BasisCache`] warm starts ([`dls_lp::solve_revised_with`]) — the
-    /// default: same answers, and repeated solves on one platform (the
-    /// FIFO/LIFO/INC_* strategies of a sweep) reuse the previous optimal
-    /// basis instead of re-running from the slack basis.
+    /// The revised simplex with a sparse LU factorization
+    /// ([`dls_lp::solve_revised_with`]), solving cold — the default.
     Revised,
 }
 
 thread_local! {
     static ENGINE: Cell<LpEngine> = const { Cell::new(LpEngine::Revised) };
-    static BASIS_CACHE: RefCell<BasisCache> = RefCell::new(BasisCache::new());
-}
-
-/// Warm-start accounting lives in the `dls-obs` registry (counters
-/// `basis_cache.hit` / `basis_cache.miss`, summed over every thread);
-/// [`warm_start_stats`] is a thin shim over these handles.
-fn hit_counter() -> dls_obs::Counter {
-    dls_obs::counter!("basis_cache.hit")
-}
-fn miss_counter() -> dls_obs::Counter {
-    dls_obs::counter!("basis_cache.miss")
 }
 
 /// The engine the current thread uses for scenario LPs.
@@ -90,20 +75,6 @@ pub fn with_engine<R>(engine: LpEngine, f: impl FnOnce() -> R) -> R {
     }
     let _restore = Restore(ENGINE.with(|e| e.replace(engine)));
     f()
-}
-
-/// `(warm-start hits, total scenario-LP solves)` since process start (or
-/// the last [`reset_warm_start_stats`]), summed over every thread.
-pub fn warm_start_stats() -> (usize, usize) {
-    let hits = hit_counter().value() as usize;
-    let misses = miss_counter().value() as usize;
-    (hits, hits + misses)
-}
-
-/// Zeroes the [`warm_start_stats`] counters.
-pub fn reset_warm_start_stats() {
-    hit_counter().reset();
-    miss_counter().reset();
 }
 
 /// `true` when the pre-solve static analyzer ([`dls_lp::analyze`]) runs on
@@ -142,39 +113,6 @@ pub fn analyze_gate(model: &ScheduleModel) -> Result<(), CoreError> {
     Ok(())
 }
 
-/// Cache key of a scenario family: platform identity (worker cost bits),
-/// enrollment size, port model, and the scenario's *relative return
-/// pattern* (each send position's return position). The pattern keeps
-/// structurally different LPs apart — a LIFO optimum is rarely a feasible
-/// basis for a FIFO LP, and letting them share a slot would evict each
-/// other's bases — while the FIFO-family strategies (`optimal_fifo`,
-/// `inc_c`, `inc_w`: identity pattern, different worker orders) share one
-/// slot and warm-start each other.
-fn scenario_cache_key(
-    platform: &Platform,
-    send_order: &[WorkerId],
-    return_order: &[WorkerId],
-    model: PortModel,
-) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for id in platform.ids() {
-        let w = platform.worker(id);
-        w.c.to_bits().hash(&mut h);
-        w.w.to_bits().hash(&mut h);
-        w.d.to_bits().hash(&mut h);
-    }
-    send_order.len().hash(&mut h);
-    matches!(model, PortModel::OnePort).hash(&mut h);
-    let mut send_pos = vec![usize::MAX; platform.num_workers()];
-    for (k, id) in send_order.iter().enumerate() {
-        send_pos[id.index()] = k;
-    }
-    for id in return_order {
-        send_pos[id.index()].hash(&mut h);
-    }
-    h.finish()
-}
-
 /// Result of solving a scenario LP.
 #[derive(Debug, Clone)]
 pub struct LpSchedule {
@@ -189,9 +127,6 @@ pub struct LpSchedule {
     pub lp_idles: Vec<f64>,
     /// Simplex pivots used.
     pub iterations: usize,
-    /// `true` when the solve reused a cached basis from an earlier LP on
-    /// the same platform (skipping the cold start entirely).
-    pub warm_start: bool,
 }
 
 /// Variable handles of a built scenario LP, in enrolled (send-order)
@@ -358,8 +293,6 @@ pub struct ModelSolution {
     pub objective: f64,
     /// Simplex pivots used.
     pub iterations: usize,
-    /// `true` when the solve reused a cached basis (revised engine only).
-    pub warm_start: bool,
 }
 
 impl ModelSolution {
@@ -369,113 +302,54 @@ impl ModelSolution {
     }
 }
 
-/// Solves a schedule-model IR through the thread's [`current_engine`] and
-/// per-thread [`BasisCache`], exactly like the scenario LPs: the revised
-/// engine warm-starts from the basis cached under `key` (defaulting to the
-/// model's own [`ScheduleModel::cache_key`]) and numerical failures retry
-/// once on the tableau. Counts toward [`warm_start_stats`]. When
-/// [`analysis_enabled`] (debug builds, `DLS_ANALYZE=1`), the model first
-/// passes the [`analyze_gate`] static checks.
-///
-/// This is the engine entry point for IR-built LP variants (the
-/// interleaved-master and tree-native families); the canonical scenario
-/// path keeps its platform-derived key so FIFO-family strategies continue
-/// to share basis slots.
-pub fn solve_model(model: &ScheduleModel, key: Option<u64>) -> Result<ModelSolution, CoreError> {
+/// Solves a schedule-model IR through the thread's [`current_engine`] —
+/// the one engine router every LP in the workspace goes through. Every
+/// solve starts cold, so the result depends only on the model and the
+/// engine, never on earlier solves; a numerical failure of the revised
+/// engine retries once on the tableau. When [`analysis_enabled`] (debug
+/// builds, `DLS_ANALYZE=1`), the model first passes the [`analyze_gate`]
+/// static checks.
+pub fn solve_model(model: &ScheduleModel) -> Result<ModelSolution, CoreError> {
     analyze_gate(model)?;
     let lp = model.lower();
-    let key = key.unwrap_or_else(|| model.cache_key());
-    solve_lowered(&lp, key)
-}
-
-/// Shared engine router for a lowered problem under a caller-chosen cache
-/// key.
-fn solve_lowered(lp: &Problem, key: u64) -> Result<ModelSolution, CoreError> {
     let engine = current_engine();
-    // The trace span feeds the same `lp_model.solve.seconds` histogram the
-    // pre-trace timer did; the separate timer below only serves the
-    // per-cache-key latency family.
-    let solve_span = dls_obs::trace_span!(
+    let _span = dls_obs::trace_span!(
         "lp_model.solve.seconds",
         "engine" => match engine {
             LpEngine::Tableau => "tableau",
             LpEngine::Revised => "revised",
         },
-        "key" => format_args!("{key:016x}"),
     );
-    let solve_time = dls_obs::timer();
     let opts = SolverOptions::for_size(lp.num_vars(), lp.num_constraints());
-    let (sol, warm_start) = match engine {
-        LpEngine::Tableau => (dls_lp::solve_with::<f64>(lp, &opts)?, false),
-        LpEngine::Revised => {
-            let res = BASIS_CACHE.with(|c| c.borrow_mut().solve::<f64>(key, lp, &opts));
-            match res {
-                Ok(r) => (r.solution, r.warm_started),
-                // Infeasible/unbounded are real answers; numerical failures
-                // (iteration limit, singular refactorization) get one shot
-                // on the tableau before surfacing.
-                Err(LpError::IterationLimit { .. }) | Err(LpError::SingularBasis) => {
-                    dls_obs::counter!("lp_model.tableau_retry").incr();
-                    dls_obs::trace_event!(
-                        "lp_model.tableau_retry",
-                        "key" => format_args!("{key:016x}"),
-                    );
-                    (dls_lp::solve_with::<f64>(lp, &opts)?, false)
-                }
-                Err(e) => return Err(e.into()),
+    let sol = match engine {
+        LpEngine::Tableau => dls_lp::solve_with::<f64>(&lp, &opts)?,
+        LpEngine::Revised => match dls_lp::solve_revised_with::<f64>(&lp, &opts, None) {
+            Ok(r) => r.solution,
+            // Infeasible/unbounded are real answers; numerical failures
+            // (iteration limit, singular refactorization) get one shot on
+            // the tableau before surfacing.
+            Err(LpError::IterationLimit { .. }) | Err(LpError::SingularBasis) => {
+                dls_obs::counter!("lp_model.tableau_retry").incr();
+                dls_obs::trace_event!("lp_model.tableau_retry");
+                dls_lp::solve_with::<f64>(&lp, &opts)?
             }
-        }
+            Err(e) => return Err(e.into()),
+        },
     };
-    if warm_start {
-        hit_counter().incr();
-    } else {
-        miss_counter().incr();
-    }
-    solve_span.finish();
-    if let Some(seconds) = solve_time.stop() {
-        record_keyed_latency(key, seconds);
-    }
+    // Counts solved router LPs. The name predates the cold-only router; it
+    // is kept because the perfbench per-layer report divides by it.
+    dls_obs::counter!("basis_cache.miss").incr();
     Ok(ModelSolution {
         values: sol.x,
         objective: sol.objective,
         iterations: sol.iterations,
-        warm_start,
     })
-}
-
-/// Records a solve latency into a per-cache-key histogram
-/// (`lp_model.solve.key_<hex>.seconds`). Only the first `MAX_TRACKED_KEYS`
-/// distinct keys get their own histogram — serve-style workloads revisit a
-/// handful of families, which is where per-key latency matters — while
-/// paper-scale sweeps (thousands of one-shot platforms) fold the rest into
-/// `lp_model.solve.key_other.seconds`. Called only when timing is enabled,
-/// so the tracking set stays off the `DLS_TRACE`-unset hot path.
-fn record_keyed_latency(key: u64, seconds: f64) {
-    use std::collections::HashSet;
-    use std::sync::Mutex;
-    const MAX_TRACKED_KEYS: usize = 32;
-    static TRACKED: OnceLock<Mutex<HashSet<u64>>> = OnceLock::new();
-    let mut tracked = TRACKED
-        .get_or_init(|| Mutex::new(HashSet::new()))
-        .lock()
-        .expect("keyed-latency tracking set");
-    let own_slot =
-        tracked.contains(&key) || tracked.len() < MAX_TRACKED_KEYS && tracked.insert(key);
-    drop(tracked);
-    let hist = if own_slot {
-        dls_obs::histogram(&format!("lp_model.solve.key_{key:016x}.seconds"))
-    } else {
-        dls_obs::histogram("lp_model.solve.key_other.seconds")
-    };
-    hist.record(seconds);
 }
 
 /// Solves the scenario LP and packages the optimal schedule.
 ///
 /// The LP backend is the thread's [`current_engine`] — by default the
-/// revised simplex with a per-thread [`BasisCache`], so consecutive solves
-/// on the same platform (different orders, different strategies) warm-start
-/// from the previous optimal basis. On the rare numerical failure of the
+/// revised simplex, solving cold. On the rare numerical failure of the
 /// revised path the tableau engine is retried before reporting an error.
 pub fn solve_scenario(
     platform: &Platform,
@@ -489,12 +363,7 @@ pub fn solve_scenario(
         "enrolled" => send_order.len(),
     );
     let (ir, vars) = scenario_model(platform, send_order, return_order, model)?;
-    analyze_gate(&ir)?;
-    // The platform-derived key (not the IR's structural key) so the
-    // FIFO-family strategies keep sharing one basis slot per platform —
-    // the pre-IR warm-start behavior, bit for bit.
-    let key = scenario_cache_key(platform, send_order, return_order, model);
-    let sol = solve_lowered(&ir.lower(), key)?;
+    let sol = solve_model(&ir)?;
 
     let mut loads = vec![0.0; platform.num_workers()];
     let mut lp_idles = vec![0.0; platform.num_workers()];
@@ -508,7 +377,6 @@ pub fn solve_scenario(
         schedule,
         lp_idles,
         iterations: sol.iterations,
-        warm_start: sol.warm_start,
     })
 }
 
@@ -657,7 +525,6 @@ mod tests {
         for model in [PortModel::OnePort, PortModel::TwoPort] {
             let revised = solve_fifo(&p, &order, model).unwrap();
             let tableau = with_engine(LpEngine::Tableau, || solve_fifo(&p, &order, model).unwrap());
-            assert!(!tableau.warm_start);
             let rel =
                 (revised.throughput - tableau.throughput).abs() / tableau.throughput.abs().max(1.0);
             assert!(
@@ -670,42 +537,54 @@ mod tests {
     }
 
     #[test]
-    fn repeated_solves_on_one_platform_warm_start() {
+    fn router_results_do_not_depend_on_history() {
+        // The determinism contract: a solve's answer is a function of its
+        // LP alone. Solving other LPs on the same platform in between —
+        // LIFO, another order, the two-port model, a raw IR model — must
+        // not change a repeat of the first solve by a single bit.
         let p = platform();
         let order = ids(&[0, 1, 2]);
         let first = solve_fifo(&p, &order, PortModel::OnePort).unwrap();
-        // An identical re-solve is offered the previous optimal basis,
-        // which stays optimal: guaranteed hit, zero pivots.
+        solve_lifo(&p, &order, PortModel::OnePort).unwrap();
+        solve_fifo(&p, &ids(&[2, 0, 1]), PortModel::OnePort).unwrap();
+        solve_fifo(&p, &order, PortModel::TwoPort).unwrap();
+        let (ir, _) = scenario_model(&p, &order, &ids(&[1, 0, 2]), PortModel::OnePort).unwrap();
+        solve_model(&ir).unwrap();
         let again = solve_fifo(&p, &order, PortModel::OnePort).unwrap();
-        assert!(again.warm_start, "identical re-solve must hit the cache");
-        assert!(again.iterations <= first.iterations);
-        assert!((again.throughput - first.throughput).abs() < 1e-12);
-        // Same platform, reversed return order (the LIFO LP): same shape,
-        // so the cached basis is *offered*; whether or not it is accepted,
-        // the answer must match a cold tableau solve.
-        let lifo = solve_lifo(&p, &order, PortModel::OnePort).unwrap();
-        let lifo_cold = with_engine(LpEngine::Tableau, || {
-            solve_lifo(&p, &order, PortModel::OnePort).unwrap()
-        });
-        assert!((lifo.throughput - lifo_cold.throughput).abs() < 1e-9);
+
+        assert!(first.iterations > 0);
+        assert_eq!(again.iterations, first.iterations);
+        assert_eq!(again.throughput.to_bits(), first.throughput.to_bits());
+        for id in p.ids() {
+            assert_eq!(
+                again.schedule.load(id).to_bits(),
+                first.schedule.load(id).to_bits()
+            );
+        }
+        for (a, b) in again.lp_idles.iter().zip(&first.lp_idles) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]
-    fn warm_start_stats_accumulate() {
+    fn every_router_solve_is_counted() {
+        // `basis_cache.miss` counts router solves (both engines); the
+        // per-layer benchmark report divides by it.
         let p = platform();
         let order = ids(&[0, 1, 2]);
-        let (h0, s0) = warm_start_stats();
-        let _ = solve_fifo(&p, &order, PortModel::OnePort).unwrap();
-        let _ = solve_fifo(&p, &order, PortModel::OnePort).unwrap();
-        let (h1, s1) = warm_start_stats();
-        assert!(s1 >= s0 + 2);
-        assert!(h1 > h0, "second identical solve must count as a warm hit");
+        let solves = || dls_obs::counter!("basis_cache.miss").value();
+        let before = solves();
+        solve_fifo(&p, &order, PortModel::OnePort).unwrap();
+        with_engine(LpEngine::Tableau, || {
+            solve_fifo(&p, &order, PortModel::OnePort).unwrap()
+        });
+        assert!(solves() >= before + 2);
     }
 
     /// The pre-IR hand-rolled builder, kept verbatim as a golden: the IR
     /// lowering must reproduce its output *byte for byte* (names, labels,
-    /// objective, row order, coefficient order), so warm-start keys and
-    /// cached bases carry over across the refactor.
+    /// objective, row order, coefficient order), so the refactor changed
+    /// no LP.
     fn golden_build_problem(
         platform: &Platform,
         send_order: &[WorkerId],
@@ -810,33 +689,21 @@ mod tests {
                 dls_lp::RowKind::OnePort,
             ]
         );
-        // Same scenario -> same structural key; different port model ->
-        // different key (the one-port row vanishes).
-        let (again, _) =
-            scenario_model(&p, &ids(&[0, 1, 2]), &ids(&[0, 1, 2]), PortModel::OnePort).unwrap();
-        assert_eq!(ir.cache_key(), again.cache_key());
+        // The two-port model drops the one-port row.
         let (two, _) =
             scenario_model(&p, &ids(&[0, 1, 2]), &ids(&[0, 1, 2]), PortModel::TwoPort).unwrap();
-        assert_ne!(ir.cache_key(), two.cache_key());
+        assert_eq!(two.num_rows(), 3);
     }
 
     #[test]
-    fn solve_model_routes_through_cache_and_stats() {
+    fn solve_model_agrees_with_the_scenario_path() {
         let p = platform();
         let (ir, vars) =
             scenario_model(&p, &ids(&[0, 1, 2]), &ids(&[0, 1, 2]), PortModel::OnePort).unwrap();
-        let (h0, s0) = warm_start_stats();
-        let first = solve_model(&ir, None).unwrap();
-        let again = solve_model(&ir, None).unwrap();
-        let (h1, s1) = warm_start_stats();
-        assert!(s1 >= s0 + 2);
-        assert!(h1 > h0, "identical IR re-solve must hit the basis cache");
-        assert!(again.warm_start);
-        assert!((first.objective - again.objective).abs() < 1e-12);
-        // The router and the scenario path agree on the optimum.
+        let direct = solve_model(&ir).unwrap();
         let scenario = solve_fifo(&p, &ids(&[0, 1, 2]), PortModel::OnePort).unwrap();
-        assert!((first.objective - scenario.throughput).abs() < 1e-9);
-        assert!((first.value(vars.alphas[0]) - scenario.schedule.load(WorkerId(0))).abs() < 1e-9);
+        assert!((direct.objective - scenario.throughput).abs() < 1e-9);
+        assert!((direct.value(vars.alphas[0]) - scenario.schedule.load(WorkerId(0))).abs() < 1e-9);
     }
 
     #[test]
@@ -857,7 +724,7 @@ mod tests {
             [(alphas.var(0), -1.5), (alphas.var(1), 3.0)],
             1.0,
         );
-        match solve_model(&ir, None) {
+        match solve_model(&ir) {
             Err(CoreError::InvalidModel(report)) => {
                 assert!(report.contains("one_port"), "{report}");
                 assert!(report.contains("OnePort"), "{report}");

@@ -15,17 +15,15 @@
 //! * the **revised simplex** ([`solve_revised`], [`solve_revised_with`]) —
 //!   sparse LU basis factorization (Markowitz pivoting, Forrest–Tomlin
 //!   updates; see [`BasisFactorization`]) with periodic refactorization,
-//!   candidate-list (partial) pricing on wide instances, and
-//!   **warm starts** from a caller-supplied [`Basis`]; the [`BasisCache`]
-//!   amortizes families of related instances (the sweeps' access pattern).
-//!   The sparse factors make it the fastest engine cold *and* warm at
-//!   scenario sizes.
+//!   candidate-list (partial) pricing on wide instances, and optional
+//!   warm starts from a caller-supplied [`Basis`]. The sparse factors make
+//!   it the faster cold engine on large instances (p ≥ 128 workers).
 //!
 //! Above the raw [`Problem`] builder sits the **schedule-model IR**
 //! ([`ScheduleModel`]): named variable groups, tagged constraint
-//! combinators (deadline/one-port/capacity/precedence), deterministic
-//! lowering and structural cache keys — the shared vocabulary every
-//! divisible-load LP variant in the workspace is built from. The
+//! combinators (deadline/one-port/capacity/precedence) and deterministic
+//! lowering — the shared vocabulary every divisible-load LP variant in the
+//! workspace is built from. The
 //! [`analyze`] pass statically checks a model's structural invariants
 //! (row-kind signatures, duplicate/dominated rows, conditioning) *before*
 //! lowering, turning builder bugs into named diagnostics instead of
@@ -69,9 +67,9 @@ mod sparse_lu;
 
 pub use analyze::{analyze, AnalysisReport, Diagnostic, Severity, SPREAD_LIMIT};
 pub use error::LpError;
-pub use model::{MVar, RowKind, ScheduleModel, StandardShape, VarGroup};
+pub use model::{MVar, RowKind, ScheduleModel, VarGroup};
 pub use problem::{Constraint, Problem, Relation, Sense, VarId};
 pub use rational::Rational;
-pub use revised::{solve_revised, solve_revised_with, Basis, BasisCache, RevisedSolution};
+pub use revised::{solve_revised, solve_revised_with, Basis, RevisedSolution};
 pub use scalar::Scalar;
 pub use simplex::{solve, solve_exact, solve_with, BasisFactorization, Solution, SolverOptions};

@@ -17,22 +17,11 @@
 //!   [`capacity`](ScheduleModel::capacity),
 //!   [`precedence`](ScheduleModel::precedence) — that tag each row with a
 //!   [`RowKind`], keeping the scheduling semantics visible to debuggers
-//!   and the cache-key derivation;
+//!   and the static analyzer ([`crate::analyze`]);
 //! * **deterministic lowering** ([`ScheduleModel::lower`]) — variables in
 //!   declaration order, rows in declaration order: two identical model
 //!   builds produce byte-identical [`Problem`]s, which is what lets the
-//!   refactored `dls-core` builders keep their pre-IR warm-start behavior
-//!   bit for bit;
-//! * **cache-key derivation** ([`ScheduleModel::cache_key`]) — a
-//!   structural fingerprint (groups, row kinds, relations, coefficient
-//!   bits) for keying a [`BasisCache`](crate::BasisCache) without every
-//!   caller reinventing a platform hash;
-//! * **standardized-shape derivation**
-//!   ([`ScheduleModel::standard_shape`]) — the row/column counts of the
-//!   standardized instance, mirroring the solver's own standardization, so
-//!   model authors can check up front whether two variants are
-//!   basis-compatible (the prerequisite for warm-starting one from the
-//!   other).
+//!   refactored `dls-core` builders reproduce the pre-IR LPs bit for bit.
 //!
 //! ```
 //! use dls_lp::{ScheduleModel, solve};
@@ -51,7 +40,6 @@
 //! assert!((sol.objective - 1.0 / 6.0).abs() < 1e-9);
 //! ```
 
-use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
 use crate::problem::{Problem, Relation, Sense, VarId};
@@ -125,9 +113,8 @@ impl VarGroup {
     }
 }
 
-/// Scheduling role of a model row — recorded for debuggability and hashed
-/// into the [`cache key`](ScheduleModel::cache_key) so structurally
-/// different formulations never share a basis slot.
+/// Scheduling role of a model row — recorded for debuggability and checked
+/// per kind by the static analyzer ([`crate::analyze`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RowKind {
     /// A per-worker horizon constraint (the paper's (2a) rows).
@@ -151,36 +138,6 @@ pub(crate) struct ModelRow {
     pub(crate) terms: Vec<(usize, f64)>,
     pub(crate) relation: Relation,
     pub(crate) rhs: f64,
-}
-
-/// Row/column counts of the standardized instance a model lowers to,
-/// mirroring the solver engines' own standardization (negative right-hand
-/// sides flip the relation). Two models are basis-compatible — a cached
-/// [`Basis`](crate::Basis) from one can warm-start the other — exactly
-/// when their shapes match.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StandardShape {
-    /// Structural (declared) variables.
-    pub structural: usize,
-    /// Slack/surplus columns (one per standardized `<=`/`>=` row).
-    pub logicals: usize,
-    /// Artificial columns (one per standardized `>=`/`==` row).
-    pub artificials: usize,
-    /// Constraint rows.
-    pub rows: usize,
-}
-
-impl StandardShape {
-    /// Total standardized column count.
-    pub fn cols(&self) -> usize {
-        self.structural + self.logicals + self.artificials
-    }
-
-    /// `true` when a basis taken from a model of this shape fits a model
-    /// of `other`'s shape.
-    pub fn basis_compatible(&self, other: &StandardShape) -> bool {
-        self == other
-    }
 }
 
 /// The schedule-model IR: named variable groups plus tagged constraint
@@ -376,8 +333,7 @@ impl ScheduleModel {
 
     /// Lowers the model to a raw [`Problem`]: variables in declaration
     /// order, rows in declaration order. Deterministic — two identical
-    /// model builds lower to byte-identical problems, so warm-start keys
-    /// and cached bases carry over between builds.
+    /// model builds lower to byte-identical problems.
     ///
     /// In debug builds an out-of-range variable reference fails here with
     /// the offending row's label instead of index-panicking deep inside the
@@ -409,69 +365,6 @@ impl ScheduleModel {
             );
         }
         p
-    }
-
-    /// Structural fingerprint for keying a [`BasisCache`](crate::BasisCache):
-    /// hashes the sense, the group names and sizes, the objective bits and
-    /// every row's kind, relation, right-hand side and coefficient bits —
-    /// but *not* the row labels, which carry display-only worker ids.
-    /// Deterministic across processes.
-    pub fn cache_key(&self) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        matches!(self.sense, Sense::Maximize).hash(&mut h);
-        self.groups.len().hash(&mut h);
-        for g in &self.groups {
-            g.name.hash(&mut h);
-            g.range.len().hash(&mut h);
-        }
-        for &obj in &self.objective {
-            obj.to_bits().hash(&mut h);
-        }
-        self.rows.len().hash(&mut h);
-        for row in &self.rows {
-            row.kind.hash(&mut h);
-            (row.relation as u8).hash(&mut h);
-            row.rhs.to_bits().hash(&mut h);
-            row.terms.len().hash(&mut h);
-            for &(i, c) in &row.terms {
-                i.hash(&mut h);
-                c.to_bits().hash(&mut h);
-            }
-        }
-        h.finish()
-    }
-
-    /// The standardized row/column shape this model lowers to, mirroring
-    /// the solver engines' standardization (rows with negative right-hand
-    /// sides are flipped before logicals/artificials are assigned).
-    pub fn standard_shape(&self) -> StandardShape {
-        let mut logicals = 0;
-        let mut artificials = 0;
-        for row in &self.rows {
-            let relation = if row.rhs < 0.0 {
-                match row.relation {
-                    Relation::Le => Relation::Ge,
-                    Relation::Ge => Relation::Le,
-                    Relation::Eq => Relation::Eq,
-                }
-            } else {
-                row.relation
-            };
-            match relation {
-                Relation::Le => logicals += 1,
-                Relation::Ge => {
-                    logicals += 1;
-                    artificials += 1;
-                }
-                Relation::Eq => artificials += 1,
-            }
-        }
-        StandardShape {
-            structural: self.names.len(),
-            logicals,
-            artificials,
-            rows: self.rows.len(),
-        }
     }
 }
 
@@ -560,55 +453,6 @@ mod tests {
         m.deadline("horizon", [(start.var(0), 1.0), (alpha.var(0), 1.0)], 1.0);
         let sol = solve(&m.lower()).unwrap();
         assert!((sol.objective - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cache_key_tracks_structure_not_labels() {
-        let (a, _, _) = two_worker_model();
-        let (b, _, _) = two_worker_model();
-        assert_eq!(a.cache_key(), b.cache_key());
-
-        // A changed coefficient changes the key.
-        let mut c = ScheduleModel::maximize();
-        let alphas = c.group("alpha", (1..=2).map(|i| (format!("alpha_P{i}"), 1.0)));
-        let idles = c.group("idle", (1..=2).map(|i| (format!("x_P{i}"), 0.0)));
-        c.deadline(
-            "deadline_P1",
-            [
-                (alphas.var(0), 9.0),
-                (idles.var(0), 1.0),
-                (alphas.var(0), 0.5),
-                (alphas.var(1), 1.0),
-            ],
-            1.0,
-        );
-        assert_ne!(a.cache_key(), c.cache_key());
-
-        // A changed row *kind* changes the key even with equal math.
-        let mut d = ScheduleModel::maximize();
-        let alphas = d.group("alpha", (1..=2).map(|i| (format!("alpha_P{i}"), 1.0)));
-        d.capacity("cap", [(alphas.var(0), 1.5), (alphas.var(1), 3.0)], 1.0);
-        let mut e = ScheduleModel::maximize();
-        let alphas = e.group("alpha", (1..=2).map(|i| (format!("alpha_P{i}"), 1.0)));
-        e.one_port("cap", [(alphas.var(0), 1.5), (alphas.var(1), 3.0)], 1.0);
-        assert_ne!(d.cache_key(), e.cache_key());
-    }
-
-    #[test]
-    fn standard_shape_counts_logicals_and_artificials() {
-        let mut m = ScheduleModel::maximize();
-        let g = m.group("g", [("x".to_string(), 1.0), ("y".to_string(), 1.0)]);
-        m.deadline("le", [(g.var(0), 1.0)], 1.0); // slack
-        m.constraint("ge", [(g.var(1), 1.0)], Relation::Ge, 0.5); // surplus + artificial
-        m.constraint("eq", [(g.var(0), 1.0), (g.var(1), 1.0)], Relation::Eq, 1.0); // artificial
-        m.constraint("neg", [(g.var(0), -1.0)], Relation::Le, -0.25); // flips to Ge
-        let shape = m.standard_shape();
-        assert_eq!(shape.structural, 2);
-        assert_eq!(shape.logicals, 3); // le, ge, flipped-neg
-        assert_eq!(shape.artificials, 3); // ge, eq, flipped-neg
-        assert_eq!(shape.rows, 4);
-        assert_eq!(shape.cols(), 8);
-        assert!(shape.basis_compatible(&m.standard_shape()));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Revised simplex with a sparse LU basis factorization and warm starts.
+//! Revised simplex with a sparse LU basis factorization.
 //!
 //! The dense tableau in [`crate::simplex`] rewrites the whole `m x n`
 //! matrix on every pivot. This module keeps the constraint columns
@@ -19,26 +19,22 @@
 //!   path, update fill outgrows the factors, or a Forrest–Tomlin update
 //!   is rejected as numerically unsafe), the factorization is rebuilt
 //!   from the basis columns, which both bounds the per-iteration cost and
-//!   flushes accumulated floating-point drift. With
-//!   [`crate::SolverOptions::canonical`] set, one final refactorization
-//!   before extraction makes the reported point a pure function of the
-//!   final basis, so cache-warmed repeats agree bitwise with the solves
-//!   that populated the cache (the [`BasisCache`] always sets it).
+//!   flushes accumulated floating-point drift. A cold solve replays the
+//!   same pivots every time, so its answer is deterministic without an
+//!   end-of-solve refactorization.
 //! * **Warm starts.** [`solve_revised_with`] accepts a caller-supplied
 //!   [`Basis`] (in the standardized column indexing shared with the
 //!   tableau). If the basis factorizes and is primal feasible, phase 1 is
 //!   skipped entirely and phase 2 starts from it; otherwise the solver
 //!   silently falls back to the cold slack/artificial start. The
-//!   [`BasisCache`] packages the bookkeeping for families of related
-//!   instances (the divisible-load sweeps solve thousands of LPs that
-//!   differ only in a permutation or a speed factor).
+//!   workspace's own solve path (`dls_core::lp_model`) always passes
+//!   `None`: at scenario sizes a cold solve is cheaper than keeping
+//!   bases around to seed the next one.
 //!
 //! The solver is generic over [`Scalar`], so the exact rational backend can
 //! certify the floating-point path, and shares standardization and column
 //! layout with the tableau — a [`Basis`] is portable between the two
 //! engines.
-
-use std::collections::HashMap;
 
 use crate::error::LpError;
 use crate::problem::{Problem, Relation};
@@ -94,101 +90,6 @@ pub struct RevisedSolution<S> {
     /// `true` when the caller-supplied basis was accepted (factorized and
     /// primal feasible), skipping phase 1.
     pub warm_started: bool,
-}
-
-/// Keyed store of optimal bases with hit/miss accounting.
-///
-/// Keys are caller-chosen (e.g. a platform fingerprint); a cached basis is
-/// only offered to instances whose standardized dimensions match, and a
-/// *hit* is recorded only when the solver actually accepted the warm basis.
-#[derive(Debug, Default)]
-pub struct BasisCache {
-    entries: HashMap<u64, Basis>,
-    hits: usize,
-    misses: usize,
-}
-
-impl BasisCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The cached basis for `key`, if any.
-    pub fn get(&self, key: u64) -> Option<&Basis> {
-        self.entries.get(&key)
-    }
-
-    /// Stores (or replaces) the basis for `key`.
-    pub fn store(&mut self, key: u64, basis: Basis) {
-        self.entries.insert(key, basis);
-    }
-
-    /// Number of solves that accepted a cached basis.
-    pub fn hits(&self) -> usize {
-        self.hits
-    }
-
-    /// Number of solves that started cold (no entry, dimension mismatch, or
-    /// rejected warm basis).
-    pub fn misses(&self) -> usize {
-        self.misses
-    }
-
-    /// Number of cached bases.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when no basis is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Solves `problem`, warm-starting from the basis cached under `key`
-    /// when possible, and caches the optimal basis back under `key`.
-    ///
-    /// A *numerical* failure (iteration limit, singular refactorization)
-    /// evicts the key — a basis that led the solver astray must not be
-    /// replayed by every later solve of the family. `Infeasible`/`Unbounded`
-    /// are legitimate answers about the instance, not the basis, and leave
-    /// the cache untouched.
-    pub fn solve<S: Scalar>(
-        &mut self,
-        key: u64,
-        problem: &Problem,
-        opts: &SolverOptions,
-    ) -> Result<RevisedSolution<S>, LpError> {
-        let probe =
-            dls_obs::trace_span!("basis_cache.probe.seconds", "key" => format_args!("{key:016x}"));
-        let warm = self.entries.get(&key);
-        probe.finish();
-        // Canonical extraction: which basis the cache supplies depends on
-        // request history, so without the end-of-solve flush a cache-warmed
-        // repeat could drift a ULP from the solve that populated the entry.
-        let opts = SolverOptions {
-            canonical: true,
-            ..opts.clone()
-        };
-        let res = match solve_revised_with::<S>(problem, &opts, warm) {
-            Ok(res) => res,
-            Err(e) => {
-                if matches!(e, LpError::IterationLimit { .. } | LpError::SingularBasis)
-                    && self.entries.remove(&key).is_some()
-                {
-                    dls_obs::counter!("basis_cache.evict").incr();
-                }
-                return Err(e);
-            }
-        };
-        if res.warm_started {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        self.entries.insert(key, res.basis.clone());
-        Ok(res)
-    }
 }
 
 /// Solves `problem` with default options on the `f64` backend, cold start.
@@ -980,21 +881,9 @@ pub fn solve_revised_with<S: Scalar>(
         PhaseOutcome::Unbounded => return Err(LpError::Unbounded),
     }
 
-    // ---- Canonical extraction (opt-in): flush update-file drift with a
-    // final refactorization so the reported numbers are a pure function
-    // of the final basis rather than of the pivot history. A plain cold
-    // solve replays the same pivots every time and needs no flush; a
-    // solve seeded from a *variable* warm basis (the cache, whose content
-    // depends on request history) does, so that a cache-warmed repeat
-    // agrees bitwise with the solve that populated the cache (the sweep
-    // determinism tests pin this). `refactorize` records the update-file
-    // length before rebuilding; the no-flush arm records it explicitly so
-    // every solve contributes an end-of-solve `revised.eta_len` sample.
-    if opts.canonical && state.factor.updates_len() > 0 {
-        state.refactorize()?;
-    } else {
-        dls_obs::histogram!("revised.eta_len").record(state.factor.updates_len() as f64);
-    }
+    // Every solve contributes an end-of-solve `revised.eta_len` sample
+    // (`refactorize` records the length it flushes mid-solve).
+    dls_obs::histogram!("revised.eta_len").record(state.factor.updates_len() as f64);
 
     // ---- Extract primal point, objective, duals.
     let mut x = vec![S::zero(); n];
@@ -1288,88 +1177,6 @@ mod tests {
     }
 
     #[test]
-    fn basis_cache_counts_hits_and_misses() {
-        let p = textbook();
-        let opts = opts_for(&p);
-        let mut cache = BasisCache::new();
-        let first = cache.solve::<f64>(7, &p, &opts).unwrap();
-        assert!(!first.warm_started);
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        let second = cache.solve::<f64>(7, &p, &opts).unwrap();
-        assert!(second.warm_started);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        assert_eq!(cache.len(), 1);
-        // A different key starts cold again.
-        let third = cache.solve::<f64>(8, &p, &opts).unwrap();
-        assert!(!third.warm_started);
-        assert_eq!(cache.misses(), 2);
-    }
-
-    #[test]
-    fn cache_served_repeats_are_bitwise_deterministic() {
-        // The sweep determinism contract. A cold solve's answer carries the
-        // rounding of its Forrest–Tomlin update history; a cache-warmed
-        // repeat of the same instance takes zero pivots and reads a fresh
-        // factorization. The cache's canonical end-of-solve flush makes
-        // both a pure function of the final basis, so they must agree
-        // *bitwise* — not just within tolerance.
-        let n = 60;
-        let mut p = Problem::maximize();
-        let vars: Vec<_> = (0..n)
-            .map(|j| p.add_var(format!("x{j}"), 1.0 + ((j * 7) % 13) as f64 * 0.25))
-            .collect();
-        for i in 0..n / 2 {
-            let coeffs: Vec<_> = vars
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| (i + j) % 3 != 0)
-                .map(|(j, &v)| (v, 1.0 + ((i * 5 + j * 11) % 7) as f64 * 0.5))
-                .collect();
-            p.add_constraint(format!("c{i}"), coeffs, Relation::Le, 10.0 + (i % 4) as f64);
-        }
-        let opts = opts_for(&p);
-        let mut cache = BasisCache::new();
-        let cold = cache.solve::<f64>(3, &p, &opts).unwrap();
-        assert!(cold.solution.iterations > 0);
-        let warm = cache.solve::<f64>(3, &p, &opts).unwrap();
-        assert!(warm.warm_started);
-        assert_eq!(
-            cold.solution.objective.to_bits(),
-            warm.solution.objective.to_bits()
-        );
-        for (a, b) in cold.solution.x.iter().zip(&warm.solution.x) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for (a, b) in cold.solution.duals.iter().zip(&warm.solution.duals) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn failed_solve_evicts_the_cached_basis() {
-        let p = textbook();
-        let opts = opts_for(&p);
-        let mut cache = BasisCache::new();
-        cache.solve::<f64>(5, &p, &opts).unwrap();
-        assert_eq!(cache.len(), 1);
-        // max_iterations = 0 fails even a warm re-solve; the basis that
-        // presided over the failure must not be replayed next time.
-        let strict = SolverOptions {
-            max_iterations: 0,
-            ..opts_for(&p)
-        };
-        assert!(matches!(
-            cache.solve::<f64>(5, &p, &strict),
-            Err(LpError::IterationLimit { .. })
-        ));
-        assert_eq!(cache.len(), 0, "failed solve must evict the key");
-        // The family recovers with a cold start on the next solve.
-        let again = cache.solve::<f64>(5, &p, &opts).unwrap();
-        assert!(!again.warm_started);
-        assert_close(again.solution.objective, 36.0);
-    }
-
-    #[test]
     fn warm_basic_artificial_cannot_regrow_in_phase_2() {
         // max y s.t. x + y == 4, x - y == 4: unique point (4, 0), optimum 0.
         // Hand-craft a warm basis {x, artificial-of-row-1}: it factorizes
@@ -1473,27 +1280,6 @@ mod tests {
             "expected 10001, got {}",
             s.objective
         );
-    }
-
-    #[test]
-    fn infeasible_result_does_not_evict_the_cache() {
-        // Infeasible is an answer about the instance, not the basis: the
-        // family's cached basis must survive for the next solve.
-        let p = textbook();
-        let opts = opts_for(&p);
-        let mut cache = BasisCache::new();
-        cache.solve::<f64>(9, &p, &opts).unwrap();
-        let mut infeasible = Problem::maximize();
-        let x = infeasible.add_var("x", 1.0);
-        infeasible.add_constraint("lo", [(x, 1.0)], Relation::Ge, 5.0);
-        infeasible.add_constraint("hi", [(x, 1.0)], Relation::Le, 3.0);
-        assert_eq!(
-            cache.solve::<f64>(9, &infeasible, &opts).unwrap_err(),
-            LpError::Infeasible
-        );
-        assert_eq!(cache.len(), 1, "infeasible answers must not evict");
-        let again = cache.solve::<f64>(9, &p, &opts).unwrap();
-        assert!(again.warm_started);
     }
 
     #[test]

@@ -59,16 +59,6 @@ pub struct SolverOptions {
     /// Basis-inverse representation for the revised solver (ignored by
     /// the dense tableau).
     pub factorization: BasisFactorization,
-    /// Canonical extraction for the revised solver (ignored by the dense
-    /// tableau): flush accumulated update-file drift with one final
-    /// refactorization, making the reported solution a pure function of
-    /// the final basis instead of the pivot history. A plain cold solve
-    /// is already deterministic, so this defaults off and the flush cost
-    /// stays out of the cold hot path; [`crate::BasisCache`] switches it
-    /// on because its warm starts depend on request history, and a
-    /// cache-warmed repeat must agree bitwise with the solve that
-    /// populated the cache.
-    pub canonical: bool,
 }
 
 impl SolverOptions {
@@ -88,7 +78,6 @@ impl SolverOptions {
             refactor_every: 48,
             candidate_list: if dim >= 192 { 16 } else { 0 },
             factorization: BasisFactorization::SparseLu,
-            canonical: false,
         }
     }
 }
@@ -157,7 +146,7 @@ pub(crate) enum ColKind {
 /// one logical per `<=`/`>=` row, then one artificial per `>=`/`==` row.
 /// Both solver backends derive it with [`column_layout`], so a basis
 /// expressed in these indices is portable between them (the foundation of
-/// warm starts and the [`crate::revised::BasisCache`]).
+/// [`crate::solve_revised_with`]'s warm starts).
 pub(crate) struct ColumnLayout {
     /// Kind of every column, in layout order.
     pub kinds: Vec<ColKind>,

@@ -116,7 +116,7 @@ pub fn set_mode(mode: Option<Mode>) {
     MODE_CODE.store(code, Ordering::Relaxed);
 }
 
-/// Whether span / timer instrumentation should read the clock. One relaxed
+/// Whether span instrumentation should read the clock. One relaxed
 /// atomic load — cheap enough for per-pivot call sites.
 pub fn timing_enabled() -> bool {
     code() != CODE_DISABLED

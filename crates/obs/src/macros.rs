@@ -36,19 +36,9 @@ macro_rules! histogram {
     }};
 }
 
-/// Starts a [`crate::Span`] feeding the histogram named by a literal,
-/// interned once per call site. Bind it (`let _span = ...`) so it drops at
-/// scope exit.
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::Span::start($crate::histogram!($name))
-    };
-}
-
 /// Starts a [`crate::TraceSpan`]: a causal trace-tree span that *also*
-/// records its elapsed seconds into the histogram of the same name (so
-/// swapping `span!` for `trace_span!` changes no metric). Optional
+/// records its elapsed seconds into the histogram of the same name (the
+/// workspace's one timing API). Optional
 /// `"key" => value` attributes are formatted with `Display` — and only
 /// when tracing is enabled, so disabled call sites pay one atomic load.
 /// Bind it (`let _span = ...`) so it drops at scope exit.

@@ -3,9 +3,8 @@
 //! per-thread event buffers.
 //!
 //! Every [`TraceSpan`] *also* records its elapsed seconds into the
-//! histogram of the same name, so the `trace_span!` macro is a strict
-//! superset of `span!` and the metric inventory is unchanged by switching
-//! a call site over.
+//! histogram of the same name, so one `trace_span!` call site feeds both
+//! the metric inventory and the trace tree.
 //!
 //! ## Causality model
 //!
@@ -371,102 +370,116 @@ impl Drop for TraceSpan {
 mod tests {
     use super::*;
     use crate::Mode;
+    use std::sync::Mutex;
 
-    fn enable() {
-        crate::set_mode(Some(Mode::Summary));
+    /// Serializes the tests below: each one sets the process-global mode
+    /// and wipes the process-global event buffers, which would otherwise
+    /// race with another test's spans.
+    static MODE_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Runs `f` in `mode` with empty event buffers, holding [`MODE_LOCK`],
+    /// and restores `Mode::Disabled` afterwards.
+    fn with_mode<R>(mode: Mode, f: impl FnOnce() -> R) -> R {
+        let _guard = MODE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        crate::set_mode(Some(mode));
         crate::reset_all();
+        let out = f();
+        crate::set_mode(Some(Mode::Disabled));
+        out
     }
 
     #[test]
     fn spans_nest_and_share_a_trace() {
-        enable();
-        {
-            let _root = crate::trace_span!("trace.test.root.seconds");
-            let _child = crate::trace_span!("trace.test.child.seconds", "k" => 7);
-        }
-        let events = trace_events();
-        let root = events
-            .iter()
-            .find(|e| e.name == "trace.test.root.seconds")
-            .expect("root recorded");
-        let child = events
-            .iter()
-            .find(|e| e.name == "trace.test.child.seconds")
-            .expect("child recorded");
-        assert_eq!(root.parent_id, None);
-        assert_eq!(child.parent_id, Some(root.span_id));
-        assert_eq!(child.trace_id, root.trace_id);
-        assert_eq!(child.attrs, vec![("k", "7".to_string())]);
-        // The histogram feed is intact.
-        let snap = crate::snapshot();
-        assert!(snap.histogram("trace.test.root.seconds").is_some());
+        with_mode(Mode::Summary, || {
+            {
+                let _root = crate::trace_span!("trace.test.root.seconds");
+                let _child = crate::trace_span!("trace.test.child.seconds", "k" => 7);
+            }
+            let events = trace_events();
+            let root = events
+                .iter()
+                .find(|e| e.name == "trace.test.root.seconds")
+                .expect("root recorded");
+            let child = events
+                .iter()
+                .find(|e| e.name == "trace.test.child.seconds")
+                .expect("child recorded");
+            assert_eq!(root.parent_id, None);
+            assert_eq!(child.parent_id, Some(root.span_id));
+            assert_eq!(child.trace_id, root.trace_id);
+            assert_eq!(child.attrs, vec![("k", "7".to_string())]);
+            // The histogram feed is intact.
+            let snap = crate::snapshot();
+            assert!(snap.histogram("trace.test.root.seconds").is_some());
+        });
     }
 
     #[test]
     fn context_propagates_across_threads() {
-        enable();
-        let handoff;
-        {
-            let root = crate::trace_span!("trace.test.handoff.seconds");
-            handoff = root.context().expect("enabled span has a context");
-            std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    let _g = handoff.attach();
-                    let _leaf = crate::trace_span!("trace.test.remote.seconds");
+        with_mode(Mode::Summary, || {
+            {
+                let root = crate::trace_span!("trace.test.handoff.seconds");
+                let handoff = root.context().expect("enabled span has a context");
+                std::thread::scope(|scope| {
+                    scope.spawn(|| {
+                        let _g = handoff.attach();
+                        let _leaf = crate::trace_span!("trace.test.remote.seconds");
+                    });
                 });
-            });
-        }
-        let events = trace_events();
-        let root = events
-            .iter()
-            .find(|e| e.name == "trace.test.handoff.seconds")
-            .unwrap();
-        let leaf = events
-            .iter()
-            .find(|e| e.name == "trace.test.remote.seconds")
-            .unwrap();
-        assert_eq!(leaf.parent_id, Some(root.span_id));
-        assert_eq!(leaf.trace_id, root.trace_id);
-        assert_ne!(leaf.thread, root.thread);
+            }
+            let events = trace_events();
+            let root = events
+                .iter()
+                .find(|e| e.name == "trace.test.handoff.seconds")
+                .unwrap();
+            let leaf = events
+                .iter()
+                .find(|e| e.name == "trace.test.remote.seconds")
+                .unwrap();
+            assert_eq!(leaf.parent_id, Some(root.span_id));
+            assert_eq!(leaf.trace_id, root.trace_id);
+            assert_ne!(leaf.thread, root.thread);
+        });
     }
 
     #[test]
     fn disabled_mode_records_nothing() {
-        crate::set_mode(Some(Mode::Disabled));
-        crate::reset_all();
-        {
-            let _s = crate::trace_span!("trace.test.disabled.seconds");
-        }
-        assert!(trace_events().is_empty());
-        crate::set_mode(Some(Mode::Summary));
+        with_mode(Mode::Disabled, || {
+            {
+                let _s = crate::trace_span!("trace.test.disabled.seconds");
+            }
+            assert!(trace_events().is_empty());
+        });
     }
 
     #[test]
     fn instants_attach_to_the_current_span() {
-        enable();
-        {
-            let _root = crate::trace_span!("trace.test.mark_root.seconds");
-            crate::trace_event!("trace.test.mark", "strategy" => "lp");
-        }
-        let events = trace_events();
-        let mark = events
-            .iter()
-            .find(|e| e.name == "trace.test.mark")
-            .expect("instant recorded");
-        assert!(mark.instant);
-        assert_eq!(mark.dur_ns, 0);
-        assert!(mark.parent_id.is_some());
-        assert_eq!(mark.attrs[0], ("strategy", "lp".to_string()));
+        with_mode(Mode::Summary, || {
+            {
+                let _root = crate::trace_span!("trace.test.mark_root.seconds");
+                crate::trace_event!("trace.test.mark", "strategy" => "lp");
+            }
+            let events = trace_events();
+            let mark = events
+                .iter()
+                .find(|e| e.name == "trace.test.mark")
+                .expect("instant recorded");
+            assert!(mark.instant);
+            assert_eq!(mark.dur_ns, 0);
+            assert!(mark.parent_id.is_some());
+            assert_eq!(mark.attrs[0], ("strategy", "lp".to_string()));
+        });
     }
 
     #[test]
     fn reset_hides_old_events() {
-        enable();
-        {
-            let _s = crate::trace_span!("trace.test.reset.seconds");
-        }
-        assert!(!trace_events().is_empty());
-        reset_events();
-        assert!(trace_events().is_empty());
+        with_mode(Mode::Summary, || {
+            {
+                let _s = crate::trace_span!("trace.test.reset.seconds");
+            }
+            assert!(!trace_events().is_empty());
+            reset_events();
+            assert!(trace_events().is_empty());
+        });
     }
 }

@@ -130,12 +130,18 @@ fn disabled_mode_spans_are_noops() {
     with_mode(Mode::Disabled, || {
         assert!(!dls_obs::timing_enabled());
         {
-            let _span = dls_obs::span!("test.span.disabled");
+            let span = dls_obs::trace_span!("test.span.disabled", "k" => 1);
+            assert!(
+                span.context().is_none(),
+                "a disabled span has no trace identity"
+            );
         }
-        assert!(dls_obs::timer().stop().is_none());
         assert!(dls_obs::snapshot()
             .histogram("test.span.disabled")
             .is_none());
+        assert!(dls_obs::trace_events()
+            .iter()
+            .all(|e| e.name != "test.span.disabled"));
     });
 }
 
@@ -144,9 +150,9 @@ fn enabled_spans_feed_their_histogram() {
     with_mode(Mode::Summary, || {
         assert!(dls_obs::timing_enabled());
         for _ in 0..3 {
-            let _span = dls_obs::span!("test.span.enabled");
+            let _span = dls_obs::trace_span!("test.span.enabled");
         }
-        dls_obs::span("test.span.enabled").finish();
+        dls_obs::trace_span!("test.span.enabled").finish();
         let snap = dls_obs::snapshot();
         let s = snap.histogram("test.span.enabled").expect("spans recorded");
         assert_eq!(s.count, 4);
@@ -156,7 +162,7 @@ fn enabled_spans_feed_their_histogram() {
 
 #[test]
 fn counters_record_even_when_disabled() {
-    // Value recording is deliberately always-on (the warm-start shim and
+    // Value recording is deliberately always-on (solve counters and
     // deterministic tests rely on it); only timing and sinks are gated.
     with_mode(Mode::Disabled, || {
         let c = dls_obs::counter!("test.counter.disabled");

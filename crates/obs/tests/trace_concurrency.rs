@@ -5,9 +5,27 @@
 //! every JSONL line must parse on its own.
 //!
 //! Runs as its own test binary so flipping the process-global mode cannot
-//! race the `registry.rs` suite.
+//! race the `registry.rs` suite; within the binary, the two tests take
+//! turns through [`with_mode`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+use dls_obs::{set_mode, Mode};
+
+/// Serializes the tests that set the process-global mode.
+static MODE_LOCK: Mutex<()> = Mutex::new(());
+
+/// Runs `f` in `mode` with an empty registry, holding [`MODE_LOCK`], and
+/// restores `Mode::Disabled` afterwards.
+fn with_mode<R>(mode: Mode, f: impl FnOnce() -> R) -> R {
+    let _guard = MODE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    set_mode(Some(mode));
+    dls_obs::reset_all();
+    let out = f();
+    set_mode(Some(Mode::Disabled));
+    out
+}
 
 /// Minimal recursive-descent JSON parser — validation only (no DOM): it
 /// either consumes a well-formed value or reports the byte offset of the
@@ -139,55 +157,55 @@ fn assert_valid_json(body: &str, what: &str) {
 fn chrome_export_parses_while_spans_are_recorded() {
     let path = std::env::temp_dir().join(format!("dls-trace-conc-{}.json", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    dls_obs::set_mode(Some(dls_obs::Mode::Chrome(path.clone())));
-    dls_obs::reset_all();
-
-    let done = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for t in 0u64..2 {
-            let done = &done;
-            scope.spawn(move || {
-                for k in 0..1500u64 {
-                    let outer =
-                        dls_obs::trace_span!("test.conc.outer.seconds", "thread" => t, "k" => k);
-                    {
-                        let _inner = dls_obs::trace_span!("test.conc.inner.seconds");
-                        dls_obs::trace_event!("test.conc.instant", "k" => k);
+    with_mode(Mode::Chrome(path.clone()), || {
+        let done = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for t in 0u64..2 {
+                let done = &done;
+                scope.spawn(move || {
+                    for k in 0..1500u64 {
+                        let outer = dls_obs::trace_span!(
+                            "test.conc.outer.seconds",
+                            "thread" => t,
+                            "k" => k,
+                        );
+                        {
+                            let _inner = dls_obs::trace_span!("test.conc.inner.seconds");
+                            dls_obs::trace_event!("test.conc.instant", "k" => k);
+                        }
+                        drop(outer);
                     }
-                    drop(outer);
-                }
-                done.fetch_add(1, Ordering::Release);
-            });
-        }
-        // Render concurrently with the recording threads; each write is a
-        // whole-file overwrite of a fully rendered document.
-        while done.load(Ordering::Acquire) < 2 {
-            dls_obs::emit("concurrency-mid");
-            let body = std::fs::read_to_string(&path).expect("export written");
-            assert_valid_json(&body, "mid-run chrome export");
-        }
+                    done.fetch_add(1, Ordering::Release);
+                });
+            }
+            // Render concurrently with the recording threads; each write is
+            // a whole-file overwrite of a fully rendered document.
+            while done.load(Ordering::Acquire) < 2 {
+                dls_obs::emit("concurrency-mid");
+                let body = std::fs::read_to_string(&path).expect("export written");
+                assert_valid_json(&body, "mid-run chrome export");
+            }
+        });
+
+        dls_obs::emit("concurrency-final");
+        let body = std::fs::read_to_string(&path).expect("final export written");
+        assert_valid_json(&body, "final chrome export");
+        // The final document carries both threads' spans and the instants.
+        assert!(body.contains("test.conc.outer.seconds"));
+        assert!(body.contains("test.conc.inner.seconds"));
+        assert!(body.contains("test.conc.instant"));
+
+        let events = dls_obs::trace_events();
+        let outer = events
+            .iter()
+            .filter(|e| e.name == "test.conc.outer.seconds")
+            .count();
+        let cap_note = events.len() >= dls_obs::MAX_EVENTS_PER_THREAD;
+        assert!(
+            outer >= 1000 || cap_note,
+            "both threads' spans recorded (got {outer})"
+        );
     });
-
-    dls_obs::emit("concurrency-final");
-    let body = std::fs::read_to_string(&path).expect("final export written");
-    assert_valid_json(&body, "final chrome export");
-    // The final document carries both threads' spans and the instants.
-    assert!(body.contains("test.conc.outer.seconds"));
-    assert!(body.contains("test.conc.inner.seconds"));
-    assert!(body.contains("test.conc.instant"));
-
-    let events = dls_obs::trace_events();
-    let outer = events
-        .iter()
-        .filter(|e| e.name == "test.conc.outer.seconds")
-        .count();
-    let cap_note = events.len() >= dls_obs::MAX_EVENTS_PER_THREAD;
-    assert!(
-        outer >= 1000 || cap_note,
-        "both threads' spans recorded (got {outer})"
-    );
-
-    dls_obs::set_mode(Some(dls_obs::Mode::Disabled));
     let _ = std::fs::remove_file(&path);
 }
 
@@ -198,26 +216,25 @@ fn chrome_export_parses_while_spans_are_recorded() {
 fn jsonl_lines_parse_while_spans_are_recorded() {
     let path = std::env::temp_dir().join(format!("dls-trace-conc-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    dls_obs::set_mode(Some(dls_obs::Mode::Jsonl(Some(path.clone()))));
-    dls_obs::reset_all();
-
-    let done = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for t in 0u64..2 {
-            let done = &done;
-            scope.spawn(move || {
-                for _ in 0..1500u64 {
-                    let _span = dls_obs::trace_span!("test.conc.jsonl.seconds", "thread" => t);
-                    dls_obs::counter!("test.conc.jsonl.count").incr();
-                }
-                done.fetch_add(1, Ordering::Release);
-            });
-        }
-        while done.load(Ordering::Acquire) < 2 {
-            dls_obs::emit("jsonl-mid");
-        }
+    with_mode(Mode::Jsonl(Some(path.clone())), || {
+        let done = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for t in 0u64..2 {
+                let done = &done;
+                scope.spawn(move || {
+                    for _ in 0..1500u64 {
+                        let _span = dls_obs::trace_span!("test.conc.jsonl.seconds", "thread" => t);
+                        dls_obs::counter!("test.conc.jsonl.count").incr();
+                    }
+                    done.fetch_add(1, Ordering::Release);
+                });
+            }
+            while done.load(Ordering::Acquire) < 2 {
+                dls_obs::emit("jsonl-mid");
+            }
+        });
+        dls_obs::emit("jsonl-final");
     });
-    dls_obs::emit("jsonl-final");
 
     let body = std::fs::read_to_string(&path).expect("jsonl written");
     let mut lines = 0;
@@ -227,7 +244,5 @@ fn jsonl_lines_parse_while_spans_are_recorded() {
     }
     assert!(lines > 0, "emit appended snapshot lines");
     assert!(body.contains("test.conc.jsonl.count"));
-
-    dls_obs::set_mode(Some(dls_obs::Mode::Disabled));
     let _ = std::fs::remove_file(&path);
 }

@@ -178,13 +178,7 @@ pub fn strategy_table(platform: &Platform) -> Table {
                     Err(violations) => format!("INFEASIBLE ({})", violations.len()),
                 };
                 let provenance = match sol.provenance {
-                    Provenance::Lp {
-                        iterations,
-                        warm_start,
-                    } => {
-                        let warm = if warm_start { ", warm" } else { "" };
-                        format!("lp ({iterations} pivots{warm})")
-                    }
+                    Provenance::Lp { iterations } => format!("lp ({iterations} pivots)"),
                     Provenance::ClosedForm => "closed form".into(),
                     Provenance::Search { evaluated } => {
                         format!("search ({evaluated} scenarios)")
@@ -377,10 +371,12 @@ mod tests {
 
     #[test]
     fn strategy_table_lists_whole_registry_on_a_bus() {
-        // Install the multi-round provider so the registry contents (and
-        // therefore the expected row count) are deterministic regardless of
-        // test execution order within this binary.
+        // Install every provider another test in this binary installs, so
+        // the registry contents (and therefore the expected row count)
+        // cannot change between building the table and counting the
+        // registry, whatever the test execution order.
         dls_rounds::install();
+        dls_tree::install();
         let p = Platform::bus(1.0, 0.5, &[3.0, 5.0, 4.0]).unwrap();
         let t = strategy_table(&p);
         assert_eq!(t.num_rows(), dls_core::registry().len());
@@ -400,8 +396,9 @@ mod tests {
     #[test]
     fn strategy_table_reports_inapplicable_strategies() {
         // A star: the Theorem 2 bus closed form must row out as n/a rather
-        // than vanish.
+        // than vanish. Providers installed up front, as above.
         dls_rounds::install();
+        dls_tree::install();
         let p = Platform::star_with_z(&[(1.0, 2.0), (2.0, 1.0)], 0.5).unwrap();
         let t = strategy_table(&p);
         assert_eq!(t.num_rows(), dls_core::registry().len());

@@ -15,8 +15,7 @@
 //!   unchanged;
 //! * [`plan_uniform`] / [`plan_geometric`] / [`plan_lp`] — the installment
 //!   planners (equal rounds; budgeted geometric growth; the scenario LP on
-//!   the expanded platform, warm-started through the existing
-//!   `BasisCache`);
+//!   the expanded platform);
 //! * [`MultiRound`] + [`install`] — constructor-configured [`Scheduler`]s
 //!   (`multiround_uniform`, `multiround_geometric`, `multiround_lp`, plus
 //!   parameterized ids like `multiround_lp@8`) registered into

@@ -18,9 +18,8 @@
 //! * [`plan_lp`] — the optimal canonical-shape R-round plan: the scenario
 //!   LP (2) on the [expanded platform](crate::plan::expanded_platform)
 //!   with the round-major FIFO pattern — one scenario per round pattern,
-//!   solved through [`dls_core::lp_model`] and therefore warm-started by
-//!   the existing per-thread `BasisCache` on repeated solves. Because a
-//!   zero round is feasible, its makespan is also monotone non-increasing
+//!   solved through [`dls_core::lp_model`]. Because a zero round is
+//!   feasible, its makespan is also monotone non-increasing
 //!   in `R`, and `R = 1` *is* the one-round optimal FIFO LP.
 
 use dls_core::fifo::theorem1_order;
@@ -46,17 +45,13 @@ pub fn planner_order(platform: &Platform) -> Vec<WorkerId> {
 
 /// One-round LP-optimal loads in `σ` order, normalized to fractions of a
 /// unit total load (the base the uniform and geometric planners split),
-/// plus the base LP's `(iterations, warm_start)` for provenance.
-fn base_fractions(
-    platform: &Platform,
-    order: &[WorkerId],
-) -> Result<(Vec<f64>, usize, bool), CoreError> {
+/// plus the base LP's pivot count for provenance.
+fn base_fractions(platform: &Platform, order: &[WorkerId]) -> Result<(Vec<f64>, usize), CoreError> {
     let sol = solve_fifo(platform, order, PortModel::OnePort)?;
     let rho = sol.throughput;
     Ok((
         sol.schedule.loads().iter().map(|l| l / rho).collect(),
         sol.iterations,
-        sol.warm_start,
     ))
 }
 
@@ -76,11 +71,10 @@ fn split_by_weights(base: &[f64], weights: &[f64]) -> Vec<Vec<f64>> {
 pub fn plan_uniform(platform: &Platform, rounds: usize) -> Result<LpPlan, CoreError> {
     check_rounds(platform, rounds)?;
     let order = planner_order(platform);
-    let (base, iterations, warm_start) = base_fractions(platform, &order)?;
+    let (base, iterations) = base_fractions(platform, &order)?;
     Ok(LpPlan {
         plan: RoundPlan::new(platform, order, split_by_weights(&base, &vec![1.0; rounds]))?,
         iterations,
-        warm_start,
     })
 }
 
@@ -107,7 +101,7 @@ pub struct GeometricPlan {
 pub fn plan_geometric(platform: &Platform, rounds: usize) -> Result<GeometricPlan, CoreError> {
     check_rounds(platform, rounds)?;
     let order = planner_order(platform);
-    let (base, _, _) = base_fractions(platform, &order)?;
+    let (base, _) = base_fractions(platform, &order)?;
     let mut best: Option<RoundPlan> = None;
     let mut evaluated = 0;
     for r in 1..=rounds {
@@ -145,10 +139,6 @@ pub struct LpPlan {
     pub plan: RoundPlan,
     /// Simplex pivots of the scenario LP.
     pub iterations: usize,
-    /// `true` when the solve warm-started from a cached basis (repeated
-    /// solves of the same round pattern on one platform hit the
-    /// per-thread `BasisCache` of `dls_core::lp_model`).
-    pub warm_start: bool,
 }
 
 /// LP-optimal chunk fractions for exactly `rounds` canonical-shape rounds:
@@ -157,12 +147,10 @@ pub struct LpPlan {
 ///
 /// Built on the schedule-model IR: [`lp_model::scenario_model`] emits the
 /// expanded round-major rows (the exact LP `solve_fifo` used to build
-/// internally) and [`lp_model::solve_model`] routes the solve through the
-/// per-thread basis cache under the model's structural key, so repeated
-/// plans of the same `(platform, R)` still warm-start. Holding the model
-/// before solving is the extension point for the pipelined-feasible
-/// variant sketched in the ROADMAP: per-worker compute-chain rows are one
-/// `precedence` combinator call away.
+/// internally) and [`lp_model::solve_model`] solves it through the engine
+/// router. Holding the model before solving is the extension point for the
+/// pipelined-feasible variant sketched in the ROADMAP: per-worker
+/// compute-chain rows are one `precedence` combinator call away.
 pub fn plan_lp(platform: &Platform, rounds: usize) -> Result<LpPlan, CoreError> {
     let p = platform.num_workers();
     let order = planner_order(platform);
@@ -172,7 +160,7 @@ pub fn plan_lp(platform: &Platform, rounds: usize) -> Result<LpPlan, CoreError> 
         vorder.extend(order.iter().map(|&id| physical_to_virtual(r, id, p)));
     }
     let (ir, vars) = lp_model::scenario_model(&vplat, &vorder, &vorder, PortModel::OnePort)?;
-    let sol = lp_model::solve_model(&ir, None)?;
+    let sol = lp_model::solve_model(&ir)?;
     let rho = sol.objective;
     let mut fractions = vec![vec![0.0; p]; rounds];
     for (k, &alpha) in vars.alphas.iter().enumerate() {
@@ -182,7 +170,6 @@ pub fn plan_lp(platform: &Platform, rounds: usize) -> Result<LpPlan, CoreError> 
     Ok(LpPlan {
         plan: RoundPlan::new(platform, order, fractions)?,
         iterations: sol.iterations,
-        warm_start: sol.warm_start,
     })
 }
 
@@ -264,17 +251,6 @@ mod tests {
         assert!(
             four < one - 1e-9,
             "R = 4 should strictly improve: {four} vs {one}"
-        );
-    }
-
-    #[test]
-    fn repeated_lp_plans_warm_start_from_the_basis_cache() {
-        let p = star();
-        let _first = plan_lp(&p, 4).unwrap();
-        let again = plan_lp(&p, 4).unwrap();
-        assert!(
-            again.warm_start,
-            "identical expanded scenario must hit the basis cache"
         );
     }
 

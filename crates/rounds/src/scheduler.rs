@@ -160,7 +160,6 @@ impl Scheduler for MultiRound {
                     lp.plan,
                     Provenance::Lp {
                         iterations: lp.iterations,
-                        warm_start: lp.warm_start,
                     },
                 )
             }
@@ -181,7 +180,6 @@ impl Scheduler for MultiRound {
                     lp.plan,
                     Provenance::Lp {
                         iterations: lp.iterations,
-                        warm_start: lp.warm_start,
                     },
                 )
             }

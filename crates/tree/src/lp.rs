@@ -116,8 +116,6 @@ pub struct TreeLpSolution {
     pub lp_loads_won: bool,
     /// Simplex pivots of the relaxation solve.
     pub iterations: usize,
-    /// Basis-cache warm start of the relaxation solve.
-    pub warm_start: bool,
 }
 
 /// Solves the per-link relaxation of `tree`, replays its loads through the
@@ -127,7 +125,7 @@ pub struct TreeLpSolution {
 pub fn solve_tree_lp(tree: &TreePlatform) -> Result<TreeLpSolution, CoreError> {
     let star = collapse(tree);
     let (ir, alphas) = tree_lp_model(tree);
-    let relaxed = lp_model::solve_model(&ir, None)?;
+    let relaxed = lp_model::solve_model(&ir)?;
     let bound = relaxed.objective;
 
     // Candidate A: the relaxation's loads, replayed (FIFO σ over the
@@ -162,7 +160,6 @@ pub fn solve_tree_lp(tree: &TreePlatform) -> Result<TreeLpSolution, CoreError> {
             bound,
             lp_loads_won: true,
             iterations: relaxed.iterations,
-            warm_start: relaxed.warm_start,
         })
     } else {
         Ok(TreeLpSolution {
@@ -172,7 +169,6 @@ pub fn solve_tree_lp(tree: &TreePlatform) -> Result<TreeLpSolution, CoreError> {
             bound,
             lp_loads_won: false,
             iterations: relaxed.iterations,
-            warm_start: relaxed.warm_start,
         })
     }
 }
@@ -259,7 +255,7 @@ mod tests {
         for fanout in [1usize, 2, 3, 5] {
             let tree = TreePlatform::balanced(&p, fanout);
             let (ir, _) = tree_lp_model(&tree);
-            let relaxed = lp_model::solve_model(&ir, None).unwrap();
+            let relaxed = lp_model::solve_model(&ir).unwrap();
             let collapse_rho = optimal_fifo(&collapse(&tree)).unwrap().throughput;
             assert!(
                 relaxed.objective >= collapse_rho - 1e-9,
@@ -334,11 +330,21 @@ mod tests {
     }
 
     #[test]
-    fn repeated_solves_warm_start() {
+    fn repeated_solves_are_identical() {
+        // Every relaxation solve starts cold: a repeat takes the same
+        // pivots to the same bound and schedule.
         let p = star(4);
         let tree = TreePlatform::balanced(&p, 2);
-        let _ = solve_tree_lp(&tree).unwrap();
+        let first = solve_tree_lp(&tree).unwrap();
         let again = solve_tree_lp(&tree).unwrap();
-        assert!(again.warm_start, "identical relaxation must hit the cache");
+        assert_eq!(again.iterations, first.iterations);
+        assert_eq!(again.bound.to_bits(), first.bound.to_bits());
+        assert_eq!(again.throughput.to_bits(), first.throughput.to_bits());
+        for id in first.star.ids() {
+            assert_eq!(
+                again.schedule.load(id).to_bits(),
+                first.schedule.load(id).to_bits()
+            );
+        }
     }
 }

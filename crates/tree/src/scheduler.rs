@@ -152,7 +152,6 @@ impl TreeScheduler {
             throughput: lp.throughput,
             provenance: Provenance::Lp {
                 iterations: lp.iterations,
-                warm_start: lp.warm_start,
             },
             execution: Execution::Tree {
                 platform: star,

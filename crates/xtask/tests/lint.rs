@@ -123,7 +123,7 @@ fn flags_metric_names_missing_from_the_readme_inventory() {
     fx.write(
         "crates/foo/src/lib.rs",
         "fn f() {\n    dls_obs::counter!(\"lp.solve.count\").incr();\n    \
-         dls_obs::span!(\"undocumented.seconds\");\n}\n",
+         dls_obs::trace_span!(\"undocumented.seconds\");\n}\n",
     );
 
     let v = lint_workspace(&fx.root).unwrap();

@@ -132,7 +132,7 @@ fn multiround_solutions_verify_and_replay_on_their_execution_platform() {
 }
 
 #[test]
-fn multiround_lp_is_exactly_certified_and_warm_starts() {
+fn multiround_lp_is_exactly_certified_and_repeatable() {
     dls::rounds::install();
     let p = fixture();
     let s = dls::core::lookup("multiround_lp").unwrap();
@@ -146,19 +146,11 @@ fn multiround_lp_is_exactly_certified_and_warm_starts() {
         exact.throughput.to_f64(),
         first.throughput
     );
-    // A re-solve of the same expanded scenario hits the basis cache.
+    // A re-solve of the same expanded scenario starts cold again: same
+    // pivots, same throughput to the bit.
     let again = s.solve(&p).unwrap();
-    assert!(
-        matches!(
-            again.provenance,
-            Provenance::Lp {
-                warm_start: true,
-                ..
-            }
-        ),
-        "second solve should warm-start: {:?}",
-        again.provenance
-    );
+    assert_eq!(again.provenance, first.provenance);
+    assert_eq!(again.throughput.to_bits(), first.throughput.to_bits());
 }
 
 #[test]

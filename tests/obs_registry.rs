@@ -35,13 +35,12 @@ fn solve_scenario_populates_the_advertised_metrics_on_both_engines() {
     let snap = dls::obs::snapshot();
     set_mode(Some(Mode::Disabled));
 
-    // Counters: every solve classifies as a basis-cache hit or miss, each
-    // engine counts its entry point, and the revised path refactorizes at
-    // least once (the initial slack-basis factorization).
-    let hits = snap.counter("basis_cache.hit").unwrap_or(0);
-    let misses = snap.counter("basis_cache.miss").unwrap_or(0);
-    assert!(hits + misses >= 2, "hit {hits} + miss {misses}");
-    assert!(misses >= 1, "first solve per engine cannot warm-start");
+    // Counters: the router counts every solve (all cold) under
+    // `basis_cache.miss`, each engine counts its entry point, and the
+    // revised path refactorizes at least once (the initial slack-basis
+    // factorization).
+    let solves = snap.counter("basis_cache.miss").unwrap_or(0);
+    assert!(solves >= 2, "router counted {solves} solves");
     assert!(snap.counter("revised.solve").unwrap_or(0) >= 1);
     assert!(snap.counter("tableau.solve").unwrap_or(0) >= 1);
     assert!(snap.counter("revised.refactorizations").unwrap_or(0) >= 1);
@@ -65,13 +64,13 @@ fn solve_scenario_populates_the_advertised_metrics_on_both_engines() {
     let iters = snap.histogram("revised.iterations").unwrap();
     assert!(iters.max >= 1.0, "a 4-worker scenario LP takes iterations");
 
-    // The per-key latency histogram family tracks this scenario's cache
-    // key (well under the 32-key cap here).
+    // Solve latency is one histogram, not one per scenario.
     assert!(
-        snap.histograms
+        !snap
+            .histograms
             .iter()
             .any(|(name, _)| name.starts_with("lp_model.solve.key_")),
-        "no per-key latency histogram recorded"
+        "per-key latency histograms are gone"
     );
 
     // The solve path emits a causal trace tree alongside the histograms:
