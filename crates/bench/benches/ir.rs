@@ -1,17 +1,18 @@
 //! Benchmarks of the schedule-model IR hot path: building the scenario
-//! model, lowering it to a raw `Problem`, and solving through the engine
-//! router — the exact pipeline every LP-backed strategy now runs per
-//! scenario.
+//! model (which builds the `Problem` the engines solve) and solving it in
+//! place through the engine router — the exact pipeline every LP-backed
+//! strategy runs per scenario.
 //!
 //! Running with `--smoke` skips the benchmark groups and instead times
-//! one p = 128 IR build+lower+solve — a cold solve through the engine
-//! router, like every solve the sweeps run — against the checked-in
-//! baseline (`benches/ir_baseline.json`), exiting nonzero on a regression
-//! past the gate: the CI guard for the IR refactor's promise that the
-//! model layer adds no measurable cost over the old hand-rolled builder.
-//! The baseline was recorded when the router still served warm bases; on
-//! a 2-core container the cold pipeline measures 0.63–0.68 of it after
-//! normalization, well inside the 2.0 gate. (For the bare solver, see
+//! one p = 128 IR build+solve — a cold solve through the engine router,
+//! like every solve the sweeps run — against the checked-in baseline
+//! (`benches/ir_baseline.json`), exiting nonzero on a regression past the
+//! gate: the CI guard for the IR refactor's promise that the model layer
+//! adds no measurable cost over the old hand-rolled builder. The baseline
+//! was recorded when the router still served warm bases and copied each
+//! model into a fresh `Problem` before solving; on a 2-core container
+//! today's pipeline measures 0.50–0.63 of it after normalization, well
+//! inside the 2.0 gate. (For the bare solver, see
 //! `benches/solver.rs --smoke`.)
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
@@ -36,7 +37,7 @@ fn platform(p: usize, seed: u64) -> Platform {
     sampler(p).sample_abstract(5.0, 0.5, &mut rng)
 }
 
-/// One full IR pipeline pass: build the scenario model, lower, solve cold
+/// One full IR pipeline pass: build the scenario model, solve it cold
 /// through the router.
 fn ir_solve(platform: &Platform) -> f64 {
     let order = platform.order_by_c();
@@ -45,7 +46,7 @@ fn ir_solve(platform: &Platform) -> f64 {
 }
 
 fn bench_ir_build_and_solve(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ir/build_lower_solve");
+    let mut group = c.benchmark_group("ir/build_solve");
     for p in [8usize, 32, 128] {
         let platform = platform(p, 7);
         group.bench_with_input(BenchmarkId::from_parameter(p), &platform, |b, pf| {
@@ -56,15 +57,15 @@ fn bench_ir_build_and_solve(c: &mut Criterion) {
 }
 
 fn bench_ir_build_only(c: &mut Criterion) {
-    // Model construction + lowering without the solve: the pure IR
-    // overhead (should be negligible next to any pivot).
+    // Model construction without the solve: the pure IR overhead
+    // (should be negligible next to any pivot).
     let platform = platform(128, 7);
     let order = platform.order_by_c();
-    let mut group = c.benchmark_group("ir/build_lower");
+    let mut group = c.benchmark_group("ir/build");
     group.bench_function("p128", |b| {
         b.iter(|| {
             let (ir, _) = scenario_model(&platform, &order, &order, PortModel::OnePort).unwrap();
-            black_box(ir.lower().num_constraints())
+            black_box(ir.problem().num_constraints())
         })
     });
     group.finish();
@@ -91,7 +92,7 @@ fn main() {
         dls_bench::smoke::run_gate(
             concat!(env!("CARGO_MANIFEST_DIR"), "/benches/ir_baseline.json"),
             "p128_ir_ns",
-            "p=128 IR build+lower+solve",
+            "p=128 IR build+solve",
             time_ir_ns,
         );
         return;

@@ -77,9 +77,10 @@ criterion_group!(
 // `--smoke`: the CI regression gate on the (R = 4, p = 64) planning path.
 // ---------------------------------------------------------------------------
 
-/// Times one (R = 4, p = 64) LP plan — a 512-variable expanded scenario LP
-/// plus lowering — best of `runs`, in nanoseconds. Each run plans a
-/// freshly seeded platform, so the best-of covers several cost draws.
+/// Times one (R = 4, p = 64) LP plan — building and solving a
+/// 512-variable expanded scenario LP — best of `runs`, in nanoseconds.
+/// Each run plans a freshly seeded platform, so the best-of covers several
+/// cost draws.
 fn time_plan_ns(runs: usize) -> f64 {
     black_box(plan_lp(&star(64, 100), 4).unwrap()); // warm-up
     let mut best = f64::INFINITY;

@@ -1,6 +1,6 @@
 //! Criterion benchmarks of the scheduling algorithms: Proposition 1's LP
-//! scheduler vs the analytical chain solver (ablation from DESIGN.md §8),
-//! plus the bus closed form and the LIFO optimum.
+//! scheduler vs the analytical chain solver (the prefix ablation noted on
+//! `dls_core::chain`), plus the bus closed form and the LIFO optimum.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dls_core::prelude::*;

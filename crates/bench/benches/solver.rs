@@ -8,7 +8,7 @@
 //! the CI gate for the sweep hot path.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use dls_core::lp_model::build_problem;
+use dls_core::lp_model::scenario_model;
 use dls_core::PortModel;
 use dls_lp::{solve_revised_with, solve_with, Problem, SolverOptions};
 use dls_platform::{Heterogeneity, Platform, PlatformSampler};
@@ -30,8 +30,8 @@ fn fifo_lp(p: usize, seed: u64) -> (Platform, Problem) {
     let mut rng = StdRng::seed_from_u64(seed);
     let platform = sampler(p).sample_abstract(5.0, 0.5, &mut rng);
     let order = platform.order_by_c();
-    let (lp, _) = build_problem(&platform, &order, &order, PortModel::OnePort).unwrap();
-    (platform, lp)
+    let (ir, _) = scenario_model(&platform, &order, &order, PortModel::OnePort).unwrap();
+    (platform, ir.lower())
 }
 
 /// Worker counts for the scaling curves. The revised solver's advantage

@@ -1,5 +1,5 @@
-//! Runs the extension experiments (DESIGN.md §8): jitter robustness,
-//! bus scaling, z-sweep, affine-latency selection.
+//! Runs the extension experiments beyond the paper's evaluation: jitter
+//! robustness, bus scaling, z-sweep, affine-latency selection.
 //!
 //! Usage: `extensions [robustness|scaling|zsweep|affine]...` (all when no
 //! selector is given).

@@ -1,6 +1,7 @@
 //! Extension experiments beyond the paper's evaluation section
-//! (design-choice ablations and future-work probes listed in
-//! `DESIGN.md` §8; measured outputs in `EXPERIMENTS.md`).
+//! (design-choice ablations and future-work probes; the `extensions`
+//! binary prints the measured tables, see the README's "Reproducing the
+//! paper's figures").
 //!
 //! * [`robustness`] — FIFO/LIFO sensitivity to jitter amplitude,
 //!   explaining the paper's Figure 13(a) observation that "the LIFO

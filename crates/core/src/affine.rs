@@ -13,7 +13,9 @@
 //! This module provides:
 //!
 //! * [`affine_fifo_for_set`] — the scenario LP for a fixed enrolled set
-//!   (still an LP: latencies only shift the right-hand sides);
+//!   (still an LP: latencies only shift the right-hand sides), solved
+//!   through the [`lp_model::solve_model`] engine router like every other
+//!   LP;
 //! * [`affine_fifo_best_prefix`] — polynomial heuristic over `c`-sorted
 //!   prefixes;
 //! * [`affine_fifo_best_subset`] — exhaustive subset search (exact, small
@@ -28,12 +30,12 @@
 
 use std::sync::Arc;
 
-use dls_lp::SolverOptions;
 use dls_platform::{Platform, WorkerId};
 
 use crate::engine::{Execution, Provenance, Scheduler, SchedulerProvider, Solution};
 use crate::error::CoreError;
-use crate::schedule::{Schedule, LOAD_EPS};
+use crate::lp_model;
+use crate::schedule::{check_orders, PortModel, Schedule, LOAD_EPS};
 
 /// Per-worker fixed message latencies.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,7 +104,7 @@ pub fn affine_fifo_for_set(
     order: &[WorkerId],
 ) -> Result<Option<AffineSolution>, CoreError> {
     lat.validate(platform)?;
-    Schedule::fifo(platform, order.to_vec(), vec![0.0; platform.num_workers()])?;
+    check_orders(platform, order, order)?;
     if order.is_empty() {
         return Err(CoreError::MalformedOrder("empty enrolled order".into()));
     }
@@ -131,23 +133,15 @@ pub fn affine_fifo_for_set(
     if one_port_rhs < 0.0 {
         return Ok(None);
     }
-    let (ir, vars) = crate::lp_model::scenario_model_with_rhs(
+    let (ir, vars) = lp_model::scenario_model_with_rhs(
         platform,
         order,
         order,
-        crate::schedule::PortModel::OnePort,
+        PortModel::OnePort,
         &deadline_rhs,
         one_port_rhs,
     )?;
-
-    // This path solves on the tableau directly (no engine router), so it
-    // runs the pre-solve static analyzer itself.
-    crate::lp_model::analyze_gate(&ir)?;
-    let lp = ir.lower();
-    let sol = dls_lp::solve_with::<f64>(
-        &lp,
-        &SolverOptions::for_size(lp.num_vars(), lp.num_constraints()),
-    )?;
+    let sol = lp_model::solve_model(&ir)?;
     let mut loads = vec![0.0; platform.num_workers()];
     for (k, &id) in order.iter().enumerate() {
         loads[id.index()] = sol.value(vars.alphas[k]).max(0.0);
@@ -478,6 +472,31 @@ mod tests {
             assert!(sol.throughput < last, "latency {l} did not hurt");
             last = sol.throughput;
         }
+    }
+
+    #[test]
+    fn both_engines_solve_the_latency_shifted_lp_alike() {
+        // `affine_fifo_for_set` solves through the engine router, so
+        // `with_engine` reaches it: with nonzero latencies the default
+        // engine and the tableau must reach the same optimum.
+        use crate::lp_model::{with_engine, LpEngine};
+        let p = star(4);
+        let lat = AffineLatencies {
+            send: vec![0.01, 0.02, 0.015, 0.005],
+            ret: vec![0.005, 0.01, 0.02, 0.01],
+        };
+        let order = p.order_by_c();
+        let default = affine_fifo_for_set(&p, &lat, &order).unwrap().unwrap();
+        let tableau = with_engine(LpEngine::Tableau, || {
+            affine_fifo_for_set(&p, &lat, &order).unwrap().unwrap()
+        });
+        let rel = (default.throughput - tableau.throughput).abs() / tableau.throughput;
+        assert!(
+            rel <= 1e-9,
+            "engines disagree: default {} vs tableau {}",
+            default.throughput,
+            tableau.throughput
+        );
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //! **Caveat (documented ablation):** the optimal enrolled set need not be a
 //! *prefix* of the `c`-sorted worker list, so [`chain_best_prefix`] is a
 //! heuristic; [`chain_best_subset`] enumerates all `2^p − 1` subsets and is
-//! exact (it matches Proposition 1's LP on every instance tested). See
-//! `DESIGN.md` §8.
+//! exact (it matches Proposition 1's LP on every instance tested).
+//! `tests/resource_selection.rs` probes whether the LP ever selects a
+//! non-prefix set.
 
 use dls_platform::{Platform, WorkerId};
 

@@ -7,11 +7,16 @@
 //! identify the workers whose timing chain limits the schedule. Because
 //! every right-hand side is `T = 1`, strong duality gives the tidy
 //! identity `Σ duals = ρ` — which the tests exploit.
+//!
+//! The scenario LP is built by [`lp_model::scenario_model`] and solved
+//! through the [`lp_model::solve_model`] engine router, so a diagnosis
+//! passes the same analyzer gate, engine choice and tableau retry as the
+//! schedule it explains.
 
 use dls_platform::{Platform, WorkerId};
 
 use crate::error::CoreError;
-use crate::lp_model::build_problem;
+use crate::lp_model;
 use crate::schedule::PortModel;
 
 /// Shadow prices of a scenario's constraints.
@@ -50,10 +55,10 @@ pub fn diagnose(
     return_order: &[WorkerId],
     model: PortModel,
 ) -> Result<Diagnosis, CoreError> {
-    let (lp, _vars) = build_problem(platform, send_order, return_order, model)?;
-    let sol = dls_lp::solve(&lp)?;
+    let (ir, _vars) = lp_model::scenario_model(platform, send_order, return_order, model)?;
+    let sol = lp_model::solve_model(&ir)?;
 
-    // Constraint layout from build_problem: one deadline row per enrolled
+    // Constraint layout from scenario_model: one deadline row per enrolled
     // worker (send order), then the one-port row if applicable.
     let q = send_order.len();
     let deadline_duals: Vec<(WorkerId, f64)> = send_order
@@ -122,6 +127,47 @@ mod tests {
         let order = p.order_by_c();
         let d = diagnose(&p, &order, &order, PortModel::TwoPort).unwrap();
         assert!(!d.is_comm_bound());
+    }
+
+    #[test]
+    fn both_engines_give_the_same_diagnosis() {
+        // `diagnose` solves through the engine router, so `with_engine`
+        // reaches it. On a comm-bound and a compute-bound platform (both
+        // with a unique dual optimum) the two engines must agree on the
+        // regime, the binding workers and ρ, and each must satisfy strong
+        // duality on its own.
+        use crate::lp_model::{with_engine, LpEngine};
+        for (p, comm_bound) in [
+            (
+                Platform::star_with_z(&[(1.0, 0.01), (1.2, 0.02)], 0.5).unwrap(),
+                true,
+            ),
+            (
+                Platform::star_with_z(&[(0.1, 10.0), (0.1, 12.0)], 0.5).unwrap(),
+                false,
+            ),
+        ] {
+            let revised = diagnose_fifo(&p);
+            let tableau = with_engine(LpEngine::Tableau, || diagnose_fifo(&p));
+            assert_eq!(revised.is_comm_bound(), comm_bound);
+            assert_eq!(tableau.is_comm_bound(), comm_bound);
+            assert_eq!(revised.binding_workers(), tableau.binding_workers());
+            let rel = (revised.throughput - tableau.throughput).abs() / tableau.throughput;
+            assert!(
+                rel <= 1e-9,
+                "engines disagree on rho: revised {} vs tableau {}",
+                revised.throughput,
+                tableau.throughput
+            );
+            for d in [&revised, &tableau] {
+                let total: f64 = d.deadline_duals.iter().map(|(_, y)| y).sum::<f64>() + d.port_dual;
+                assert!(
+                    (total - d.throughput).abs() <= 1e-9 * d.throughput,
+                    "sum of duals {total} != rho {}",
+                    d.throughput
+                );
+            }
+        }
     }
 
     #[test]

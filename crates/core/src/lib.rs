@@ -16,7 +16,7 @@
 //!
 //! | Paper result | API |
 //! |---|---|
-//! | LP (2) for a fixed scenario, §2.3 | [`lp_model::build_problem`], [`lp_model::solve_scenario`] |
+//! | LP (2) for a fixed scenario, §2.3 | [`lp_model::scenario_model`], [`lp_model::solve_scenario`] |
 //! | Theorem 1 + Proposition 1 (optimal FIFO, resource selection) | [`fifo::optimal_fifo`] |
 //! | Optimal LIFO (via companion papers \[7,8\]) | [`lifo::optimal_lifo`] |
 //! | Theorem 2 (bus closed form) | [`closed_form::bus_fifo`] |
@@ -90,7 +90,7 @@ pub mod prelude {
     pub use crate::lifo::optimal_lifo;
     pub use crate::lp_model::{
         scenario_model, solve_fifo, solve_lifo, solve_model, solve_scenario, with_engine, LpEngine,
-        LpSchedule, ModelSolution,
+        LpSchedule,
     };
     pub use crate::no_return::{no_return_platform, optimal_no_return};
     pub use crate::rounding::{integer_schedule, round_loads};

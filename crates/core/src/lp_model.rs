@@ -22,33 +22,33 @@
 //! shape — sends back-to-back from time 0, returns back-to-back ending at
 //! `T` — which the paper shows is without loss of generality.
 //!
-//! The formulation is built on the **schedule-model IR** of `dls-lp`
-//! ([`scenario_model`] returns the [`ScheduleModel`]; [`build_problem`]
-//! lowers it), so LP variants that keep the canonical shape — the
-//! multi-round expanded scenarios, the affine-latency rows — share this
-//! single source of the (2a)/(2b) rows, and variants that drop it (the
-//! interleaved-master and tree-native families) reuse the same group and
-//! combinator vocabulary plus the [`solve_model`] engine router.
-//!
-//! The builder is exposed ([`build_problem`]) so tests can solve the same
-//! LP with the exact rational backend.
+//! The formulation is built on the **schedule-model IR** of `dls-lp`:
+//! [`scenario_model`] returns the [`ScheduleModel`], whose
+//! [`problem`](ScheduleModel::problem) is the one LP every engine solves.
+//! LP variants that keep the canonical shape — the multi-round expanded
+//! scenarios, the affine-latency rows — share this single source of the
+//! (2a)/(2b) rows, and variants that drop it (the interleaved-master and
+//! tree-native families) reuse the same group and combinator vocabulary.
+//! Every floating-point LP of the crate goes through the [`solve_model`]
+//! engine router; the exact re-solves ([`solve_scenario_exact`]) hand the
+//! same problem to the `Rational` backend.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
 
-use dls_lp::{LpError, Problem, Scalar, ScheduleModel, SolverOptions, VarId};
+use dls_lp::{LpError, Scalar, ScheduleModel, Solution, SolverOptions, VarId};
 use dls_platform::{Platform, WorkerId};
 
 use crate::error::CoreError;
-use crate::schedule::{PortModel, Schedule};
+use crate::schedule::{check_orders, PortModel, Schedule};
 
-/// Which LP backend solves the scenario LPs.
+/// Which LP backend [`solve_model`] hands every floating-point LP to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LpEngine {
-    /// The dense two-phase tableau ([`dls_lp::solve_with`]).
+    /// The dense two-phase tableau (`solve_with` in `dls-lp`).
     Tableau,
     /// The revised simplex with a sparse LU factorization
-    /// ([`dls_lp::solve_revised_with`]), solving cold — the default.
+    /// (`solve_revised_with` in `dls-lp`), solving cold — the default.
     Revised,
 }
 
@@ -78,7 +78,7 @@ pub fn with_engine<R>(engine: LpEngine, f: impl FnOnce() -> R) -> R {
 }
 
 /// `true` when the pre-solve static analyzer ([`dls_lp::analyze`]) runs on
-/// every schedule model before lowering. Defaults to on in debug builds
+/// every schedule model before it is solved. Defaults to on in debug builds
 /// (so the whole test suite doubles as analyzer coverage) and off in
 /// release; the `DLS_ANALYZE` environment variable overrides either way
 /// (`1`/`true` forces on — e.g. for a release sweep — and `0`/`false`
@@ -98,9 +98,12 @@ pub fn analysis_enabled() -> bool {
 /// over `model` and rejects error-severity findings as
 /// [`CoreError::InvalidModel`] (the rendered report names each offending
 /// row label and `RowKind`). Warnings — redundant-but-legal rows,
-/// conditioning hazards — are tolerated. Every IR entry point in the
-/// workspace (`solve_model`, `solve_scenario`, the affine builder's direct
-/// tableau path) calls this before lowering.
+/// conditioning hazards — are tolerated. [`solve_model`] calls this before
+/// every solve, so every floating-point LP in the workspace passes it:
+/// [`solve_scenario`], the affine builder
+/// ([`crate::affine::affine_fifo_for_set`]), the bottleneck diagnosis
+/// ([`crate::diagnosis::diagnose`]), the interleaved family, and the
+/// multi-round and tree-native LPs of `dls-rounds` and `dls-tree`.
 pub fn analyze_gate(model: &ScheduleModel) -> Result<(), CoreError> {
     if !analysis_enabled() {
         return Ok(());
@@ -139,33 +142,19 @@ pub struct LpVars {
     pub idles: Vec<VarId>,
 }
 
-fn check_orders(
-    platform: &Platform,
-    send_order: &[WorkerId],
-    return_order: &[WorkerId],
-) -> Result<(), CoreError> {
-    // Schedule::new performs full validation; reuse it with zero loads.
-    Schedule::new(
-        platform,
-        send_order.to_vec(),
-        return_order.to_vec(),
-        vec![0.0; platform.num_workers()],
-    )
-    .map(|_| ())
-}
-
 /// Builds the scenario **schedule-model IR** for `(σ1, σ2)` under `model`
 /// — the canonical sends-then-returns shape as [`ScheduleModel`] groups
 /// (`alpha` loads, `idle` gaps) and tagged rows (per-worker
 /// [deadlines](ScheduleModel::deadline), the
 /// [one-port](ScheduleModel::one_port) capacity row).
 ///
-/// This is the single source of the paper's LP (2): [`build_problem`]
-/// lowers it to a raw [`Problem`], [`solve_scenario`] solves it through
-/// the engine router, and the multi-round planner (`dls-rounds`) builds
-/// its expanded round-major scenario on the same function — an LP variant
-/// that keeps the canonical shape only has to append rows to the returned
-/// model before solving it with [`solve_model`].
+/// This is the single source of the paper's LP (2): the model's
+/// [`problem`](ScheduleModel::problem) is the raw LP, [`solve_scenario`]
+/// solves it through the engine router, and the multi-round planner
+/// (`dls-rounds`) builds its expanded round-major scenario on the same
+/// function — an LP variant that keeps the canonical shape only has to
+/// append rows to the returned model before solving it with
+/// [`solve_model`].
 pub fn scenario_model(
     platform: &Platform,
     send_order: &[WorkerId],
@@ -266,52 +255,20 @@ pub fn scenario_model_with_rhs(
     Ok((ir, vars))
 }
 
-/// Builds the scenario LP for `(σ1, σ2)` under `model` by lowering
-/// [`scenario_model`] — byte-identical columns and rows to the historical
-/// hand-rolled builder (pinned by the `ir_lowering_is_byte_identical`
-/// test), so external consumers of the raw [`Problem`] see no change.
-///
-/// Returns the problem plus variable handles (enrolled indexing follows
-/// `send_order`).
-pub fn build_problem(
-    platform: &Platform,
-    send_order: &[WorkerId],
-    return_order: &[WorkerId],
-    model: PortModel,
-) -> Result<(Problem, LpVars), CoreError> {
-    let (ir, vars) = scenario_model(platform, send_order, return_order, model)?;
-    Ok((ir.lower(), vars))
-}
-
-/// Result of solving a [`ScheduleModel`] through the engine router.
-#[derive(Debug, Clone)]
-pub struct ModelSolution {
-    /// Optimal value per model variable, in declaration order (index with
-    /// [`dls_lp::MVar::index`] or [`VarId::index`]).
-    pub values: Vec<f64>,
-    /// Optimal objective.
-    pub objective: f64,
-    /// Simplex pivots used.
-    pub iterations: usize,
-}
-
-impl ModelSolution {
-    /// Value of one lowered variable.
-    pub fn value(&self, v: VarId) -> f64 {
-        self.values[v.index()]
-    }
-}
-
 /// Solves a schedule-model IR through the thread's [`current_engine`] —
-/// the one engine router every LP in the workspace goes through. Every
-/// solve starts cold, so the result depends only on the model and the
-/// engine, never on earlier solves; a numerical failure of the revised
-/// engine retries once on the tableau. When [`analysis_enabled`] (debug
-/// builds, `DLS_ANALYZE=1`), the model first passes the [`analyze_gate`]
-/// static checks.
-pub fn solve_model(model: &ScheduleModel) -> Result<ModelSolution, CoreError> {
+/// the one engine router every floating-point LP in the workspace goes
+/// through. The engine solves the model's
+/// [`problem`](ScheduleModel::problem) in place, and the engine's own
+/// [`Solution`] comes back: the optimal point (index it with
+/// [`VarId`]s or [`dls_lp::MVar::var_id`]), objective, duals and pivot
+/// count. Every solve starts cold, so the result depends only on the
+/// model and the engine, never on earlier solves; a numerical failure of
+/// the revised engine retries once on the tableau. When
+/// [`analysis_enabled`] (debug builds, `DLS_ANALYZE=1`), the model first
+/// passes the [`analyze_gate`] static checks.
+pub fn solve_model(model: &ScheduleModel) -> Result<Solution<f64>, CoreError> {
     analyze_gate(model)?;
-    let lp = model.lower();
+    let lp = model.problem();
     let engine = current_engine();
     let _span = dls_obs::trace_span!(
         "lp_model.solve.seconds",
@@ -322,8 +279,8 @@ pub fn solve_model(model: &ScheduleModel) -> Result<ModelSolution, CoreError> {
     );
     let opts = SolverOptions::for_size(lp.num_vars(), lp.num_constraints());
     let sol = match engine {
-        LpEngine::Tableau => dls_lp::solve_with::<f64>(&lp, &opts)?,
-        LpEngine::Revised => match dls_lp::solve_revised_with::<f64>(&lp, &opts, None) {
+        LpEngine::Tableau => dls_lp::solve_with::<f64>(lp, &opts)?,
+        LpEngine::Revised => match dls_lp::solve_revised_with::<f64>(lp, &opts, None) {
             Ok(r) => r.solution,
             // Infeasible/unbounded are real answers; numerical failures
             // (iteration limit, singular refactorization) get one shot on
@@ -331,7 +288,7 @@ pub fn solve_model(model: &ScheduleModel) -> Result<ModelSolution, CoreError> {
             Err(LpError::IterationLimit { .. }) | Err(LpError::SingularBasis) => {
                 dls_obs::counter!("lp_model.tableau_retry").incr();
                 dls_obs::trace_event!("lp_model.tableau_retry");
-                dls_lp::solve_with::<f64>(&lp, &opts)?
+                dls_lp::solve_with::<f64>(lp, &opts)?
             }
             Err(e) => return Err(e.into()),
         },
@@ -339,11 +296,7 @@ pub fn solve_model(model: &ScheduleModel) -> Result<ModelSolution, CoreError> {
     // Counts solved router LPs. The name predates the cold-only router; it
     // is kept because the perfbench per-layer report divides by it.
     dls_obs::counter!("basis_cache.miss").incr();
-    Ok(ModelSolution {
-        values: sol.x,
-        objective: sol.objective,
-        iterations: sol.iterations,
-    })
+    Ok(sol)
 }
 
 /// Solves the scenario LP and packages the optimal schedule.
@@ -388,8 +341,8 @@ pub fn solve_scenario_exact<S: Scalar>(
     return_order: &[WorkerId],
     model: PortModel,
 ) -> Result<(S, Vec<S>), CoreError> {
-    let (lp, vars) = build_problem(platform, send_order, return_order, model)?;
-    let sol = dls_lp::solve_exact::<S>(&lp)?;
+    let (ir, vars) = scenario_model(platform, send_order, return_order, model)?;
+    let sol = dls_lp::solve_exact::<S>(ir.problem())?;
     let mut loads = vec![S::zero(); platform.num_workers()];
     for (k, &id) in send_order.iter().enumerate() {
         loads[id.index()] = sol.value(vars.alphas[k]);
@@ -422,6 +375,7 @@ pub fn solve_lifo(
 mod tests {
     use super::*;
     use crate::timeline::{makespan, Timeline};
+    use dls_lp::Problem;
     use dls_platform::Platform;
 
     fn ids(v: &[usize]) -> Vec<WorkerId> {
@@ -649,7 +603,8 @@ mod tests {
         ] {
             for model in [PortModel::OnePort, PortModel::TwoPort] {
                 let golden = golden_build_problem(&p, &send, &ret, model);
-                let (built, vars) = build_problem(&p, &send, &ret, model).unwrap();
+                let (ir, vars) = scenario_model(&p, &send, &ret, model).unwrap();
+                let built = ir.problem();
                 assert_eq!(built.num_vars(), golden.num_vars());
                 assert_eq!(built.num_constraints(), golden.num_constraints());
                 assert_eq!(built.objective(), golden.objective());

@@ -29,6 +29,38 @@ pub enum PortModel {
     TwoPort,
 }
 
+/// Checks that `send_order` and `return_order` are permutations of the
+/// same set of in-range workers — the order validation of
+/// [`Schedule::new`], shared with the LP builders so they need no
+/// throwaway schedule.
+pub(crate) fn check_orders(
+    platform: &Platform,
+    send_order: &[WorkerId],
+    return_order: &[WorkerId],
+) -> Result<(), CoreError> {
+    let p = platform.num_workers();
+    let mut enrolled = [vec![false; p], vec![false; p]];
+    for (order, seen) in [send_order, return_order].into_iter().zip(&mut enrolled) {
+        for id in order {
+            if id.index() >= p {
+                return Err(CoreError::MalformedOrder(format!(
+                    "{id} out of range for {p} workers"
+                )));
+            }
+            if seen[id.index()] {
+                return Err(CoreError::MalformedOrder(format!("{id} appears twice")));
+            }
+            seen[id.index()] = true;
+        }
+    }
+    if enrolled[0] != enrolled[1] {
+        return Err(CoreError::MalformedOrder(
+            "send and return orders enroll different worker sets".into(),
+        ));
+    }
+    Ok(())
+}
+
 /// A complete one-round schedule on a platform.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
@@ -57,31 +89,7 @@ impl Schedule {
                 loads.len()
             )));
         }
-        for order in [&send_order, &return_order] {
-            let mut seen = vec![false; p];
-            for id in order {
-                if id.index() >= p {
-                    return Err(CoreError::MalformedOrder(format!(
-                        "{id} out of range for {p} workers"
-                    )));
-                }
-                if seen[id.index()] {
-                    return Err(CoreError::MalformedOrder(format!("{id} appears twice")));
-                }
-                seen[id.index()] = true;
-            }
-        }
-        {
-            let mut a: Vec<usize> = send_order.iter().map(|w| w.index()).collect();
-            let mut b: Vec<usize> = return_order.iter().map(|w| w.index()).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            if a != b {
-                return Err(CoreError::MalformedOrder(
-                    "send and return orders enroll different worker sets".into(),
-                ));
-            }
-        }
+        check_orders(platform, &send_order, &return_order)?;
         for (i, &l) in loads.iter().enumerate() {
             if !l.is_finite() || l < -LOAD_EPS {
                 return Err(CoreError::MalformedOrder(format!(

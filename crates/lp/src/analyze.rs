@@ -1,7 +1,7 @@
 //! Pre-solve static analysis of [`ScheduleModel`]s.
 //!
-//! Every LP-backed strategy in the workspace lowers through the
-//! schedule-model IR, so one structural bug in a builder — a sign-flipped
+//! Every LP-backed strategy in the workspace builds its problem through
+//! the schedule-model IR, so one structural bug in a builder — a sign-flipped
 //! coefficient, a duplicated row, a group declared but never constrained —
 //! silently corrupts every solver family riding on it. The literature shows
 //! this is exactly where divisible-load work goes wrong: Gallet, Robert &
@@ -58,8 +58,8 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
-use crate::model::{ModelRow, ScheduleModel};
-use crate::problem::Relation;
+use crate::model::ScheduleModel;
+use crate::problem::{Constraint, Problem, Relation, VarId};
 use crate::RowKind;
 
 /// Per-row coefficient-magnitude spread (max |c| / min |c| over nonzero
@@ -93,8 +93,8 @@ impl fmt::Display for Severity {
 }
 
 /// One analyzer finding, carrying enough context to locate the bug in the
-/// *builder* that emitted the row (label + kind), not just in the lowered
-/// matrix.
+/// *builder* that emitted the row (label + kind), not just in the
+/// constraint matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Diagnostic {
     /// Error or warning.
@@ -156,19 +156,19 @@ impl AnalysisReport {
         self.diagnostics.is_empty()
     }
 
-    fn error(&mut self, row: &ModelRow, message: String) {
+    fn error(&mut self, row: &Row, message: String) {
         self.diagnostics.push(Diagnostic {
             severity: Severity::Error,
-            row: Some(row.label.clone()),
+            row: Some(row.con.label.clone()),
             kind: Some(row.kind),
             message,
         });
     }
 
-    fn warn(&mut self, row: &ModelRow, message: String) {
+    fn warn(&mut self, row: &Row, message: String) {
         self.diagnostics.push(Diagnostic {
             severity: Severity::Warning,
-            row: Some(row.label.clone()),
+            row: Some(row.con.label.clone()),
             kind: Some(row.kind),
             message,
         });
@@ -202,12 +202,19 @@ impl fmt::Display for AnalysisReport {
     }
 }
 
+/// One model row as the analyzer reads it: the problem's constraint plus
+/// the scheduling role the model tagged it with.
+struct Row<'a> {
+    con: &'a Constraint,
+    kind: RowKind,
+}
+
 /// A row reduced to its mathematical content: duplicate variable entries
 /// summed, exact zeros dropped. Keyed by variable index, so two rows over
 /// the same variables compare structurally.
-fn normalize(row: &ModelRow) -> BTreeMap<usize, f64> {
+fn normalize(con: &Constraint) -> BTreeMap<usize, f64> {
     let mut terms: BTreeMap<usize, f64> = BTreeMap::new();
-    for &(i, c) in &row.terms {
+    for &(i, c) in &con.coeffs {
         *terms.entry(i).or_insert(0.0) += c;
     }
     terms.retain(|_, c| c.abs() > 0.0 || c.is_nan());
@@ -216,13 +223,17 @@ fn normalize(row: &ModelRow) -> BTreeMap<usize, f64> {
 
 fn fmt_coeff_list(
     terms: &BTreeMap<usize, f64>,
-    names: &[String],
+    problem: &Problem,
     pred: impl Fn(f64) -> bool,
 ) -> String {
     let mut out = Vec::new();
     for (&i, &c) in terms {
         if pred(c) {
-            let name = names.get(i).map_or("<undeclared>", |n| n.as_str());
+            let name = if i < problem.num_vars() {
+                problem.var_name(VarId(i))
+            } else {
+                "<undeclared>"
+            };
             out.push(format!("{name}={c}"));
         }
     }
@@ -230,16 +241,21 @@ fn fmt_coeff_list(
 }
 
 /// Statically analyzes a [`ScheduleModel`] for structural well-formedness.
-/// Pure and read-only; safe to call on every model before lowering. See the
+/// Pure and read-only; safe to call on every model before solving. See the
 /// module docs for the full check list.
 pub fn analyze(model: &ScheduleModel) -> AnalysisReport {
     let mut report = AnalysisReport::default();
-    let names = model.var_names();
-    let objective = model.objective_coeffs();
-    let rows = model.model_rows();
+    let problem = model.problem();
+    let declared = problem.num_vars();
+    let rows: Vec<Row> = problem
+        .constraints()
+        .iter()
+        .zip(model.row_kinds())
+        .map(|(con, kind)| Row { con, kind })
+        .collect();
 
     // ---- whole-model: declarations ------------------------------------
-    if names.is_empty() {
+    if declared == 0 {
         report.model_error("model declares no variables".to_string());
         return report;
     }
@@ -248,28 +264,27 @@ pub fn analyze(model: &ScheduleModel) -> AnalysisReport {
             report.model_error(format!("group '{}' declares no variables", g.name()));
         }
     }
-    if !objective.iter().any(|c| c.abs() > 0.0) {
+    if !problem.objective().iter().any(|c| c.abs() > 0.0) {
         report.model_error(
             "objective touches no variable (every objective coefficient is zero)".to_string(),
         );
     }
-    let mut referenced = vec![false; names.len()];
+    let mut referenced = vec![false; declared];
 
     // ---- per-row checks ------------------------------------------------
     let mut normalized: Vec<BTreeMap<usize, f64>> = Vec::with_capacity(rows.len());
-    for row in rows {
-        let terms = normalize(row);
+    for row in &rows {
+        let terms = normalize(row.con);
 
         // Validity of the references themselves.
         let mut broken = false;
         for (&i, &c) in &terms {
-            if i >= names.len() {
+            if i >= declared {
                 report.error(
                     row,
                     format!(
-                        "references variable index {i}, but the model declares only {} \
-                         variables",
-                        names.len()
+                        "references variable index {i}, but the model declares only \
+                         {declared} variables"
                     ),
                 );
                 broken = true;
@@ -278,11 +293,12 @@ pub fn analyze(model: &ScheduleModel) -> AnalysisReport {
                 report.error(row, format!("non-finite coefficient {c} on variable {i}"));
                 broken = true;
             } else {
-                referenced[i.min(names.len() - 1)] |= i < names.len();
+                referenced[i.min(declared - 1)] |= i < declared;
             }
         }
-        if !row.rhs.is_finite() {
-            report.error(row, format!("non-finite right-hand side {}", row.rhs));
+        let (relation, rhs) = (row.con.relation, row.con.rhs);
+        if !rhs.is_finite() {
+            report.error(row, format!("non-finite right-hand side {rhs}"));
             broken = true;
         }
         if terms.is_empty() {
@@ -303,19 +319,13 @@ pub fn analyze(model: &ScheduleModel) -> AnalysisReport {
         // Kind-specific signatures.
         match row.kind {
             RowKind::Deadline => {
-                if row.relation != Relation::Le {
-                    report.error(
-                        row,
-                        format!("deadline rows must be ≤, found {:?}", row.relation),
-                    );
+                if relation != Relation::Le {
+                    report.error(row, format!("deadline rows must be ≤, found {relation:?}"));
                 }
-                if row.rhs <= 0.0 {
+                if rhs <= 0.0 {
                     report.error(
                         row,
-                        format!(
-                            "deadline budget must be strictly positive, found {}",
-                            row.rhs
-                        ),
+                        format!("deadline budget must be strictly positive, found {rhs}"),
                     );
                 }
                 if !all_nonneg {
@@ -323,17 +333,14 @@ pub fn analyze(model: &ScheduleModel) -> AnalysisReport {
                         row,
                         format!(
                             "deadline rows take nonnegative coefficients; negative: {}",
-                            fmt_coeff_list(&terms, names, |c| c < 0.0)
+                            fmt_coeff_list(&terms, problem, |c| c < 0.0)
                         ),
                     );
                 }
             }
             RowKind::OnePort | RowKind::Capacity => {
-                if row.relation != Relation::Le {
-                    report.error(
-                        row,
-                        format!("capacity rows must be ≤, found {:?}", row.relation),
-                    );
+                if relation != Relation::Le {
+                    report.error(row, format!("capacity rows must be ≤, found {relation:?}"));
                 }
                 if !all_nonneg {
                     report.error(
@@ -341,31 +348,28 @@ pub fn analyze(model: &ScheduleModel) -> AnalysisReport {
                         format!(
                             "capacity rows take nonnegative coefficients (sign-flipped \
                              builder?); negative: {}",
-                            fmt_coeff_list(&terms, names, |c| c < 0.0)
+                            fmt_coeff_list(&terms, problem, |c| c < 0.0)
                         ),
                     );
                 }
-                if row.rhs < 0.0 {
+                if rhs < 0.0 {
                     report.error(
                         row,
-                        format!("capacity budget must be nonnegative, found {}", row.rhs),
+                        format!("capacity budget must be nonnegative, found {rhs}"),
                     );
                 }
             }
             RowKind::Precedence => {
-                if row.relation != Relation::Ge {
+                if relation != Relation::Ge {
                     report.error(
                         row,
-                        format!("precedence rows must be ≥, found {:?}", row.relation),
+                        format!("precedence rows must be ≥, found {relation:?}"),
                     );
                 }
-                if row.rhs.abs() > 0.0 {
+                if rhs.abs() > 0.0 {
                     report.error(
                         row,
-                        format!(
-                            "precedence rows are homogeneous differences (rhs 0), found {}",
-                            row.rhs
-                        ),
+                        format!("precedence rows are homogeneous differences (rhs 0), found {rhs}"),
                     );
                 }
                 let positives: Vec<f64> = terms.values().copied().filter(|&c| c > 0.0).collect();
@@ -375,7 +379,7 @@ pub fn analyze(model: &ScheduleModel) -> AnalysisReport {
                         format!(
                             "precedence rows carry exactly one +1 event term and \
                              nonpositive duration terms; positive terms: [{}]",
-                            fmt_coeff_list(&terms, names, |c| c > 0.0)
+                            fmt_coeff_list(&terms, problem, |c| c > 0.0)
                         ),
                     );
                 }
@@ -384,24 +388,18 @@ pub fn analyze(model: &ScheduleModel) -> AnalysisReport {
         }
 
         // Trivial infeasibility over nonnegative variables, any kind.
-        match row.relation {
-            Relation::Le if row.rhs < 0.0 && all_nonneg => report.error(
+        match relation {
+            Relation::Le if rhs < 0.0 && all_nonneg => report.error(
                 row,
-                format!(
-                    "trivially infeasible: nonnegative terms can never be ≤ {}",
-                    row.rhs
-                ),
+                format!("trivially infeasible: nonnegative terms can never be ≤ {rhs}"),
             ),
-            Relation::Ge if row.rhs > 0.0 && all_nonpos => report.error(
+            Relation::Ge if rhs > 0.0 && all_nonpos => report.error(
                 row,
-                format!(
-                    "trivially infeasible: nonpositive terms can never be ≥ {}",
-                    row.rhs
-                ),
+                format!("trivially infeasible: nonpositive terms can never be ≥ {rhs}"),
             ),
-            Relation::Eq if row.rhs.abs() > 0.0 && (all_nonneg && all_nonpos) => report.error(
+            Relation::Eq if rhs.abs() > 0.0 && (all_nonneg && all_nonpos) => report.error(
                 row,
-                format!("trivially infeasible: zero row can never equal {}", row.rhs),
+                format!("trivially infeasible: zero row can never equal {rhs}"),
             ),
             _ => {}
         }
@@ -438,7 +436,7 @@ pub fn analyze(model: &ScheduleModel) -> AnalysisReport {
         if !used {
             report.model_error(format!(
                 "variable '{}' appears in no row (unbounded or dead column)",
-                names[i]
+                problem.var_name(VarId(i))
             ));
         }
     }
@@ -450,8 +448,8 @@ pub fn analyze(model: &ScheduleModel) -> AnalysisReport {
     let mut seen: HashMap<RowSignature, usize> = HashMap::new();
     for (r, row) in rows.iter().enumerate() {
         let sig = (
-            row.relation as u8,
-            row.rhs.to_bits(),
+            row.con.relation as u8,
+            row.con.rhs.to_bits(),
             normalized[r]
                 .iter()
                 .map(|(&i, &c)| (i, c.to_bits()))
@@ -460,7 +458,7 @@ pub fn analyze(model: &ScheduleModel) -> AnalysisReport {
         if let Some(&first) = seen.get(&sig) {
             report.error(
                 row,
-                format!("duplicates row '{}' exactly", rows[first].label),
+                format!("duplicates row '{}' exactly", rows[first].con.label),
             );
         } else {
             seen.insert(sig, r);
@@ -473,28 +471,29 @@ pub fn analyze(model: &ScheduleModel) -> AnalysisReport {
     // direction for ≥-rows). Redundant rows are legal — the tree per-link
     // relaxation emits a dominated master-port row on chain topologies —
     // so this is advisory.
-    for (b, row_b) in rows.iter().enumerate() {
-        if matches!(row_b.relation, Relation::Eq) {
+    let cons = problem.constraints();
+    for (b, con_b) in cons.iter().enumerate() {
+        if matches!(con_b.relation, Relation::Eq) {
             continue;
         }
-        for (a, row_a) in rows.iter().enumerate() {
-            if a == b || row_a.relation != row_b.relation {
+        for (a, con_a) in cons.iter().enumerate() {
+            if a == b || con_a.relation != con_b.relation {
                 continue;
             }
-            let dominated = match row_b.relation {
-                Relation::Le => row_a.rhs <= row_b.rhs && covers(&normalized[a], &normalized[b]),
-                Relation::Ge => row_a.rhs >= row_b.rhs && covers(&normalized[b], &normalized[a]),
+            let dominated = match con_b.relation {
+                Relation::Le => con_a.rhs <= con_b.rhs && covers(&normalized[a], &normalized[b]),
+                Relation::Ge => con_a.rhs >= con_b.rhs && covers(&normalized[b], &normalized[a]),
                 Relation::Eq => false,
             };
             // Exact duplicates were already reported as errors above.
             if dominated
-                && !(row_a.rhs.to_bits() == row_b.rhs.to_bits() && normalized[a] == normalized[b])
+                && !(con_a.rhs.to_bits() == con_b.rhs.to_bits() && normalized[a] == normalized[b])
             {
                 report.warn(
-                    row_b,
+                    &rows[b],
                     format!(
                         "coefficient-wise dominated by row '{}' (redundant)",
-                        row_a.label
+                        con_a.label
                     ),
                 );
                 break;

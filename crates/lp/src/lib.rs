@@ -20,14 +20,16 @@
 //!   it the faster cold engine on large instances (p ≥ 128 workers).
 //!
 //! Above the raw [`Problem`] builder sits the **schedule-model IR**
-//! ([`ScheduleModel`]): named variable groups, tagged constraint
-//! combinators (deadline/one-port/capacity/precedence) and deterministic
-//! lowering — the shared vocabulary every divisible-load LP variant in the
-//! workspace is built from. The
-//! [`analyze`] pass statically checks a model's structural invariants
-//! (row-kind signatures, duplicate/dominated rows, conditioning) *before*
-//! lowering, turning builder bugs into named diagnostics instead of
-//! garbage optima.
+//! ([`ScheduleModel`]): named variable groups and tagged constraint
+//! combinators (deadline/one-port/capacity/precedence) that write straight
+//! into one deterministic [`Problem`] — the shared vocabulary every
+//! divisible-load LP variant in the workspace is built from. The engines
+//! solve [`ScheduleModel::problem`] in place; [`ScheduleModel::lower`]
+//! returns an owned copy. The [`analyze`] pass statically checks a model's
+//! structural invariants (row-kind signatures, duplicate/dominated rows,
+//! conditioning) from the problem's rows and their kinds *before* the
+//! solve, turning builder bugs into named diagnostics instead of garbage
+//! optima.
 //!
 //! Both are generic over the [`Scalar`] backend:
 //!

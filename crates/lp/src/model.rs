@@ -1,5 +1,5 @@
-//! Schedule-model IR: a structured layer between the divisible-load
-//! solvers and the raw [`Problem`] builder.
+//! Schedule-model IR: a structured layer over the raw [`Problem`] builder
+//! that builds the one problem the engines solve.
 //!
 //! Every LP-backed strategy in the workspace used to hand-roll its
 //! constraint rows around the paper's sends-then-returns canonical shape,
@@ -9,19 +9,23 @@
 //!
 //! * **variable groups** ([`ScheduleModel::group`]) — `alpha` loads,
 //!   `x` idle gaps, per-message start times — declared in a deterministic
-//!   group-major order, so the lowered column order (and therefore the
+//!   group-major order, so the column order (and therefore the
 //!   standardized [`column layout`](crate::simplex) both solver engines
 //!   share) is a function of the model alone;
 //! * **constraint combinators** — [`deadline`](ScheduleModel::deadline),
 //!   [`one_port`](ScheduleModel::one_port),
 //!   [`capacity`](ScheduleModel::capacity),
-//!   [`precedence`](ScheduleModel::precedence) — that tag each row with a
-//!   [`RowKind`], keeping the scheduling semantics visible to debuggers
-//!   and the static analyzer ([`crate::analyze`]);
-//! * **deterministic lowering** ([`ScheduleModel::lower`]) — variables in
-//!   declaration order, rows in declaration order: two identical model
-//!   builds produce byte-identical [`Problem`]s, which is what lets the
-//!   refactored `dls-core` builders reproduce the pre-IR LPs bit for bit.
+//!   [`precedence`](ScheduleModel::precedence) — that write each row
+//!   straight into the model's [`Problem`] and tag it with a [`RowKind`],
+//!   keeping the scheduling semantics visible to debuggers and the static
+//!   analyzer ([`crate::analyze`]);
+//! * **one deterministic problem** ([`ScheduleModel::problem`]) —
+//!   variables in declaration order, rows in declaration order: two
+//!   identical model builds produce byte-identical [`Problem`]s, which is
+//!   what lets the `dls-core` builders reproduce the pre-IR LPs bit for
+//!   bit. The engines solve that problem in place;
+//!   [`ScheduleModel::lower`] returns an owned copy for callers that keep
+//!   it past the model.
 //!
 //! ```
 //! use dls_lp::{ScheduleModel, solve};
@@ -36,7 +40,7 @@
 //!     1.0,
 //! );
 //! m.one_port("one_port", [(alpha.var(0), 3.0)], 1.0);
-//! let sol = solve(&m.lower()).unwrap();
+//! let sol = solve(m.problem()).unwrap();
 //! assert!((sol.objective - 1.0 / 6.0).abs() < 1e-9);
 //! ```
 
@@ -44,28 +48,28 @@ use std::ops::Range;
 
 use crate::problem::{Problem, Relation, Sense, VarId};
 
-/// Handle to one model variable: its absolute column index in the lowered
+/// Handle to one model variable: its absolute column index in the model's
 /// [`Problem`]. Obtained from [`VarGroup::var`]; valid for the model that
 /// declared it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MVar(usize);
 
 impl MVar {
-    /// The lowered [`VarId`] of this variable (lowering preserves
+    /// The [`Problem`] column of this variable (columns follow
     /// declaration order, so the mapping is the identity on indices).
     pub fn var_id(self) -> VarId {
         VarId(self.0)
     }
 
-    /// Absolute column index in the lowered problem.
+    /// Absolute column index in the model's problem.
     pub fn index(self) -> usize {
         self.0
     }
 }
 
 /// A contiguous, named group of model variables (e.g. the `alpha` loads of
-/// every enrolled worker). Groups lower in declaration order, members in
-/// member order.
+/// every enrolled worker). Groups occupy columns in declaration order,
+/// members in member order.
 #[derive(Debug, Clone)]
 pub struct VarGroup {
     name: String,
@@ -107,7 +111,7 @@ impl VarGroup {
         self.range.clone().map(MVar)
     }
 
-    /// The lowered [`VarId`]s of every member, in declaration order.
+    /// The [`VarId`]s of every member, in declaration order.
     pub fn var_ids(&self) -> Vec<VarId> {
         self.range.clone().map(VarId).collect()
     }
@@ -130,36 +134,23 @@ pub enum RowKind {
     Custom,
 }
 
-/// One IR row: a tagged, labeled sparse constraint.
-#[derive(Debug, Clone)]
-pub(crate) struct ModelRow {
-    pub(crate) label: String,
-    pub(crate) kind: RowKind,
-    pub(crate) terms: Vec<(usize, f64)>,
-    pub(crate) relation: Relation,
-    pub(crate) rhs: f64,
-}
-
 /// The schedule-model IR: named variable groups plus tagged constraint
-/// rows, lowered deterministically to a [`Problem`]. See the module docs.
+/// rows, written straight into the [`Problem`] the engines solve. See the
+/// module docs.
 #[derive(Debug, Clone)]
 pub struct ScheduleModel {
-    sense: Sense,
-    names: Vec<String>,
-    objective: Vec<f64>,
+    problem: Problem,
+    kinds: Vec<RowKind>,
     groups: Vec<VarGroup>,
-    rows: Vec<ModelRow>,
 }
 
 impl ScheduleModel {
     /// An empty model with the given optimization direction.
     pub fn new(sense: Sense) -> Self {
         ScheduleModel {
-            sense,
-            names: Vec::new(),
-            objective: Vec::new(),
+            problem: Problem::new(sense),
+            kinds: Vec::new(),
             groups: Vec::new(),
-            rows: Vec::new(),
         }
     }
 
@@ -181,19 +172,21 @@ impl ScheduleModel {
         name: impl Into<String>,
         members: impl IntoIterator<Item = (String, f64)>,
     ) -> VarGroup {
-        let start = self.names.len();
+        let start = self.problem.num_vars();
         for (member, obj) in members {
-            self.names.push(member);
-            self.objective.push(obj);
+            self.problem.add_var(member, obj);
         }
         let group = VarGroup {
             name: name.into(),
-            range: start..self.names.len(),
+            range: start..self.problem.num_vars(),
         };
         self.groups.push(group.clone());
         group
     }
 
+    /// Appends one tagged row to the problem. In debug builds a reference
+    /// to an undeclared variable fails here, naming the row, instead of
+    /// index-panicking deep inside the solver's standardization.
     fn add_row(
         &mut self,
         label: impl Into<String>,
@@ -202,19 +195,20 @@ impl ScheduleModel {
         relation: Relation,
         rhs: f64,
     ) {
-        let label = label.into();
-        let terms: Vec<(usize, f64)> = terms.into_iter().map(|(v, c)| (v.0, c)).collect();
-        debug_assert!(
-            terms.iter().all(|&(i, _)| i < self.names.len()),
-            "row '{label}' references an undeclared variable"
-        );
-        self.rows.push(ModelRow {
+        self.problem.add_constraint(
             label,
-            kind,
-            terms,
+            terms.into_iter().map(|(v, c)| (v.var_id(), c)),
             relation,
             rhs,
-        });
+        );
+        self.kinds.push(kind);
+        let declared = self.problem.num_vars();
+        let row = &self.problem.constraints()[self.kinds.len() - 1];
+        debug_assert!(
+            row.coeffs.iter().all(|&(i, _)| i < declared),
+            "row '{}' ({kind:?}) references an undeclared variable (the model declares {declared})",
+            row.label
+        );
     }
 
     /// A per-worker horizon row: `Σ terms ≤ rhs` (the paper's (2a) shape).
@@ -292,12 +286,12 @@ impl ScheduleModel {
 
     /// Number of declared variables.
     pub fn num_vars(&self) -> usize {
-        self.names.len()
+        self.problem.num_vars()
     }
 
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
-        self.rows.len()
+        self.kinds.len()
     }
 
     /// The declared groups, in declaration order.
@@ -305,66 +299,28 @@ impl ScheduleModel {
         &self.groups
     }
 
-    /// Row kinds in declaration order (the model's constraint signature).
+    /// Row kinds in declaration order (the model's constraint signature),
+    /// one per row of [`problem`](Self::problem).
     pub fn row_kinds(&self) -> impl Iterator<Item = RowKind> + '_ {
-        self.rows.iter().map(|r| r.kind)
+        self.kinds.iter().copied()
     }
 
     /// Name of a declared variable (declaration order).
     pub fn var_name(&self, v: MVar) -> &str {
-        &self.names[v.0]
+        self.problem.var_name(v.var_id())
     }
 
-    /// The IR rows, for the static analyzer (crate-internal: `ModelRow` is
-    /// not part of the public surface).
-    pub(crate) fn model_rows(&self) -> &[ModelRow] {
-        &self.rows
+    /// The problem the engines solve: variables in declaration order, rows
+    /// in declaration order. Deterministic — two identical model builds
+    /// produce byte-identical problems.
+    pub fn problem(&self) -> &Problem {
+        &self.problem
     }
 
-    /// Declared variable names, for the static analyzer.
-    pub(crate) fn var_names(&self) -> &[String] {
-        &self.names
-    }
-
-    /// Objective coefficients in declaration order, for the static analyzer.
-    pub(crate) fn objective_coeffs(&self) -> &[f64] {
-        &self.objective
-    }
-
-    /// Lowers the model to a raw [`Problem`]: variables in declaration
-    /// order, rows in declaration order. Deterministic — two identical
-    /// model builds lower to byte-identical problems.
-    ///
-    /// In debug builds an out-of-range variable reference fails here with
-    /// the offending row's label instead of index-panicking deep inside the
-    /// solver's standardization.
+    /// An owned copy of [`problem`](Self::problem), for callers that keep
+    /// the problem past the model.
     pub fn lower(&self) -> Problem {
-        let _span = dls_obs::trace_span!("ir.lower.seconds", "rows" => self.rows.len());
-        #[cfg(debug_assertions)]
-        for row in &self.rows {
-            if let Some(&(i, _)) = row.terms.iter().find(|&&(i, _)| i >= self.names.len()) {
-                panic!(
-                    "row '{}' ({:?}) references variable index {i}, but the model \
-                     declares only {} variables",
-                    row.label,
-                    row.kind,
-                    self.names.len()
-                );
-            }
-        }
-        let mut p = Problem::new(self.sense);
-        for (name, &obj) in self.names.iter().zip(&self.objective) {
-            p.add_var(name.clone(), obj);
-        }
-        for row in &self.rows {
-            p.add_constraint(
-                row.label.clone(),
-                row.terms.iter().map(|&(i, c)| (VarId(i), c)),
-                row.relation,
-                row.rhs,
-            );
-        }
-        p
+        self.problem.clone()
     }
 }
 

@@ -27,126 +27,9 @@ fn with_mode<R>(mode: Mode, f: impl FnOnce() -> R) -> R {
     out
 }
 
-/// Minimal recursive-descent JSON parser — validation only (no DOM): it
-/// either consumes a well-formed value or reports the byte offset of the
-/// first error. Enough to prove the exporters never tear.
-mod json {
-    pub fn validate(doc: &str) -> Result<(), usize> {
-        let b = doc.as_bytes();
-        let mut i = skip_ws(b, 0);
-        i = value(b, i)?;
-        i = skip_ws(b, i);
-        if i == b.len() {
-            Ok(())
-        } else {
-            Err(i)
-        }
-    }
-
-    fn skip_ws(b: &[u8], mut i: usize) -> usize {
-        while i < b.len() && b[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        i
-    }
-
-    fn value(b: &[u8], i: usize) -> Result<usize, usize> {
-        match b.get(i) {
-            Some(b'{') => object(b, i),
-            Some(b'[') => array(b, i),
-            Some(b'"') => string(b, i),
-            Some(b't') => literal(b, i, b"true"),
-            Some(b'f') => literal(b, i, b"false"),
-            Some(b'n') => literal(b, i, b"null"),
-            Some(b'-' | b'0'..=b'9') => number(b, i),
-            _ => Err(i),
-        }
-    }
-
-    fn literal(b: &[u8], i: usize, lit: &[u8]) -> Result<usize, usize> {
-        if b.len() >= i + lit.len() && &b[i..i + lit.len()] == lit {
-            Ok(i + lit.len())
-        } else {
-            Err(i)
-        }
-    }
-
-    fn number(b: &[u8], mut i: usize) -> Result<usize, usize> {
-        let start = i;
-        while i < b.len() && matches!(b[i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-            i += 1;
-        }
-        if i > start {
-            Ok(i)
-        } else {
-            Err(start)
-        }
-    }
-
-    fn string(b: &[u8], mut i: usize) -> Result<usize, usize> {
-        i += 1; // opening quote
-        while i < b.len() {
-            match b[i] {
-                b'"' => return Ok(i + 1),
-                b'\\' => i += 2,
-                _ => i += 1,
-            }
-        }
-        Err(i)
-    }
-
-    fn object(b: &[u8], mut i: usize) -> Result<usize, usize> {
-        i = skip_ws(b, i + 1);
-        if b.get(i) == Some(&b'}') {
-            return Ok(i + 1);
-        }
-        loop {
-            i = string(b, skip_ws(b, i))?;
-            i = skip_ws(b, i);
-            if b.get(i) != Some(&b':') {
-                return Err(i);
-            }
-            i = value(b, skip_ws(b, i + 1))?;
-            i = skip_ws(b, i);
-            match b.get(i) {
-                Some(b',') => i = skip_ws(b, i + 1),
-                Some(b'}') => return Ok(i + 1),
-                _ => return Err(i),
-            }
-        }
-    }
-
-    fn array(b: &[u8], mut i: usize) -> Result<usize, usize> {
-        i = skip_ws(b, i + 1);
-        if b.get(i) == Some(&b']') {
-            return Ok(i + 1);
-        }
-        loop {
-            i = value(b, skip_ws(b, i))?;
-            i = skip_ws(b, i);
-            match b.get(i) {
-                Some(b',') => i = skip_ws(b, i + 1),
-                Some(b']') => return Ok(i + 1),
-                _ => return Err(i),
-            }
-        }
-    }
-
-    #[test]
-    fn parser_accepts_and_rejects() {
-        assert!(validate(r#"{"a":[1,2.5e-3,"x\"y"],"b":{"c":null,"d":true}}"#).is_ok());
-        assert!(validate("[]").is_ok());
-        assert!(validate(r#"{"a":1"#).is_err());
-        assert!(validate(r#"{"a":1} trailing"#).is_err());
-        assert!(validate(r#"{"truncated":"st"#).is_err());
-    }
-}
-
 fn assert_valid_json(body: &str, what: &str) {
-    if let Err(at) = json::validate(body) {
-        let lo = at.saturating_sub(40);
-        let hi = (at + 40).min(body.len());
-        panic!("{what}: invalid JSON at byte {at}: ...{}...", &body[lo..hi]);
+    if let Err(e) = xtask::parse_json(body) {
+        panic!("{what}: invalid JSON: {e}");
     }
 }
 

@@ -11,7 +11,8 @@
 //! it as a bandwidth and an effective flop rate; the calibration constants
 //! are documented on [`ClusterModel::gdsdmi`]. Absolute seconds are not
 //! expected to match the 2005 hardware — only the *cost structure* matters
-//! for reproducing the paper's comparisons, as argued in `DESIGN.md`.
+//! for reproducing the paper's comparisons, which are throughput ratios
+//! between strategies on the same platforms.
 
 use crate::platform::{Platform, PlatformError};
 use crate::worker::Worker;
@@ -75,8 +76,9 @@ impl ClusterModel {
     ///
     /// This calibration puts the random platforms of Figures 10-12 in the
     /// mixed comm/compute regime where the paper's observed heuristic
-    /// ranking (`LIFO ≲ INC_C < INC_W`) is reproduced; see
-    /// `EXPERIMENTS.md` for the regime-sensitivity analysis.
+    /// ranking (`LIFO ≲ INC_C < INC_W`) is reproduced; the FIFO/LIFO gap
+    /// changes sign with the comm/compute regime, so a more comm- or
+    /// compute-bound calibration need not reproduce it.
     pub fn gdsdmi() -> Self {
         ClusterModel {
             bandwidth: 11.9e6,

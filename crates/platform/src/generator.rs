@@ -11,8 +11,8 @@
 //!   a bus with per-worker compute speeds — the Theorem 2 regime;
 //! * **fully heterogeneous** stars (Fig. 12).
 //!
-//! Generation is seeded and deterministic: every figure in
-//! `EXPERIMENTS.md` regenerates bit-for-bit.
+//! Generation is seeded and deterministic: every figure `repro_all` writes
+//! (README, "Reproducing the paper's figures") regenerates bit-for-bit.
 
 use rand::distributions::{Distribution, Uniform};
 use rand::Rng;

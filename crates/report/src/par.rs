@@ -3,8 +3,8 @@
 //! The figure harnesses evaluate 50 random platforms × several heuristics
 //! per matrix size; each evaluation is an independent LP solve plus a
 //! simulation, so a static block partition over `std::thread::scope` is all
-//! the parallelism the workload needs (no rayon dependency; see
-//! `DESIGN.md` §7).
+//! the parallelism the workload needs (no rayon dependency: the build is
+//! offline, see the README's "Development" section).
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

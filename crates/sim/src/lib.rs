@@ -2,8 +2,8 @@
 //!
 //! The experimental substrate of this reproduction. The paper (Section 5)
 //! validates its theory with MPI runs on the 12-node `gdsdmi` cluster; this
-//! crate plays that testbed's role (see `DESIGN.md` §4 for the substitution
-//! argument): it executes [`dls_core::Schedule`]s on a simulated star
+//! crate plays that testbed's role (the `dls-sim` row of the README's crate
+//! map): it executes [`dls_core::Schedule`]s on a simulated star
 //! network whose master enforces the **one-port** rule, with seeded jitter,
 //! per-message latency and cache-degradation models standing in for
 //! real-cluster effects.

@@ -3,7 +3,7 @@
 //! The paper's measured execution times deviate from the LP prediction by
 //! up to ~20% (Section 5.3.2) and diverge systematically when the linear
 //! cost model stops holding (Section 5.3.3). Since our testbed is a
-//! simulator (see `DESIGN.md` §4), these deviations are *modeled*:
+//! simulator (see the [crate docs](crate)), these deviations are *modeled*:
 //!
 //! * [`Noise`] — seeded multiplicative jitter applied to every transfer and
 //!   compute interval, standing in for OS scheduling, MPI progress and

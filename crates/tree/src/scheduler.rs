@@ -247,7 +247,7 @@ impl Scheduler for TreeLpScheduler {
     fn solve_exact(&self, platform: &Platform) -> Result<dls_core::ExactSolution, CoreError> {
         let (tree, _) = shape_balanced(platform, self.fanout);
         let (ir, alphas) = crate::lp::tree_lp_model(&tree);
-        let sol = dls_lp::solve_exact::<dls_lp::Rational>(&ir.lower())?;
+        let sol = dls_lp::solve_exact::<dls_lp::Rational>(ir.problem())?;
         let loads = alphas.var_ids().iter().map(|&v| sol.value(v)).collect();
         Ok(dls_core::ExactSolution {
             throughput: sol.objective,

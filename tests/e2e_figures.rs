@@ -71,7 +71,7 @@ fn fig11_ranking_shape() {
     );
     // LIFO leads on compute-bound platforms *on average* in the paper's
     // plots, but the sign of the FIFO/LIFO gap flips with the comm/compute
-    // regime of each random draw (see EXPERIMENTS.md): at smoke scale
+    // regime of each random draw (see `ClusterModel::gdsdmi`): at smoke scale
     // (4 platforms) only a loose sanity bound is stable. The paper-scale
     // ranking is asserted at 50 platforms by the repro_all run.
     let lifo_lp = row

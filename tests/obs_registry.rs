@@ -53,7 +53,6 @@ fn solve_scenario_populates_the_advertised_metrics_on_both_engines() {
         "revised.solve.seconds",
         "tableau.solve.seconds",
         "lp_model.solve.seconds",
-        "ir.lower.seconds",
     ] {
         let h = snap
             .histogram(name)

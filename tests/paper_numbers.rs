@@ -86,7 +86,8 @@ fn lifo_chain_by_hand() {
     assert_eq!(rho, Rational::new(22, 49));
     // On this bus instance FIFO (22/47) beats LIFO (22/49): the identical
     // numerators are a neat coincidence of the algebra, and the comparison
-    // is exactly the comm-bound FIFO advantage discussed in EXPERIMENTS.md.
+    // is exactly the comm-bound FIFO advantage (its sign flips with the
+    // regime; see `ClusterModel::gdsdmi`).
     assert!(22.0 / 47.0 > sol.throughput);
 }
 

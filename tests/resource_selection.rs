@@ -1,7 +1,7 @@
 //! Resource selection: Proposition 1's LP decides which workers
 //! participate. These tests certify the LP selection against the
 //! chain-solver subset enumeration, and probe the prefix-vs-subset
-//! ablation of DESIGN.md §8.
+//! ablation noted on `dls_core::chain`.
 
 use dls::core::prelude::*;
 use dls::platform::{Platform, Worker};
@@ -91,7 +91,7 @@ fn optimal_selection_is_a_c_sorted_prefix_empirically() {
         assert_eq!(
             parts, prefix,
             "non-prefix optimal selection found — the prefix-optimality \
-             conjecture is falsified; celebrate, then update DESIGN.md §8"
+             conjecture is falsified; celebrate, then update the dls_core::chain docs"
         );
         // The prefix chain solver must agree with the LP here.
         let (_, chain) = chain_best_prefix(&p).unwrap();
