@@ -5,16 +5,64 @@
 
 use dls_bench::figures::interleaved::run_interleaved_gap;
 use dls_bench::figures::sweep::{
-    depth_sweep_variant, r_sweep_variant, run_depth_sweep, run_r_sweep,
+    depth_sweep_variant, r_sweep_variant, run_depth_sweep, run_r_sweep, SkippedStrategy,
 };
 use dls_bench::figures::{fig08, fig09, fig10_13, fig14};
 use dls_bench::SweepConfig;
 use dls_platform::{ClusterModel, MatrixApp, PlatformSampler};
-use dls_report::{multiround_table, tree_table, write_dat, write_text, Series};
+use dls_report::{multiround_table, tree_table, write_dat, write_text, Series, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
+
+/// What one averaged study prints and writes.
+struct Study {
+    /// Stdout heading above the table.
+    heading: String,
+    /// First line of the `.txt` file.
+    label: String,
+    table: Table,
+    /// One line per skipped strategy and axis value.
+    notes: Vec<String>,
+    /// The `.dat` x column and series.
+    series: (Vec<f64>, Vec<Series>),
+}
+
+/// Prints one averaged study's heading, table and skip notes, and writes
+/// `<stem>.{dat,txt,csv}` under `out` with `x_label` naming the `.dat` x
+/// column.
+fn study(out: &Path, stem: &str, x_label: &str, s: Study) {
+    println!("{}\n", s.heading);
+    println!("{}", s.table.render());
+    for note in &s.notes {
+        println!("{note}");
+    }
+    let (xs, series) = &s.series;
+    write_dat(&out.join(format!("{stem}.dat")), x_label, xs, series).expect("dat");
+    write_text(
+        &out.join(format!("{stem}.txt")),
+        &format!("{}\n\n{}", s.label, s.table.render()),
+    )
+    .expect("txt");
+    write_text(&out.join(format!("{stem}.csv")), &s.table.to_csv()).expect("csv");
+}
+
+/// One note per strategy a study skipped, as `<axis> = <value>: ...`.
+fn skip_notes<'a>(
+    axis: &str,
+    rows: impl Iterator<Item = (usize, &'a Vec<SkippedStrategy>)>,
+) -> Vec<String> {
+    rows.flat_map(|(value, skipped)| {
+        skipped.iter().map(move |skip| {
+            format!(
+                "  note: {axis} = {value}: {} ({}) skipped on {} platform(s): {}",
+                skip.id, skip.legend, skip.platforms, skip.reason
+            )
+        })
+    })
+    .collect()
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -58,43 +106,30 @@ fn main() {
     write_text(&out.join("fig09_trace.csv"), &f9.trace_csv).expect("csv");
 
     // --- Figures 10-13.
-    for variant in [
+    for (stem, v) in [
         ("fig10", fig10_13::fig10_variant()),
         ("fig11", fig10_13::fig11_variant()),
         ("fig12", fig10_13::fig12_variant()),
         ("fig13a", fig10_13::fig13a_variant()),
         ("fig13b", fig10_13::fig13b_variant()),
     ] {
-        let (stem, v) = variant;
         let _fig = dls_obs::trace_span!("repro.figure.seconds", "figure" => stem);
         let started = Instant::now();
         let res = fig10_13::run(&v, &cfg);
-        println!("{}\n", res.label);
-        let table = res.table();
-        println!("{}", table.render());
-        for row in &res.rows {
-            for skip in &row.skipped {
-                println!(
-                    "  note: n = {}: {} ({}) skipped on {} platform(s): {}",
-                    row.size, skip.id, skip.legend, skip.platforms, skip.reason
-                );
-            }
-        }
-        println!("({} in {:.1?})\n", stem, started.elapsed());
-        let (xs, series) = res.series();
-        write_dat(
-            &out.join(format!("{stem}.dat")),
+        let notes = skip_notes("n", res.rows.iter().map(|r| (r.size, &r.skipped)));
+        study(
+            &out,
+            stem,
             "matrix_size",
-            &xs,
-            &series,
-        )
-        .expect("dat");
-        write_text(
-            &out.join(format!("{stem}.txt")),
-            &format!("{}\n\n{}", res.label, table.render()),
-        )
-        .expect("txt");
-        write_text(&out.join(format!("{stem}.csv")), &table.to_csv()).expect("csv");
+            Study {
+                heading: res.label.clone(),
+                table: res.table(),
+                notes,
+                series: res.series(),
+                label: res.label,
+            },
+        );
+        println!("({stem} in {:.1?})\n", started.elapsed());
     }
 
     // --- Multi-round installment trade-off (beyond the paper; ROADMAP's
@@ -105,47 +140,25 @@ fn main() {
     {
         let _fig = dls_obs::trace_span!("repro.figure.seconds", "figure" => "multiround_rsweep");
         let started = Instant::now();
-        let r_res = run_r_sweep(&cfg, &r_sweep_variant());
-        println!(
-            "{} — n = {}, {} platforms, makespans normalized by {} (mean {:.3} s)\n",
-            r_res.label, r_res.n, cfg.platforms, r_res.baseline, r_res.baseline_makespan
+        let res = run_r_sweep(&cfg, &r_sweep_variant());
+        let heading = format!(
+            "{} — n = {}, {} platforms, makespans normalized by {} (mean {:.3} s)",
+            res.label, res.n, cfg.platforms, res.baseline, res.baseline_makespan
         );
-        let r_table = r_res.table();
-        println!("{}", r_table.render());
-        for row in &r_res.rows {
-            for skip in &row.skipped {
-                println!(
-                    "  note: R = {}: {} ({}) skipped on {} platform(s): {}",
-                    row.rounds, skip.id, skip.legend, skip.platforms, skip.reason
-                );
-            }
-        }
+        let notes = skip_notes("R", res.rows.iter().map(|r| (r.rounds, &r.skipped)));
+        study(
+            &out,
+            "multiround_rsweep",
+            "rounds",
+            Study {
+                heading,
+                table: res.table(),
+                notes,
+                series: res.series(),
+                label: res.label,
+            },
+        );
         println!("(multiround R-sweep in {:.1?})\n", started.elapsed());
-        let xs: Vec<f64> = r_res.rows.iter().map(|r| r.rounds as f64).collect();
-        let series: Vec<Series> = r_res
-            .rows
-            .first()
-            .map(|first| {
-                first
-                    .ratios
-                    .iter()
-                    .enumerate()
-                    .map(|(k, (name, _))| {
-                        Series::new(
-                            name.clone(),
-                            r_res.rows.iter().map(|r| r.ratios[k].1).collect(),
-                        )
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        write_dat(&out.join("multiround_rsweep.dat"), "rounds", &xs, &series).expect("dat");
-        write_text(
-            &out.join("multiround_rsweep.txt"),
-            &format!("{}\n\n{}", r_res.label, r_table.render()),
-        )
-        .expect("txt");
-        write_text(&out.join("multiround_rsweep.csv"), &r_table.to_csv()).expect("csv");
 
         // One concrete paper-scale platform (gdsdmi cluster, n = 200,
         // heterogeneous star, fixed seed) for the absolute-makespan table.
@@ -175,47 +188,25 @@ fn main() {
     {
         let _fig = dls_obs::trace_span!("repro.figure.seconds", "figure" => "tree_depth_sweep");
         let started = Instant::now();
-        let d_res = run_depth_sweep(&cfg, &depth_sweep_variant());
-        println!(
-            "{} — n = {}, {} platforms, makespans normalized by flat-star {} (mean {:.3} s)\n",
-            d_res.label, d_res.n, cfg.platforms, d_res.baseline, d_res.baseline_makespan
+        let res = run_depth_sweep(&cfg, &depth_sweep_variant());
+        let heading = format!(
+            "{} — n = {}, {} platforms, makespans normalized by flat-star {} (mean {:.3} s)",
+            res.label, res.n, cfg.platforms, res.baseline, res.baseline_makespan
         );
-        let d_table = d_res.table();
-        println!("{}", d_table.render());
-        for row in &d_res.rows {
-            for skip in &row.skipped {
-                println!(
-                    "  note: fanout = {}: {} ({}) skipped on {} platform(s): {}",
-                    row.fanout, skip.id, skip.legend, skip.platforms, skip.reason
-                );
-            }
-        }
+        let notes = skip_notes("fanout", res.rows.iter().map(|r| (r.fanout, &r.skipped)));
+        study(
+            &out,
+            "tree_depth_sweep",
+            "depth",
+            Study {
+                heading,
+                table: res.table(),
+                notes,
+                series: res.series(),
+                label: res.label,
+            },
+        );
         println!("(tree depth sweep in {:.1?})\n", started.elapsed());
-        let xs: Vec<f64> = d_res.rows.iter().map(|r| r.depth as f64).collect();
-        let series: Vec<Series> = d_res
-            .rows
-            .first()
-            .map(|first| {
-                first
-                    .ratios
-                    .iter()
-                    .enumerate()
-                    .map(|(k, (name, _))| {
-                        Series::new(
-                            name.clone(),
-                            d_res.rows.iter().map(|r| r.ratios[k].1).collect(),
-                        )
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        write_dat(&out.join("tree_depth_sweep.dat"), "depth", &xs, &series).expect("dat");
-        write_text(
-            &out.join("tree_depth_sweep.txt"),
-            &format!("{}\n\n{}", d_res.label, d_table.render()),
-        )
-        .expect("txt");
-        write_text(&out.join("tree_depth_sweep.csv"), &d_table.to_csv()).expect("csv");
 
         // One concrete paper-scale platform for the absolute table.
         let mut rng = StdRng::seed_from_u64(0xF16B0);
@@ -244,22 +235,24 @@ fn main() {
     {
         let _fig = dls_obs::trace_span!("repro.figure.seconds", "figure" => "interleaved_gap");
         let started = Instant::now();
-        let g_res = run_interleaved_gap(&cfg);
-        println!(
-            "{} — n = {}, {} platforms, makespans normalized by OPT_FIFO (mean {:.3} s)\n",
-            g_res.label, g_res.n, g_res.platforms, g_res.baseline_makespan
+        let res = run_interleaved_gap(&cfg);
+        let heading = format!(
+            "{} — n = {}, {} platforms, makespans normalized by OPT_FIFO (mean {:.3} s)",
+            res.label, res.n, res.platforms, res.baseline_makespan
         );
-        let g_table = g_res.table();
-        println!("{}", g_table.render());
+        study(
+            &out,
+            "interleaved_gap",
+            "lead",
+            Study {
+                heading,
+                table: res.table(),
+                notes: Vec::new(),
+                series: res.series(),
+                label: res.label,
+            },
+        );
         println!("(interleaved gap in {:.1?})\n", started.elapsed());
-        let (xs, series) = g_res.series();
-        write_dat(&out.join("interleaved_gap.dat"), "lead", &xs, &series).expect("dat");
-        write_text(
-            &out.join("interleaved_gap.txt"),
-            &format!("{}\n\n{}", g_res.label, g_table.render()),
-        )
-        .expect("txt");
-        write_text(&out.join("interleaved_gap.csv"), &g_table.to_csv()).expect("csv");
     }
 
     // --- Figure 14 (both subfigures plus the header/text discrepancy run).

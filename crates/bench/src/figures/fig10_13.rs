@@ -1,7 +1,10 @@
 //! Figures 10-13 — heuristic comparisons on random platforms.
 //!
 //! Thin figure-specific configurations over the shared
-//! [`crate::figures::sweep`] engine:
+//! [`crate::figures::sweep`] engine. Each compares the paper's Section 5.3
+//! heuristics by registry id: `inc_c` (FIFO, fastest links first — the
+//! optimal FIFO for `z < 1` by Theorem 1, and the normalization
+//! baseline), `inc_w` (FIFO, fastest computers first) and `optimal_lifo`.
 //!
 //! * **Figure 10** — 50 homogeneous random platforms (a bus with uniform
 //!   compute): only `INC_C` and `LIFO` are plotted since every FIFO
@@ -17,14 +20,7 @@
 use dls_platform::PlatformSampler;
 
 use crate::figures::sweep::{explain_baseline, run_sweep, SweepResult, SweepVariant};
-use crate::scenarios::{Heuristic, SweepConfig};
-
-fn ids(heuristics: &[Heuristic]) -> Vec<String> {
-    heuristics
-        .iter()
-        .map(|h| h.registry_id().to_string())
-        .collect()
-}
+use crate::scenarios::SweepConfig;
 
 /// Figure 10 variant.
 pub fn fig10_variant() -> SweepVariant {
@@ -35,7 +31,7 @@ pub fn fig10_variant() -> SweepVariant {
         comm_scale: 1.0,
         cache_effects: false,
         // All FIFO orderings coincide on a bus, so INC_W is dropped.
-        schedulers: ids(&[Heuristic::IncC, Heuristic::Lifo]),
+        schedulers: vec!["inc_c".into(), "optimal_lifo".into()],
     }
 }
 
@@ -47,7 +43,7 @@ pub fn fig11_variant() -> SweepVariant {
         comp_scale: 1.0,
         comm_scale: 1.0,
         cache_effects: false,
-        schedulers: ids(&[Heuristic::IncC, Heuristic::IncW, Heuristic::Lifo]),
+        schedulers: vec!["inc_c".into(), "inc_w".into(), "optimal_lifo".into()],
     }
 }
 
@@ -59,7 +55,7 @@ pub fn fig12_variant() -> SweepVariant {
         comp_scale: 1.0,
         comm_scale: 1.0,
         cache_effects: false,
-        schedulers: ids(&[Heuristic::IncC, Heuristic::IncW, Heuristic::Lifo]),
+        schedulers: vec!["inc_c".into(), "inc_w".into(), "optimal_lifo".into()],
     }
 }
 

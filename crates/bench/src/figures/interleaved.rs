@@ -18,15 +18,19 @@
 //! Together the three columns chart the full gap story: the LP family
 //! says interleaving cannot *gain* throughput, and the replay columns
 //! show what each interleaving costs when executed under either policy.
+//!
+//! Each reported lead is solved once, as the registry's
+//! `interleaved_fifo@<lead>` strategy, on the platforms the shared sweep
+//! sampler draws.
 
-use dls_core::interleaved::{interleaved_order, interleaved_profile};
+use dls_core::engine::Scheduler;
+use dls_core::interleaved::InterleavedScheduler;
 use dls_core::prelude::*;
 use dls_platform::{ClusterModel, MatrixApp, PlatformSampler};
 use dls_report::{mean, num, par_map, Series, Table};
 use dls_sim::{simulate, MasterPolicy, SimConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
+use crate::figures::sweep::{distinct, platform_factors};
 use crate::scenarios::SweepConfig;
 
 /// One lead's averaged row.
@@ -112,73 +116,59 @@ pub fn run_interleaved_gap(cfg: &SweepConfig) -> InterleavedGapResult {
     let n = *cfg.sizes.last().expect("sweep config has sizes");
     let app = MatrixApp::new(n);
     let p = sampler.workers;
-    let mut seen_leads = std::collections::HashSet::new();
-    let leads: Vec<usize> = [p, p / 2, 4, 2, 1]
-        .into_iter()
-        .filter(|&l| (1..=p).contains(&l) && seen_leads.insert(l))
-        .collect();
-
+    let leads = distinct(
+        [p, p / 2, 4, 2, 1]
+            .into_iter()
+            .filter(|l| (1..=p).contains(l)),
+    );
     let factor_sets: Vec<(Vec<f64>, Vec<f64>)> = (0..cfg.platforms)
-        .map(|i| {
-            let mut rng = StdRng::seed_from_u64(cfg.base_seed.wrapping_add(i as u64));
-            sampler.sample_factors(&mut rng)
-        })
+        .map(|i| platform_factors(cfg, &sampler, i))
         .collect();
 
     /// One lead's `(lp, replay_str, replay_int)` makespan ratios on one
     /// platform.
     type LeadRatios = (f64, f64, f64);
 
-    let engine = dls_core::lp_model::current_engine();
     // Per platform: (opt makespan, per-lead ratios).
     let evaluated: Vec<(f64, Vec<LeadRatios>)> = par_map(&factor_sets, |(comm, comp)| {
-        dls_core::lp_model::with_engine(engine, || {
-            let platform = cluster
-                .platform(&app, comm, comp)
-                .expect("sampled factors valid");
-            let opt = optimal_fifo(&platform).expect("z-tied cluster family");
-            let opt_makespan = 1.0 / opt.throughput;
-            let order = interleaved_order(&platform);
-            let profile = interleaved_profile(&platform, &order)
-                .expect("interleaved profile on a valid platform");
-            let rows = leads
-                .iter()
-                .map(|&lead| {
-                    let outcome = profile
+        let platform = cluster
+            .platform(&app, comm, comp)
+            .expect("sampled factors valid");
+        let opt = optimal_fifo(&platform).expect("z-tied cluster family");
+        let opt_makespan = 1.0 / opt.throughput;
+        let rows = leads
+            .iter()
+            .map(|&lead| {
+                let sol = InterleavedScheduler::with_lead(lead)
+                    .solve(&platform)
+                    .expect("lead in 1..=p");
+                let lp_ratio = (1.0 / sol.throughput) / opt_makespan;
+                // Replay a unit total load of this lead's proportions under
+                // both master policies.
+                let schedule = sol.schedule.with_loads(
+                    sol.schedule
+                        .loads()
                         .iter()
-                        .find(|o| o.lead == lead)
-                        .expect("lead in 1..=p");
-                    let lp_ratio = (1.0 / outcome.throughput) / opt_makespan;
-                    // Replay a unit total load of this lead's proportions
-                    // under both master policies.
-                    let schedule = dls_core::Schedule::fifo(
+                        .map(|l| l / sol.throughput)
+                        .collect(),
+                );
+                let replay = |policy| {
+                    simulate(
                         &platform,
-                        order.clone(),
-                        outcome
-                            .loads
-                            .iter()
-                            .map(|l| l / outcome.throughput)
-                            .collect(),
+                        &schedule,
+                        &SimConfig {
+                            policy,
+                            ..SimConfig::ideal()
+                        },
                     )
-                    .expect("profile loads are valid");
-                    let replay = |policy| {
-                        simulate(
-                            &platform,
-                            &schedule,
-                            &SimConfig {
-                                policy,
-                                ..SimConfig::ideal()
-                            },
-                        )
-                        .makespan
-                    };
-                    let str_ratio = replay(MasterPolicy::SendsThenReceives) / opt_makespan;
-                    let int_ratio = replay(MasterPolicy::Interleaved) / opt_makespan;
-                    (lp_ratio, str_ratio, int_ratio)
-                })
-                .collect();
-            (opt_makespan, rows)
-        })
+                    .makespan
+                };
+                let str_ratio = replay(MasterPolicy::SendsThenReceives) / opt_makespan;
+                let int_ratio = replay(MasterPolicy::Interleaved) / opt_makespan;
+                (lp_ratio, str_ratio, int_ratio)
+            })
+            .collect();
+        (opt_makespan, rows)
     });
 
     let baseline_makespan =

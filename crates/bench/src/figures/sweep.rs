@@ -1,4 +1,5 @@
-//! Shared engine for the Figures 10-13 heuristic-comparison sweeps.
+//! The shared core of the averaged studies: the Figures 10-13 heuristic
+//! comparisons and the multi-round R and tree depth sweeps.
 //!
 //! For each matrix size the paper averages, over 50 random platforms, the
 //! theoretical (LP) and measured execution times of each heuristic for
@@ -12,6 +13,13 @@
 //!    policy, simulate the integer schedule under seeded jitter
 //!    (`T_real`);
 //! 3. average `T_lp`/`T_real` ratios across platforms.
+//!
+//! The R and depth sweeps average predicted makespans the same way along
+//! a parameterized axis (`<id>@<axis>`). All of them, and the interleaved
+//! gap, draw platform `i` from seed `base_seed + i` through one sampler,
+//! and the sweeps turn each strategy column's per-platform outcomes into
+//! its mean and at most one [`SkippedStrategy`] through one step.
+//! [`par_map`] runs every platform under the caller's LP engine.
 //!
 //! The strategies compared are *data*, not code: a [`SweepVariant`] names
 //! registry ids (see [`dls_core::registry`]) and the first one is the
@@ -79,6 +87,16 @@ impl SweepVariant {
             })
             .collect()
     }
+
+    /// The variant's platform for matrix size `n` from sampled speed
+    /// factors, with its cost scales applied.
+    fn platform(&self, (comm, comp): &(Vec<f64>, Vec<f64>), n: usize) -> Platform {
+        ClusterModel::gdsdmi()
+            .platform(&MatrixApp::new(n), comm, comp)
+            .expect("sampled factors valid")
+            .scale_comp(self.comp_scale)
+            .scale_comm(self.comm_scale)
+    }
 }
 
 /// A strategy that could not solve one or more platforms at a given size.
@@ -131,66 +149,127 @@ pub struct SweepResult {
 impl SweepResult {
     /// Renders the rows as an aligned table (the paper's plotted series).
     pub fn table(&self) -> Table {
-        let mut headers: Vec<String> = vec!["n".into(), format!("{} lp (s)", self.baseline)];
-        if let Some(row) = self.rows.first() {
-            headers.extend(row.ratios.iter().map(|(name, _)| name.clone()));
-        }
-        let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-        let mut t = Table::new(&header_refs);
-        for row in &self.rows {
-            let mut cells = vec![row.size.to_string(), num(row.baseline_lp, 3)];
-            cells.extend(row.ratios.iter().map(|(_, v)| num(*v, 4)));
-            t.row(&cells);
-        }
-        t
+        ratio_table(
+            &["n", &format!("{} lp (s)", self.baseline)],
+            self.rows.iter().map(|r| {
+                (
+                    vec![r.size.to_string(), num(r.baseline_lp, 3)],
+                    &r.ratios[..],
+                )
+            }),
+        )
     }
 
     /// Exports the x vector and one series per ratio column (plus the
     /// absolute baseline curve) for `.dat` output.
     pub fn series(&self) -> (Vec<f64>, Vec<Series>) {
-        let xs: Vec<f64> = self.rows.iter().map(|r| r.size as f64).collect();
-        let mut out = vec![Series::new(
-            format!("{} lp seconds", self.baseline),
-            self.rows.iter().map(|r| r.baseline_lp).collect(),
-        )];
-        if let Some(first) = self.rows.first() {
-            for (k, (name, _)) in first.ratios.iter().enumerate() {
-                out.push(Series::new(
-                    name.clone(),
-                    self.rows.iter().map(|r| r.ratios[k].1).collect(),
-                ));
-            }
-        }
-        (xs, out)
+        let (xs, mut series) =
+            ratio_series(self.rows.iter().map(|r| (r.size as f64, &r.ratios[..])));
+        series.insert(
+            0,
+            Series::new(
+                format!("{} lp seconds", self.baseline),
+                self.rows.iter().map(|r| r.baseline_lp).collect(),
+            ),
+        );
+        (xs, series)
     }
 }
 
-/// Strategy outcome on one platform at one size.
-struct Outcome {
-    lp_time: f64,
-    real_time: f64,
+/// One table row per sweep point: its leading cells, then every ratio at
+/// 4 decimals. The ratio column names come from the first point.
+fn ratio_table<'a>(
+    lead: &[&str],
+    points: impl Iterator<Item = (Vec<String>, &'a [(String, f64)])>,
+) -> Table {
+    let points: Vec<_> = points.collect();
+    let mut headers = lead.to_vec();
+    if let Some((_, ratios)) = points.first() {
+        headers.extend(ratios.iter().map(|(name, _)| name.as_str()));
+    }
+    let mut t = Table::new(&headers);
+    for (mut cells, ratios) in points {
+        cells.extend(ratios.iter().map(|(_, v)| num(*v, 4)));
+        t.row(&cells);
+    }
+    t
 }
 
-/// Outcome including mid-batch failures of partial strategies.
-enum StrategyOutcome {
-    Done(Outcome),
-    Skipped(String),
+/// The x vector plus one `.dat` series per ratio column, named after the
+/// first point's columns.
+fn ratio_series<'a>(
+    points: impl Iterator<Item = (f64, &'a [(String, f64)])>,
+) -> (Vec<f64>, Vec<Series>) {
+    let (xs, rows): (Vec<f64>, Vec<_>) = points.unzip();
+    let series = rows.first().map_or_else(Vec::new, |first| {
+        first
+            .iter()
+            .enumerate()
+            .map(|(k, (name, _))| Series::new(name.clone(), rows.iter().map(|r| r[k].1).collect()))
+            .collect()
+    });
+    (xs, series)
 }
 
-/// One `(matrix size, platform)` cell of the cross-size work list.
-struct WorkItem {
-    size_idx: usize,
-    n: usize,
-    platform_idx: usize,
+/// The speed factors `(comm, comp)` of a study's platform `i`, drawn from
+/// seed `base_seed + i`: every study over one family sees the same
+/// platforms, whatever the matrix size or axis.
+pub(crate) fn platform_factors(
+    cfg: &SweepConfig,
+    sampler: &PlatformSampler,
+    i: usize,
+) -> (Vec<f64>, Vec<f64>) {
+    sampler.sample_factors(&mut StdRng::seed_from_u64(
+        cfg.base_seed.wrapping_add(i as u64),
+    ))
 }
 
+/// `values` without repeats, in first-seen order: each axis value of a
+/// study is evaluated once.
+pub(crate) fn distinct(values: impl IntoIterator<Item = usize>) -> Vec<usize> {
+    let mut seen = std::collections::HashSet::new();
+    values.into_iter().filter(|v| seen.insert(*v)).collect()
+}
+
+/// One strategy column across a row's platforms: the values of the
+/// platforms it solved, plus a skip record carrying the first failure's
+/// reason when it failed on any. Records the `sweep.skips` counter and
+/// trace instant.
+fn column<'a, T: Copy + 'a>(
+    id: &str,
+    legend: &str,
+    outcomes: impl Iterator<Item = &'a Result<T, String>>,
+) -> (Vec<T>, Option<SkippedStrategy>) {
+    let (solved, failed): (Vec<_>, Vec<_>) = outcomes.partition(|o| o.is_ok());
+    let skip = failed.first().and_then(|o| o.as_ref().err()).map(|reason| {
+        dls_obs::counter!("sweep.skips").add(failed.len() as u64);
+        // The aggregate counter loses *which* strategy was skipped; the
+        // trace event carries the attribution.
+        dls_obs::trace_event!(
+            "sweep.skips",
+            "strategy" => id,
+            "platforms" => failed.len(),
+            "reason" => reason,
+        );
+        SkippedStrategy {
+            id: id.to_string(),
+            legend: legend.to_string(),
+            platforms: failed.len(),
+            reason: reason.clone(),
+        }
+    });
+    (solved.into_iter().flatten().copied().collect(), skip)
+}
+
+/// A strategy's `(lp time, real time)` for `total_units` on one platform:
+/// the LP prediction and the simulated makespan of its rounded schedule.
 fn run_scheduler(
     platform: &Platform,
     scheduler: &dyn Scheduler,
     total_units: u64,
     realism: RealismModel,
     seed: u64,
-) -> Result<Outcome, dls_core::CoreError> {
+) -> Result<(f64, f64), dls_core::CoreError> {
     let sol = scheduler.solve(platform)?;
     // Theoretical time for M units: linearity gives T = M / rho.
     let lp_time = total_units as f64 / sol.throughput;
@@ -206,10 +285,7 @@ fn run_scheduler(
             ..SimConfig::ideal()
         },
     );
-    Ok(Outcome {
-        lp_time,
-        real_time: report.makespan,
-    })
+    Ok((lp_time, report.makespan))
 }
 
 /// Runs the full sweep for a figure variant.
@@ -236,27 +312,18 @@ pub fn run_sweep(cfg: &SweepConfig, variant: &SweepVariant) -> SweepResult {
         "label" => variant.label,
         "platforms" => cfg.platforms,
     );
-    let cluster = ClusterModel::gdsdmi();
     let schedulers = variant.resolve_schedulers();
 
     // Draw each platform's speed factors once (independent of matrix size),
     // exactly like reusing the same physical cluster across sizes.
     let factor_sets: Vec<(Vec<f64>, Vec<f64>)> = (0..cfg.platforms)
-        .map(|i| {
-            let mut rng = StdRng::seed_from_u64(cfg.base_seed.wrapping_add(i as u64));
-            variant.sampler.sample_factors(&mut rng)
-        })
+        .map(|i| platform_factors(cfg, &variant.sampler, i))
         .collect();
 
     // Fail fast when the *baseline* does not apply to this platform family:
     // every ratio normalizes by its lp time, so nothing can be salvaged.
-    if let (Some((comm, comp)), Some(&n)) = (factor_sets.first(), cfg.sizes.first()) {
-        let probe = cluster
-            .platform(&MatrixApp::new(n), comm, comp)
-            .expect("sampled factors valid")
-            .scale_comp(variant.comp_scale)
-            .scale_comm(variant.comm_scale);
-        if let Err(e) = schedulers[0].solve(&probe) {
+    if let (Some(factors), Some(&n)) = (factor_sets.first(), cfg.sizes.first()) {
+        if let Err(e) = schedulers[0].solve(&variant.platform(factors, n)) {
             panic!(
                 "sweep '{}': baseline strategy '{}' cannot solve this platform family: {e}",
                 variant.label,
@@ -265,168 +332,101 @@ pub fn run_sweep(cfg: &SweepConfig, variant: &SweepVariant) -> SweepResult {
         }
     }
 
-    // The full cross-size work list, one entry per (size, platform) cell.
-    let items: Vec<WorkItem> = cfg
+    // The full cross-size work list, one `(size, platform)` cell each,
+    // size-major.
+    let items: Vec<(usize, usize)> = cfg
+        .sizes
+        .iter()
+        .flat_map(|&n| (0..factor_sets.len()).map(move |i| (n, i)))
+        .collect();
+
+    // Per cell: the baseline's lp time, and each strategy's lp and real
+    // times normalized by it (or its applicability error).
+    type Cell = (f64, Vec<Result<(f64, f64), String>>);
+    let evaluated: Vec<Cell> = par_map(&items, |&(n, platform_idx)| {
+        dls_obs::counter!("sweep.instances").incr();
+        let factors = &factor_sets[platform_idx];
+        let realism = if variant.cache_effects {
+            RealismModel::cluster_with_cache_effects(n)
+        } else {
+            RealismModel::cluster_jitter()
+        };
+        let platform = variant.platform(factors, n);
+        let outcomes: Vec<Result<(f64, f64), String>> = schedulers
+            .iter()
+            .enumerate()
+            .map(|(si, s)| {
+                // Seed mixes platform identity, size and strategy so jitter
+                // streams are independent but reproducible.
+                let seed = cfg
+                    .base_seed
+                    .wrapping_mul(31)
+                    .wrapping_add(n as u64)
+                    .wrapping_mul(1009)
+                    .wrapping_add(si as u64)
+                    .wrapping_add(factors.0.iter().sum::<f64>().to_bits());
+                match run_scheduler(&platform, s.as_ref(), cfg.total_units, realism, seed) {
+                    Ok(times) => Ok(times),
+                    Err(e) if si == 0 => panic!(
+                        "sweep '{}': baseline strategy '{}' failed on platform {platform_idx} \
+                         at n = {n}: {e}",
+                        variant.label,
+                        s.name(),
+                    ),
+                    Err(e) if e.is_applicability() => Err(e.to_string()),
+                    Err(e) => panic!(
+                        "sweep '{}': strategy '{}' hit a non-applicability error on platform \
+                         {platform_idx} at n = {n} (a solver bug, not a platform mismatch): {e}",
+                        variant.label,
+                        s.name(),
+                    ),
+                }
+            })
+            .collect();
+        let base_lp = outcomes[0].as_ref().expect("baseline solved").0;
+        let normalized = outcomes
+            .into_iter()
+            .map(|o| o.map(|(lp, real)| (lp / base_lp, real / base_lp)))
+            .collect();
+        (base_lp, normalized)
+    });
+
+    // Normalize by each platform's own baseline lp time, then average —
+    // matching the paper's "normalized by FIFO theoretical performance"
+    // plots. Only platforms a strategy solved contribute to its mean.
+    let baseline_legend = schedulers[0].legend();
+    let rows = cfg
         .sizes
         .iter()
         .enumerate()
-        .flat_map(|(size_idx, &n)| {
-            (0..factor_sets.len()).map(move |platform_idx| WorkItem {
-                size_idx,
-                n,
-                platform_idx,
-            })
+        .map(|(k, &size)| {
+            let cells = &evaluated[k * factor_sets.len()..(k + 1) * factor_sets.len()];
+            let mut ratios = Vec::new();
+            let mut skipped = Vec::new();
+            for (si, (id, s)) in variant.schedulers.iter().zip(&schedulers).enumerate() {
+                let (solved, skip) = column(id, s.legend(), cells.iter().map(|(_, o)| &o[si]));
+                skipped.extend(skip);
+                let (lp, real): (Vec<f64>, Vec<f64>) = solved.into_iter().unzip();
+                if si != 0 {
+                    ratios.push((format!("{} lp/{baseline_legend} lp", s.legend()), mean(&lp)));
+                }
+                ratios.push((
+                    format!("{} real/{baseline_legend} lp", s.legend()),
+                    mean(&real),
+                ));
+            }
+            SweepRow {
+                size,
+                baseline_lp: mean(&cells.iter().map(|(b, _)| *b).collect::<Vec<_>>()),
+                ratios,
+                skipped,
+            }
         })
         .collect();
 
-    // The LP-engine override is a thread-local; capture the caller's choice
-    // and re-apply it inside each par_map worker thread (whose locals reset
-    // to the default), so `with_engine(Tableau, || run_sweep(..))` behaves
-    // identically whether the map runs inline or on the pool.
-    let engine = dls_core::lp_model::current_engine();
-    let evaluated: Vec<Vec<StrategyOutcome>> = par_map(&items, |item| {
-        dls_core::lp_model::with_engine(engine, || {
-            dls_obs::counter!("sweep.instances").incr();
-            let (comm, comp) = &factor_sets[item.platform_idx];
-            let n = item.n;
-            let app = MatrixApp::new(n);
-            let realism = if variant.cache_effects {
-                RealismModel::cluster_with_cache_effects(n)
-            } else {
-                RealismModel::cluster_jitter()
-            };
-            let platform = cluster
-                .platform(&app, comm, comp)
-                .expect("sampled factors valid")
-                .scale_comp(variant.comp_scale)
-                .scale_comm(variant.comm_scale);
-            schedulers
-                .iter()
-                .enumerate()
-                .map(|(si, s)| {
-                    // Seed mixes platform identity, size and strategy so
-                    // jitter streams are independent but reproducible.
-                    let seed = cfg
-                        .base_seed
-                        .wrapping_mul(31)
-                        .wrapping_add(n as u64)
-                        .wrapping_mul(1009)
-                        .wrapping_add(si as u64)
-                        .wrapping_add(comm.iter().sum::<f64>().to_bits());
-                    match run_scheduler(&platform, s.as_ref(), cfg.total_units, realism, seed) {
-                        Ok(o) => StrategyOutcome::Done(o),
-                        Err(e) if si == 0 => panic!(
-                            "sweep '{}': baseline strategy '{}' failed on platform {} at n = {n}: {e}",
-                            variant.label,
-                            s.name(),
-                            item.platform_idx
-                        ),
-                        Err(e) if e.is_applicability() => StrategyOutcome::Skipped(e.to_string()),
-                        Err(e) => panic!(
-                            "sweep '{}': strategy '{}' hit a non-applicability error on platform \
-                             {} at n = {n} (a solver bug, not a platform mismatch): {e}",
-                            variant.label,
-                            s.name(),
-                            item.platform_idx
-                        ),
-                    }
-                })
-                .collect()
-        })
-    });
-
-    // Regroup the flat results by size and aggregate each row.
-    let mut rows = Vec::with_capacity(cfg.sizes.len());
-    for (size_idx, &n) in cfg.sizes.iter().enumerate() {
-        let per_platform: Vec<&Vec<StrategyOutcome>> = items
-            .iter()
-            .zip(&evaluated)
-            .filter(|(item, _)| item.size_idx == size_idx)
-            .map(|(_, outcomes)| outcomes)
-            .collect();
-
-        fn outcome(p: &[StrategyOutcome], si: usize) -> Option<&Outcome> {
-            match &p[si] {
-                StrategyOutcome::Done(o) => Some(o),
-                StrategyOutcome::Skipped(_) => None,
-            }
-        }
-
-        // Normalize by each platform's own baseline lp time, then average —
-        // matching the paper's "normalized by FIFO theoretical performance"
-        // plots. Only platforms the strategy solved contribute to its mean.
-        let baseline_lp = mean(
-            &per_platform
-                .iter()
-                .map(|p| outcome(p, 0).expect("baseline cannot be skipped").lp_time)
-                .collect::<Vec<_>>(),
-        );
-        let baseline_legend = schedulers[0].legend();
-        let mut ratios: Vec<(String, f64)> = Vec::new();
-        let mut skipped: Vec<SkippedStrategy> = Vec::new();
-        for (si, s) in schedulers.iter().enumerate() {
-            let solved: Vec<(&Outcome, &Outcome)> = per_platform
-                .iter()
-                .filter_map(|p| outcome(p, si).map(|o| (o, outcome(p, 0).unwrap())))
-                .collect();
-            let failures = per_platform.len() - solved.len();
-            if failures > 0 {
-                let reason = per_platform
-                    .iter()
-                    .find_map(|p| match &p[si] {
-                        StrategyOutcome::Skipped(r) => Some(r.clone()),
-                        StrategyOutcome::Done(_) => None,
-                    })
-                    .expect("failures counted above");
-                dls_obs::counter!("sweep.skips").add(failures as u64);
-                // The aggregate counter loses *which* strategy was skipped;
-                // the trace event carries the attribution.
-                dls_obs::trace_event!(
-                    "sweep.skips",
-                    "strategy" => variant.schedulers[si],
-                    "platforms" => failures,
-                    "reason" => reason,
-                );
-                skipped.push(SkippedStrategy {
-                    id: variant.schedulers[si].clone(),
-                    legend: s.legend().to_string(),
-                    platforms: failures,
-                    reason,
-                });
-            }
-            let ratio_of = |f: &dyn Fn(&Outcome) -> f64| -> f64 {
-                if solved.is_empty() {
-                    f64::NAN
-                } else {
-                    mean(
-                        &solved
-                            .iter()
-                            .map(|(o, base)| f(o) / base.lp_time)
-                            .collect::<Vec<_>>(),
-                    )
-                }
-            };
-            let lp_ratio = ratio_of(&|o: &Outcome| o.lp_time);
-            let real_ratio = ratio_of(&|o: &Outcome| o.real_time);
-            if si != 0 {
-                ratios.push((format!("{} lp/{baseline_legend} lp", s.legend()), lp_ratio));
-            }
-            ratios.push((
-                format!("{} real/{baseline_legend} lp", s.legend()),
-                real_ratio,
-            ));
-        }
-        rows.push(SweepRow {
-            size: n,
-            baseline_lp,
-            ratios,
-            skipped,
-        });
-    }
-
     SweepResult {
         label: variant.label.clone(),
-        baseline: schedulers[0].legend().to_string(),
+        baseline: baseline_legend.to_string(),
         rows,
     }
 }
@@ -445,16 +445,9 @@ pub fn run_sweep(cfg: &SweepConfig, variant: &SweepVariant) -> SweepResult {
 /// Panics when the baseline strategy cannot solve its own platform family
 /// (a configuration bug, exactly as in [`run_sweep`]).
 pub fn explain_baseline(cfg: &SweepConfig, variant: &SweepVariant) -> (String, ExplainReport) {
-    let cluster = ClusterModel::gdsdmi();
     let schedulers = variant.resolve_schedulers();
     let n = cfg.sizes.first().copied().unwrap_or(200);
-    let mut rng = StdRng::seed_from_u64(cfg.base_seed);
-    let (comm, comp) = variant.sampler.sample_factors(&mut rng);
-    let platform = cluster
-        .platform(&MatrixApp::new(n), &comm, &comp)
-        .expect("sampled factors valid")
-        .scale_comp(variant.comp_scale)
-        .scale_comm(variant.comm_scale);
+    let platform = variant.platform(&platform_factors(cfg, &variant.sampler, 0), n);
     let sol = schedulers[0]
         .solve(&platform)
         .unwrap_or_else(|e| panic!("baseline '{}' cannot solve: {e}", schedulers[0].name()));
@@ -478,15 +471,11 @@ pub fn explain_baseline(cfg: &SweepConfig, variant: &SweepVariant) -> (String, E
 // Multi-round R-sweep: the latency/throughput trade-off axis.
 // ---------------------------------------------------------------------------
 
-/// One row of a parameterized-axis sweep: the axis value plus each
-/// strategy's mean makespan ratio and skip records.
-struct AxisRow {
-    axis: usize,
-    ratios: Vec<(String, f64)>,
-    skipped: Vec<SkippedStrategy>,
-}
+/// One axis value, each strategy's `(column name, mean makespan ratio)`,
+/// and the skip records.
+type AxisRow = (usize, Vec<(String, f64)>, Vec<SkippedStrategy>);
 
-/// Result of the shared axis-sweep core.
+/// Result of the shared axis-sweep core: one row per distinct axis value.
 struct AxisSweep {
     n: usize,
     baseline_legend: String,
@@ -499,8 +488,8 @@ struct AxisSweep {
 /// sampled platforms at the paper-scale matrix size (the last entry of
 /// `cfg.sizes`) and normalize each cell's predicted makespan by a
 /// reference strategy's, per platform — only the meaning of the axis
-/// (installment count vs balanced-tree fanout) differs. `axis_name`
-/// labels the axis in panic messages.
+/// (installment count vs balanced-tree fanout) differs. A repeated axis
+/// value is evaluated once, at its first position.
 ///
 /// # Panics
 /// Like [`run_sweep`]: the baseline must solve every platform, and
@@ -509,7 +498,6 @@ struct AxisSweep {
 fn run_axis_sweep(
     cfg: &SweepConfig,
     label: &str,
-    axis_name: &str,
     sampler: &PlatformSampler,
     axis: &[usize],
     base_ids: &[String],
@@ -525,118 +513,80 @@ fn run_axis_sweep(
     let app = MatrixApp::new(n);
     let baseline = dls_core::lookup(baseline_id)
         .unwrap_or_else(|| panic!("unknown baseline id '{baseline_id}' in '{label}'"));
+    let axis = distinct(axis.iter().copied());
 
-    // Stable column legends come from the strategies' *default* instances
+    // Stable column names come from the strategies' *default* instances
     // (the per-row instances carry `@<axis>` suffixes).
     let columns: Vec<String> = base_ids
         .iter()
         .map(|id| {
-            dls_core::lookup(id)
+            let legend = dls_core::lookup(id)
                 .unwrap_or_else(|| panic!("unknown strategy '{id}' in '{label}'"))
                 .legend()
-                .to_string()
+                .to_string();
+            format!("{legend} mk/{} mk", baseline.legend())
         })
         .collect();
 
-    // Full parameterized id per (axis value, strategy) cell, resolved once.
-    let cells: Vec<(usize, String, Box<dyn Scheduler>)> = axis
+    // Full parameterized id per (axis value, strategy) cell, axis-major,
+    // resolved once.
+    let cells: Vec<(String, Box<dyn Scheduler>)> = axis
         .iter()
         .flat_map(|&a| {
             base_ids.iter().map(move |id| {
                 let full = format!("{id}@{a}");
                 let s = dls_core::lookup(&full)
                     .unwrap_or_else(|| panic!("unknown strategy '{full}' in '{label}'"));
-                (a, full, s)
+                (full, s)
             })
         })
         .collect();
 
     let factor_sets: Vec<(Vec<f64>, Vec<f64>)> = (0..cfg.platforms)
-        .map(|i| {
-            let mut rng = StdRng::seed_from_u64(cfg.base_seed.wrapping_add(i as u64));
-            sampler.sample_factors(&mut rng)
-        })
+        .map(|i| platform_factors(cfg, sampler, i))
         .collect();
-
-    let engine = dls_core::lp_model::current_engine();
     let evaluated: Vec<(f64, Vec<Result<f64, String>>)> = par_map(&factor_sets, |(comm, comp)| {
-        dls_core::lp_model::with_engine(engine, || {
-            dls_obs::counter!("sweep.instances").incr();
-            let platform = cluster
-                .platform(&app, comm, comp)
-                .expect("sampled factors valid");
-            let base = baseline
-                .solve(&platform)
-                .unwrap_or_else(|e| panic!("'{label}': baseline '{baseline_id}' failed: {e}"));
-            let base_makespan = 1.0 / base.throughput;
-            let outcomes = cells
-                .iter()
-                .map(|(a, full, s)| match s.solve(&platform) {
-                    Ok(sol) => Ok((1.0 / sol.throughput) / base_makespan),
-                    Err(e) if e.is_applicability() => Err(e.to_string()),
-                    Err(e) => panic!(
-                        "'{label}': strategy '{full}' hit a non-applicability error at \
-                         {axis_name} = {a} (a solver bug, not a platform mismatch): {e}"
-                    ),
-                })
-                .collect();
-            (base_makespan, outcomes)
-        })
+        dls_obs::counter!("sweep.instances").incr();
+        let platform = cluster
+            .platform(&app, comm, comp)
+            .expect("sampled factors valid");
+        let base = baseline
+            .solve(&platform)
+            .unwrap_or_else(|e| panic!("'{label}': baseline '{baseline_id}' failed: {e}"));
+        let base_makespan = 1.0 / base.throughput;
+        let outcomes = cells
+            .iter()
+            .map(|(full, s)| match s.solve(&platform) {
+                Ok(sol) => Ok((1.0 / sol.throughput) / base_makespan),
+                Err(e) if e.is_applicability() => Err(e.to_string()),
+                Err(e) => panic!(
+                    "'{label}': strategy '{full}' hit a non-applicability error \
+                     (a solver bug, not a platform mismatch): {e}"
+                ),
+            })
+            .collect();
+        (base_makespan, outcomes)
     });
 
     let baseline_makespan =
         mean(&evaluated.iter().map(|(m, _)| *m).collect::<Vec<_>>()) * cfg.total_units as f64;
-
-    let mut rows = Vec::with_capacity(axis.len());
-    for &a in axis {
-        let mut ratios = Vec::new();
-        let mut skipped = Vec::new();
-        let mut col = 0;
-        for (ci, (ca, full, s)) in cells.iter().enumerate() {
-            if *ca != a {
-                continue;
+    let rows = axis
+        .iter()
+        .enumerate()
+        .map(|(ai, &a)| {
+            let mut ratios = Vec::new();
+            let mut skipped = Vec::new();
+            for (bi, name) in columns.iter().enumerate() {
+                let ci = ai * columns.len() + bi;
+                let (full, s) = &cells[ci];
+                let (solved, skip) =
+                    column(full, s.legend(), evaluated.iter().map(|(_, o)| &o[ci]));
+                skipped.extend(skip);
+                ratios.push((name.clone(), mean(&solved)));
             }
-            let solved: Vec<f64> = evaluated
-                .iter()
-                .filter_map(|(_, o)| o[ci].as_ref().ok().copied())
-                .collect();
-            let failures = evaluated.len() - solved.len();
-            if failures > 0 {
-                let reason = evaluated
-                    .iter()
-                    .find_map(|(_, o)| o[ci].as_ref().err().cloned())
-                    .expect("failures counted above");
-                dls_obs::counter!("sweep.skips").add(failures as u64);
-                dls_obs::trace_event!(
-                    "sweep.skips",
-                    "strategy" => full,
-                    "platforms" => failures,
-                    "reason" => reason,
-                );
-                skipped.push(SkippedStrategy {
-                    id: full.clone(),
-                    legend: s.legend().to_string(),
-                    platforms: failures,
-                    reason,
-                });
-            }
-            let value = if solved.is_empty() {
-                f64::NAN
-            } else {
-                mean(&solved)
-            };
-            ratios.push((
-                format!("{} mk/{} mk", columns[col], baseline.legend()),
-                value,
-            ));
-            col += 1;
-        }
-        rows.push(AxisRow {
-            axis: a,
-            ratios,
-            skipped,
-        });
-    }
+            (a, ratios, skipped)
+        })
+        .collect();
 
     AxisSweep {
         n,
@@ -709,25 +659,25 @@ pub struct RSweepResult {
     pub baseline: String,
     /// Mean one-round baseline makespan in seconds (absolute reference).
     pub baseline_makespan: f64,
-    /// One row per installment count.
+    /// One row per distinct installment count, in first-seen order.
     pub rows: Vec<RSweepRow>,
 }
 
 impl RSweepResult {
     /// Renders the trade-off table (one row per R).
     pub fn table(&self) -> Table {
-        let mut headers: Vec<String> = vec!["R".into()];
-        if let Some(row) = self.rows.first() {
-            headers.extend(row.ratios.iter().map(|(name, _)| name.clone()));
-        }
-        let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-        let mut t = Table::new(&header_refs);
-        for row in &self.rows {
-            let mut cells = vec![row.rounds.to_string()];
-            cells.extend(row.ratios.iter().map(|(_, v)| num(*v, 4)));
-            t.row(&cells);
-        }
-        t
+        ratio_table(
+            &["R"],
+            self.rows
+                .iter()
+                .map(|r| (vec![r.rounds.to_string()], &r.ratios[..])),
+        )
+    }
+
+    /// Exports the R axis and one series per planner column for `.dat`
+    /// output.
+    pub fn series(&self) -> (Vec<f64>, Vec<Series>) {
+        ratio_series(self.rows.iter().map(|r| (r.rounds as f64, &r.ratios[..])))
     }
 }
 
@@ -745,7 +695,6 @@ pub fn run_r_sweep(cfg: &SweepConfig, variant: &RSweepVariant) -> RSweepResult {
     let core = run_axis_sweep(
         cfg,
         &variant.label,
-        "R",
         &variant.sampler,
         &variant.rounds,
         &variant.planners,
@@ -759,10 +708,10 @@ pub fn run_r_sweep(cfg: &SweepConfig, variant: &RSweepVariant) -> RSweepResult {
         rows: core
             .rows
             .into_iter()
-            .map(|r| RSweepRow {
-                rounds: r.axis,
-                ratios: r.ratios,
-                skipped: r.skipped,
+            .map(|(rounds, ratios, skipped)| RSweepRow {
+                rounds,
+                ratios,
+                skipped,
             })
             .collect(),
     }
@@ -837,25 +786,28 @@ pub struct DepthSweepResult {
     pub baseline: String,
     /// Mean flat-star baseline makespan in seconds (absolute reference).
     pub baseline_makespan: f64,
-    /// One row per fanout.
+    /// One row per distinct fanout, in first-seen order.
     pub rows: Vec<DepthSweepRow>,
 }
 
 impl DepthSweepResult {
     /// Renders the trade-off table (one row per fanout).
     pub fn table(&self) -> Table {
-        let mut headers: Vec<String> = vec!["fanout".into(), "depth".into()];
-        if let Some(row) = self.rows.first() {
-            headers.extend(row.ratios.iter().map(|(name, _)| name.clone()));
-        }
-        let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-        let mut t = Table::new(&header_refs);
-        for row in &self.rows {
-            let mut cells = vec![row.fanout.to_string(), row.depth.to_string()];
-            cells.extend(row.ratios.iter().map(|(_, v)| num(*v, 4)));
-            t.row(&cells);
-        }
-        t
+        ratio_table(
+            &["fanout", "depth"],
+            self.rows.iter().map(|r| {
+                (
+                    vec![r.fanout.to_string(), r.depth.to_string()],
+                    &r.ratios[..],
+                )
+            }),
+        )
+    }
+
+    /// Exports the depth axis and one series per strategy column for
+    /// `.dat` output.
+    pub fn series(&self) -> (Vec<f64>, Vec<Series>) {
+        ratio_series(self.rows.iter().map(|r| (r.depth as f64, &r.ratios[..])))
     }
 }
 
@@ -874,7 +826,6 @@ pub fn run_depth_sweep(cfg: &SweepConfig, variant: &DepthSweepVariant) -> DepthS
     let core = run_axis_sweep(
         cfg,
         &variant.label,
-        "fanout",
         &variant.sampler,
         &variant.fanouts,
         &variant.schedulers,
@@ -893,11 +844,11 @@ pub fn run_depth_sweep(cfg: &SweepConfig, variant: &DepthSweepVariant) -> DepthS
         rows: core
             .rows
             .into_iter()
-            .map(|r| DepthSweepRow {
-                fanout: r.axis,
-                depth: depth_of(r.axis),
-                ratios: r.ratios,
-                skipped: r.skipped,
+            .map(|(fanout, ratios, skipped)| DepthSweepRow {
+                fanout,
+                depth: depth_of(fanout),
+                ratios,
+                skipped,
             })
             .collect(),
     }
@@ -906,7 +857,6 @@ pub fn run_depth_sweep(cfg: &SweepConfig, variant: &DepthSweepVariant) -> DepthS
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenarios::Heuristic;
 
     fn quick_variant() -> SweepVariant {
         SweepVariant {
@@ -915,10 +865,7 @@ mod tests {
             comp_scale: 1.0,
             comm_scale: 1.0,
             cache_effects: false,
-            schedulers: [Heuristic::IncC, Heuristic::IncW, Heuristic::Lifo]
-                .iter()
-                .map(|h| h.registry_id().to_string())
-                .collect(),
+            schedulers: vec!["inc_c".into(), "inc_w".into(), "optimal_lifo".into()],
         }
     }
 
@@ -1087,9 +1034,9 @@ mod tests {
 
     #[test]
     fn engine_override_propagates_to_worker_threads() {
-        // `with_engine` is thread-local; run_sweep must re-apply the
-        // caller's override inside its par_map workers, so a tableau-forced
-        // sweep runs (and agrees) regardless of how the map is scheduled.
+        // `with_engine` is thread-local; par_map re-applies the caller's
+        // override on its workers, so a tableau-forced sweep runs (and
+        // agrees) regardless of how the map is scheduled.
         let cfg = SweepConfig {
             sizes: vec![40, 80],
             platforms: 3,
@@ -1455,6 +1402,31 @@ mod tests {
         assert_eq!(t.num_rows(), 2);
         let rendered = t.render();
         assert!(rendered.contains("MR_LP mk/OPT_FIFO mk"), "{rendered}");
+    }
+
+    #[test]
+    fn repeated_axis_values_are_evaluated_once() {
+        let cfg = SweepConfig {
+            sizes: vec![120],
+            platforms: 2,
+            total_units: 100,
+            base_seed: 18,
+        };
+        let mut r = r_sweep_variant();
+        r.rounds = vec![2, 2, 1];
+        let r_res = run_r_sweep(&cfg, &r);
+        assert_eq!(
+            r_res.rows.iter().map(|row| row.rounds).collect::<Vec<_>>(),
+            [2, 1]
+        );
+        let mut d = depth_sweep_variant();
+        d.fanouts = vec![3, 3, 1];
+        let res = run_depth_sweep(&cfg, &d);
+        assert_eq!(
+            res.rows.iter().map(|row| row.fanout).collect::<Vec<_>>(),
+            [3, 1]
+        );
+        assert!(res.rows.iter().all(|row| row.ratios.len() == 3));
     }
 
     #[test]

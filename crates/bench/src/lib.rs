@@ -14,6 +14,11 @@
 //! | Fig. 14 + worker table (selection) | [`figures::fig14::run`] | `fig14` |
 //! | everything, written to `results/` | — | `repro_all` |
 //!
+//! Every averaged study — Figs. 10-13, the multi-round R-sweep, the tree
+//! depth sweep and the interleaved gap — draws its platforms through
+//! [`figures::sweep`], which also turns the sweeps' per-platform outcomes
+//! into means and skip records.
+//!
 //! Criterion benches (`cargo bench`) cover solver/scheduler/simulator
 //! performance and smoke-scale versions of each figure pipeline.
 
@@ -24,4 +29,4 @@ pub mod figures;
 pub mod scenarios;
 pub mod smoke;
 
-pub use scenarios::{Heuristic, SweepConfig};
+pub use scenarios::SweepConfig;

@@ -1,52 +1,7 @@
-//! Shared experiment configuration for the Section 5 reproduction.
-
-use dls_core::engine::{Scheduler, Solution};
-use dls_core::CoreError;
-use dls_platform::Platform;
-
-/// The heuristics compared throughout Section 5.3, as thin handles into
-/// [`dls_core::registry`] (the engine owns the solver logic; this enum only
-/// fixes the paper's canonical selection and legend names).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Heuristic {
-    /// FIFO over all workers, fastest links first (optimal FIFO for
-    /// `z < 1` by Theorem 1).
-    IncC,
-    /// FIFO over all workers, fastest computers first.
-    IncW,
-    /// Optimal one-port LIFO (all workers, fastest links first).
-    Lifo,
-}
-
-impl Heuristic {
-    /// The identifier of this heuristic in [`dls_core::registry`].
-    pub fn registry_id(&self) -> &'static str {
-        match self {
-            Heuristic::IncC => "inc_c",
-            Heuristic::IncW => "inc_w",
-            Heuristic::Lifo => "optimal_lifo",
-        }
-    }
-
-    /// The registered [`Scheduler`] backing this heuristic.
-    pub fn scheduler(&self) -> Box<dyn Scheduler> {
-        dls_core::lookup(self.registry_id()).expect("built-in heuristics are registered")
-    }
-
-    /// Display name matching the paper's legends.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Heuristic::IncC => "INC_C",
-            Heuristic::IncW => "INC_W",
-            Heuristic::Lifo => "LIFO",
-        }
-    }
-
-    /// Solves the heuristic on `platform` through the scheduler engine.
-    pub fn solve(&self, platform: &Platform) -> Result<Solution, CoreError> {
-        self.scheduler().solve(platform)
-    }
-}
+//! Shared experiment configuration for the Section 5 reproduction: the
+//! sizes, platform count, load and seed every averaged study runs with.
+//! The strategies a study compares are registry ids in its variant (see
+//! [`crate::figures::sweep`]).
 
 /// Parameters of a Figures 10-13 style sweep.
 #[derive(Debug, Clone)]
@@ -87,34 +42,6 @@ impl SweepConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn heuristic_names() {
-        assert_eq!(Heuristic::IncC.name(), "INC_C");
-        assert_eq!(Heuristic::IncW.name(), "INC_W");
-        assert_eq!(Heuristic::Lifo.name(), "LIFO");
-    }
-
-    #[test]
-    fn heuristics_solve_on_a_small_star() {
-        let p = Platform::star_with_z(&[(1.0, 2.0), (2.0, 1.0)], 0.5).unwrap();
-        for h in [Heuristic::IncC, Heuristic::IncW, Heuristic::Lifo] {
-            let sol = h.solve(&p).unwrap();
-            assert!(sol.throughput > 0.0, "{} failed", h.name());
-        }
-        // INC_C is the optimal FIFO: it cannot lose to INC_W.
-        let c = Heuristic::IncC.solve(&p).unwrap().throughput;
-        let w = Heuristic::IncW.solve(&p).unwrap().throughput;
-        assert!(c >= w - 1e-9);
-    }
-
-    #[test]
-    fn heuristic_legends_match_registry() {
-        for h in [Heuristic::IncC, Heuristic::IncW, Heuristic::Lifo] {
-            assert_eq!(h.scheduler().legend(), h.name());
-            assert_eq!(h.scheduler().name(), h.registry_id());
-        }
-    }
 
     #[test]
     fn paper_config_shape() {

@@ -30,10 +30,10 @@
 //! family we sweep, the canonical lead `L = q` is optimal within the
 //! family — early returns only insert port-busy time before later sends,
 //! while the canonical shape already pushes returns as late as the horizon
-//! allows. The per-lead profile ([`interleaved_profile`]) quantifies how
-//! much each interleaving *costs* (the `interleaved_gap` artifact of
-//! `repro_all`), closing the ROADMAP item the honest way: the simulator
-//! ablation of PR 4 said noise-free interleaving cannot beat the LP
+//! allows. The pinned-lead strategies ([`InterleavedScheduler::with_lead`])
+//! quantify how much each interleaving *costs* (the `interleaved_gap`
+//! artifact of `repro_all`), closing the ROADMAP item the honest way: the
+//! simulator ablation said noise-free interleaving cannot beat the LP
 //! optimum, and the LP family over merges now says the same from the
 //! optimization side.
 //!
@@ -187,8 +187,8 @@ pub fn interleaved_order(platform: &Platform) -> Vec<WorkerId> {
     theorem1_order(platform).unwrap_or_else(|_| platform.order_by_c())
 }
 
-/// Solves every lead's LP for a fixed order, canonical lead (`q`) first.
-/// The profile is the raw material of the `interleaved_gap` artifact.
+/// Solves every lead's LP for a fixed order, canonical lead (`q`) first:
+/// the family [`interleaved_fifo_for_order`] picks the best lead from.
 pub fn interleaved_profile(
     platform: &Platform,
     order: &[WorkerId],
@@ -196,24 +196,32 @@ pub fn interleaved_profile(
     if order.is_empty() {
         return Err(CoreError::MalformedOrder("empty enrolled order".into()));
     }
-    let q = order.len();
-    let mut out = Vec::with_capacity(q);
-    for lead in (1..=q).rev() {
-        let merge = merge_with_lead(q, lead);
-        let (ir, alphas) = interleaved_model(platform, order, &merge);
-        let sol = lp_model::solve_model(&ir)?;
-        let mut loads = vec![0.0; platform.num_workers()];
-        for (k, &id) in order.iter().enumerate() {
-            loads[id.index()] = sol.value(alphas.var(k).var_id()).max(0.0);
-        }
-        out.push(LeadOutcome {
-            lead,
-            throughput: sol.objective,
-            loads,
-            iterations: sol.iterations,
-        });
+    (1..=order.len())
+        .rev()
+        .map(|lead| solve_lead(platform, order, lead))
+        .collect()
+}
+
+/// One lead's LP for a fixed order (`lead` in `1..=order.len()`): the
+/// single solve path of the profile and the pinned-lead strategies.
+fn solve_lead(
+    platform: &Platform,
+    order: &[WorkerId],
+    lead: usize,
+) -> Result<LeadOutcome, CoreError> {
+    let merge = merge_with_lead(order.len(), lead);
+    let (ir, alphas) = interleaved_model(platform, order, &merge);
+    let sol = lp_model::solve_model(&ir)?;
+    let mut loads = vec![0.0; platform.num_workers()];
+    for (k, &id) in order.iter().enumerate() {
+        loads[id.index()] = sol.value(alphas.var(k).var_id()).max(0.0);
     }
-    Ok(out)
+    Ok(LeadOutcome {
+        lead,
+        throughput: sol.objective,
+        loads,
+        iterations: sol.iterations,
+    })
 }
 
 /// Result of the interleaved FIFO optimization.
@@ -355,16 +363,10 @@ impl Scheduler for InterleavedScheduler {
                     // strategy's `@<lead>` name and mislabel the result.
                     return Err(CoreError::LeadBeyondEnrollment { lead, enrolled: q });
                 }
-                let merge = merge_with_lead(q, lead);
-                let (ir, alphas) = interleaved_model(platform, &order, &merge);
-                let lp = lp_model::solve_model(&ir)?;
-                let mut loads = vec![0.0; platform.num_workers()];
-                for (k, &id) in order.iter().enumerate() {
-                    loads[id.index()] = lp.value(alphas.var(k).var_id()).max(0.0);
-                }
+                let lp = solve_lead(platform, &order, lead)?;
                 Ok(Solution {
-                    schedule: Schedule::fifo(platform, order, loads)?,
-                    throughput: lp.objective,
+                    schedule: Schedule::fifo(platform, order, lp.loads)?,
+                    throughput: lp.throughput,
                     provenance: Provenance::Lp {
                         iterations: lp.iterations,
                     },
@@ -608,6 +610,19 @@ mod tests {
         let pinned = InterleavedScheduler::with_lead(1).solve(&p).unwrap();
         assert!(pinned.throughput <= default.throughput + 1e-9);
         assert!(matches!(pinned.provenance, Provenance::Lp { .. }));
+        // Every pinned lead is exactly its profile entry, bit for bit: the
+        // gap artifact solves only the leads it reports this way.
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let profile = interleaved_profile(&p, &interleaved_order(&p)).unwrap();
+        assert_eq!(profile.len(), 4);
+        for lead in &profile {
+            let sol = InterleavedScheduler::with_lead(lead.lead)
+                .solve(&p)
+                .unwrap();
+            let got = [&[sol.throughput][..], sol.schedule.loads()].concat();
+            let want = [&[lead.throughput][..], &lead.loads].concat();
+            assert_eq!(bits(&got), bits(&want), "lead {}", lead.lead);
+        }
     }
 
     #[test]

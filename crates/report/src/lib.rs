@@ -13,7 +13,8 @@
 //! * [`summarize`] / [`linear_fit`] — statistics for averaged sweeps and
 //!   the Figure 8 linearity check;
 //! * [`write_dat`] — gnuplot-friendly series files for regenerating plots;
-//! * [`par_map`] — scoped-thread parallel map for the 50-platform sweeps;
+//! * [`par_map`] — scoped-thread parallel map for the 50-platform sweeps,
+//!   running every item under the caller's trace context and LP engine;
 //! * [`explain`] — schedule-explain report from a [`dls_sim::Trace`]:
 //!   Gantt plus per-worker idle-cause attribution and port-occupancy
 //!   shares (the figure binaries expose it behind `--explain`).

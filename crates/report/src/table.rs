@@ -227,47 +227,17 @@ pub fn strategy_table(platform: &Platform) -> Table {
 /// multi-round provider (`dls_rounds::install()`); unresolvable or failing
 /// ids render as `n/a` rather than aborting the table.
 pub fn multiround_table(platform: &Platform, rounds: &[usize]) -> Table {
-    const PLANNERS: [(&str, &str); 3] = [
-        ("multiround_uniform", "MR_UNI"),
-        ("multiround_geometric", "MR_GEO"),
-        ("multiround_lp", "MR_LP"),
-    ];
-    let baseline = dls_core::lookup("optimal_fifo")
-        .and_then(|s| s.solve(platform).ok())
-        .map(|sol| 1.0 / sol.throughput);
-
-    let mut headers: Vec<String> = vec!["R".into()];
-    headers.extend(
-        PLANNERS
-            .iter()
-            .map(|(_, legend)| format!("{legend} makespan")),
-    );
-    headers.push("best vs OPT_FIFO".into());
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut t = Table::new(&header_refs);
-
-    for &r in rounds {
-        let mut cells = vec![r.to_string()];
-        let mut best: Option<f64> = None;
-        for (id, _) in PLANNERS {
-            let makespan = dls_core::lookup(&format!("{id}@{r}"))
-                .and_then(|s| s.solve(platform).ok())
-                .map(|sol| 1.0 / sol.throughput);
-            match makespan {
-                Some(m) => {
-                    best = Some(best.map_or(m, |b: f64| b.min(m)));
-                    cells.push(num(m, 6));
-                }
-                None => cells.push("n/a".into()),
-            }
-        }
-        cells.push(match (best, baseline) {
-            (Some(m), Some(b)) => format!("{}x", num(b / m, 4)),
-            _ => "-".into(),
-        });
-        t.row(&cells);
-    }
-    t
+    tradeoff_table(
+        platform,
+        &["R"],
+        &[
+            ("multiround_uniform", "MR_UNI"),
+            ("multiround_geometric", "MR_GEO"),
+            ("multiround_lp", "MR_LP"),
+        ],
+        rounds.iter().map(|&r| (r, vec![r.to_string()])),
+        |best, baseline| baseline / best,
+    )
 }
 
 /// The tree depth/fan-out trade-off table: one row per balanced-tree
@@ -280,14 +250,38 @@ pub fn multiround_table(platform: &Platform, rounds: &[usize]) -> Table {
 /// provider (`dls_tree::install()`); unresolvable or failing ids render as
 /// `n/a` rather than aborting the table.
 pub fn tree_table(platform: &Platform, fanouts: &[usize]) -> Table {
-    const STRATEGIES: [(&str, &str); 2] = [("tree_fifo", "TREE_FIFO"), ("tree_lifo", "TREE_LIFO")];
-    let baseline = dls_core::lookup("optimal_fifo")
-        .and_then(|s| s.solve(platform).ok())
-        .map(|sol| 1.0 / sol.throughput);
+    tradeoff_table(
+        platform,
+        &["fanout", "depth"],
+        &[("tree_fifo", "TREE_FIFO"), ("tree_lifo", "TREE_LIFO")],
+        fanouts.iter().map(|&k| {
+            let depth = dls_platform::TreePlatform::balanced(platform, k).depth();
+            (k, vec![k.to_string(), depth.to_string()])
+        }),
+        |best, baseline| best / baseline,
+    )
+}
 
-    let mut headers: Vec<String> = vec!["fanout".into(), "depth".into()];
+/// Shared body of [`multiround_table`] and [`tree_table`]: per point, its
+/// leading cells, each strategy's `<id>@<point>` makespan (or `n/a`), and
+/// `score(best makespan, optimal_fifo makespan)` in the last column.
+fn tradeoff_table(
+    platform: &Platform,
+    lead: &[&str],
+    strategies: &[(&str, &str)],
+    points: impl Iterator<Item = (usize, Vec<String>)>,
+    score: fn(f64, f64) -> f64,
+) -> Table {
+    let makespan = |id: &str| {
+        dls_core::lookup(id)
+            .and_then(|s| s.solve(platform).ok())
+            .map(|sol| 1.0 / sol.throughput)
+    };
+    let baseline = makespan("optimal_fifo");
+
+    let mut headers: Vec<String> = lead.iter().map(|h| h.to_string()).collect();
     headers.extend(
-        STRATEGIES
+        strategies
             .iter()
             .map(|(_, legend)| format!("{legend} makespan")),
     );
@@ -295,15 +289,10 @@ pub fn tree_table(platform: &Platform, fanouts: &[usize]) -> Table {
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
     let mut t = Table::new(&header_refs);
 
-    for &k in fanouts {
-        let depth = dls_platform::TreePlatform::balanced(platform, k).depth();
-        let mut cells = vec![k.to_string(), depth.to_string()];
+    for (point, mut cells) in points {
         let mut best: Option<f64> = None;
-        for (id, _) in STRATEGIES {
-            let makespan = dls_core::lookup(&format!("{id}@{k}"))
-                .and_then(|s| s.solve(platform).ok())
-                .map(|sol| 1.0 / sol.throughput);
-            match makespan {
+        for (id, _) in strategies {
+            match makespan(&format!("{id}@{point}")) {
                 Some(m) => {
                     best = Some(best.map_or(m, |b: f64| b.min(m)));
                     cells.push(num(m, 6));
@@ -312,7 +301,7 @@ pub fn tree_table(platform: &Platform, fanouts: &[usize]) -> Table {
             }
         }
         cells.push(match (best, baseline) {
-            (Some(m), Some(b)) => format!("{}x", num(m / b, 4)),
+            (Some(m), Some(b)) => format!("{}x", num(score(m, b), 4)),
             _ => "-".into(),
         });
         t.row(&cells);

@@ -10,12 +10,15 @@
 //!   calls are forbidden outside the IR's own home
 //!   (`crates/lp/src/model.rs`, `crates/lp/src/problem.rs`).
 //! * **`lp-core-discipline`** — in the LP core (`crates/lp/src/*`,
-//!   `crates/core/src/lp_model.rs`), `partial_cmp(...).unwrap()` /
-//!   `.expect(...)` chains and float-literal `==`/`!=` comparisons are
-//!   forbidden: use `f64::total_cmp` or the `Scalar` tolerance helpers.
-//! * **`baseline-keys`** — every measurement key in a
-//!   `benches/*_baseline.json` must be referenced by its sibling smoke
-//!   gate (`benches/<name>.rs`), so a renamed gate cannot silently stop
+//!   `crates/core/src/lp_model.rs`), float-literal `==`/`!=` comparisons
+//!   are forbidden: compare against the `Scalar` tolerance helpers.
+//!   Clippy's `float_cmp` lets comparisons with zero through, so this
+//!   rule covers them. (`partial_cmp` needs no rule here: `clippy.toml`
+//!   disallows it in every target.)
+//! * **`baseline-keys`** — every `benches/*_baseline.json` must parse as
+//!   a JSON object (read with [`parse_json`]), and every measurement key
+//!   in it must be referenced by its sibling smoke gate
+//!   (`benches/<name>.rs`), so a renamed gate cannot silently stop
 //!   comparing against its checked-in baseline.
 //! * **`obs-metric-names`** — every metric-name literal passed to the
 //!   `dls-obs` recording macros (`counter!`, `gauge!`, `histogram!`,
@@ -245,28 +248,13 @@ pub fn check_ir_lowering(path: &Path, content: &str) -> Vec<Violation> {
     out
 }
 
-/// Rule `lp-core-discipline`: total-order comparisons only in the LP core.
+/// Rule `lp-core-discipline`: no float-literal equality in the LP core.
 pub fn check_lp_core_discipline(path: &Path, content: &str) -> Vec<Violation> {
     const RULE: &str = "lp-core-discipline";
     let mut out = Vec::new();
     for line in code_lines(content) {
         if waived(&line, RULE) {
             continue;
-        }
-        if line.code.contains("partial_cmp") {
-            if let Some(at) = line.code.find("partial_cmp") {
-                let after = &line.code[at..];
-                if after.contains(".unwrap()") || after.contains(".expect(") {
-                    out.push(Violation {
-                        file: path.to_path_buf(),
-                        line: line.number,
-                        rule: RULE,
-                        message: "partial_cmp(..).unwrap() panics on NaN mid-pivot — use \
-                                  f64::total_cmp or the Scalar tolerance helpers"
-                            .to_string(),
-                    });
-                }
-            }
         }
         for op in ["==", "!="] {
             let mut from = 0;
@@ -300,58 +288,6 @@ pub fn check_lp_core_discipline(path: &Path, content: &str) -> Vec<Violation> {
     out
 }
 
-/// Top-level string keys of a flat JSON object, with 1-based line numbers.
-/// String *values* are skipped (a key name quoted inside the `comment`
-/// field is not a key).
-fn json_keys(doc: &str) -> Vec<(String, usize)> {
-    let mut out = Vec::new();
-    let mut line = 1usize;
-    let mut chars = doc.chars().peekable();
-    while let Some(ch) = chars.next() {
-        match ch {
-            '\n' => line += 1,
-            '"' => {
-                let mut s = String::new();
-                for c in chars.by_ref() {
-                    match c {
-                        '"' => break,
-                        '\n' => line += 1,
-                        _ => s.push(c),
-                    }
-                }
-                // A string followed by ':' is a key; anything else is a
-                // value. Skip the value if it is itself a string.
-                while matches!(chars.peek(), Some(' ' | '\t')) {
-                    chars.next();
-                }
-                if chars.peek() == Some(&':') {
-                    chars.next();
-                    out.push((s, line));
-                    // If the value is a string, consume it so its contents
-                    // are never scanned for keys.
-                    while matches!(chars.peek(), Some(' ' | '\t')) {
-                        chars.next();
-                    }
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        let mut escaped = false;
-                        for c in chars.by_ref() {
-                            match c {
-                                '\n' => line += 1,
-                                '\\' if !escaped => escaped = true,
-                                '"' if !escaped => break,
-                                _ => escaped = false,
-                            }
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
 /// Keys every smoke gate reads generically, exempt from the reference
 /// check (see `dls_bench::smoke::run_gate`).
 const GENERIC_BASELINE_KEYS: &[&str] = &["comment", "calibration_ns", "max_regression"];
@@ -365,36 +301,56 @@ pub fn check_baseline_keys(
     bench_src: Option<&str>,
 ) -> Vec<Violation> {
     const RULE: &str = "baseline-keys";
-    let mut out = Vec::new();
+    let violation = |line, message| Violation {
+        file: json_path.to_path_buf(),
+        line,
+        rule: RULE,
+        message,
+    };
     let Some(bench_src) = bench_src else {
-        return vec![Violation {
-            file: json_path.to_path_buf(),
-            line: 1,
-            rule: RULE,
-            message: format!(
+        return vec![violation(
+            1,
+            format!(
                 "baseline has no sibling smoke gate {} — every baseline must be \
                  compared by a bench",
                 bench_path.display()
             ),
-        }];
+        )];
     };
-    for (key, line) in json_keys(json) {
-        if GENERIC_BASELINE_KEYS.contains(&key.as_str()) {
+    let fields = match parse_json(json) {
+        Ok(Json::Obj(fields)) => fields,
+        other => {
+            let why = other.err().unwrap_or_else(|| "not an object".into());
+            return vec![violation(
+                1,
+                format!("baseline does not parse as a JSON object ({why}) — no gate can read it"),
+            )];
+        }
+    };
+    let mut out = Vec::new();
+    // Keys come back in document order: find each after the previous one
+    // (a quoted name followed by `:` is a key, never a string value).
+    let mut from = 0;
+    for (key, _) in fields {
+        let quoted = format!("\"{key}\"");
+        if let Some(at) = json[from..]
+            .match_indices(&quoted)
+            .map(|(i, _)| from + i + quoted.len())
+            .find(|&end| json[end..].trim_start().starts_with(':'))
+        {
+            from = at;
+        }
+        if GENERIC_BASELINE_KEYS.contains(&key.as_str()) || bench_src.contains(&quoted) {
             continue;
         }
-        let needle = format!("\"{key}\"");
-        if !bench_src.contains(&needle) {
-            out.push(Violation {
-                file: json_path.to_path_buf(),
-                line,
-                rule: RULE,
-                message: format!(
-                    "baseline key \"{key}\" is never referenced by {} — the smoke gate \
-                     no longer compares it (rename the key or wire it back in)",
-                    bench_path.display()
-                ),
-            });
-        }
+        out.push(violation(
+            1 + json[..from].matches('\n').count(),
+            format!(
+                "baseline key \"{key}\" is never referenced by {} — the smoke gate \
+                 no longer compares it (rename the key or wire it back in)",
+                bench_path.display()
+            ),
+        ));
     }
     out
 }
@@ -972,7 +928,7 @@ mod tests {
     }
 
     #[test]
-    fn lp_core_discipline_flags_partial_cmp_chains_and_float_eq() {
+    fn lp_core_discipline_flags_float_eq_and_leaves_partial_cmp_to_clippy() {
         let src = "\
 fn hot(xs: &mut [f64], t: f64) {
     xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -987,7 +943,7 @@ fn hot(xs: &mut [f64], t: f64) {
 ";
         let v = check_lp_core_discipline(Path::new("crates/lp/src/simplex.rs"), src);
         let lines: Vec<usize> = v.iter().map(|x| x.line).collect();
-        assert_eq!(lines, vec![2, 3, 5, 6], "{v:?}");
+        assert_eq!(lines, vec![5, 6], "{v:?}");
     }
 
     #[test]
@@ -1017,9 +973,9 @@ fn hot(xs: &mut [f64], t: f64) {
                 "{outside} must be out of scope"
             );
         }
-        // And the rule itself fires on the pivot-selection idioms the
+        // And the rule itself fires on the exact-float tests the
         // factorization must not use.
-        let src = "fn pick(a: f64, b: f64) -> bool { a.partial_cmp(&b).unwrap().is_gt() }\n";
+        let src = "fn pick(a: f64) -> bool { a == 0.0 }\n";
         let v = check_lp_core_discipline(Path::new("crates/lp/src/sparse_lu.rs"), src);
         assert_eq!(v.len(), 1, "{v:?}");
     }
@@ -1172,6 +1128,21 @@ fn f() {
                      \"pid\":1,\"tid\":0,\"args\":{\"span_id\":1}}]}";
         let err = check_chrome_trace(torn).unwrap_err();
         assert!(err.contains("no dur"), "{err}");
+    }
+
+    #[test]
+    fn baseline_that_is_not_a_json_object_is_a_violation() {
+        for json in ["{\"x_ns\": 1", "[1, 2]"] {
+            let v = check_baseline_keys(
+                Path::new("crates/bench/benches/foo_baseline.json"),
+                json,
+                Path::new("crates/bench/benches/foo.rs"),
+                Some("run_gate(path, \"x_ns\", \"label\", f);"),
+            );
+            assert_eq!(v.len(), 1, "{json}: {v:?}");
+            assert_eq!(v[0].line, 1);
+            assert!(v[0].message.contains("JSON object"), "{}", v[0].message);
+        }
     }
 
     #[test]

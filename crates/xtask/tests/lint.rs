@@ -64,20 +64,20 @@ fn flags_raw_row_construction_outside_the_ir_home() {
 }
 
 #[test]
-fn flags_lp_core_partial_cmp_and_float_eq_only_in_scope() {
+fn flags_lp_core_float_eq_only_in_scope() {
     let fx = Fixture::new("core");
     fx.write(
         "crates/lp/src/simplex.rs",
-        "fn pivot(xs: &mut [f64]) {\n    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}\n",
+        "fn pivot(t: f64) -> bool {\n    t != 1.0\n}\n",
     );
     fx.write(
         "crates/core/src/lp_model.rs",
         "fn gate(t: f64) -> bool {\n    t == 0.0\n}\n",
     );
-    // Out of scope: other crates may use partial_cmp freely.
+    // Out of scope: other crates may compare float literals exactly.
     fx.write(
         "crates/report/src/stats.rs",
-        "fn s(xs: &mut [f64]) {\n    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}\n",
+        "fn s(t: f64) -> bool {\n    t == 1.0\n}\n",
     );
 
     let mut v = lint_workspace(&fx.root).unwrap();
@@ -87,7 +87,7 @@ fn flags_lp_core_partial_cmp_and_float_eq_only_in_scope() {
     assert_eq!(v[0].rule, "lp-core-discipline");
     assert!(v[0].message.contains("float-literal"));
     assert_eq!(v[1].file, Path::new("crates/lp/src/simplex.rs"));
-    assert!(v[1].message.contains("total_cmp"));
+    assert!(v[1].message.contains("float-literal"));
 }
 
 #[test]
