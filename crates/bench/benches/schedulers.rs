@@ -58,7 +58,7 @@ fn bench_closed_forms(c: &mut Criterion) {
         b.iter(|| black_box(bus_fifo(&bus).unwrap().throughput))
     });
     let star64 = star(64, 9);
-    group.bench_function("lifo_lp_64workers", |b| {
+    group.bench_function("lifo_chain_64workers", |b| {
         b.iter(|| black_box(optimal_lifo(&star64).unwrap().throughput))
     });
     group.finish();

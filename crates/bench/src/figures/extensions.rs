@@ -16,6 +16,7 @@
 //!   model (Section 6 / \[20\]): as per-message start-up cost grows, the
 //!   optimal enrolled set shrinks.
 
+use dls_core::engine::{IncC, OptimalLifo};
 use dls_core::prelude::*;
 use dls_platform::{ClusterModel, MatrixApp, Platform, PlatformSampler};
 use dls_report::{mean, num, Table};
@@ -49,10 +50,10 @@ pub fn robustness(platforms: usize, seed: u64) -> Table {
                 comm_latency: 0.0,
                 comp_inflation: 1.0,
             };
-            for (sol, ratios) in [
-                (inc_c_fifo(&platform).unwrap(), &mut fifo_ratios),
-                (optimal_lifo(&platform).unwrap(), &mut lifo_ratios),
-            ] {
+            let strategies: [(&dyn Scheduler, _); 2] =
+                [(&IncC, &mut fifo_ratios), (&OptimalLifo, &mut lifo_ratios)];
+            for (strategy, ratios) in strategies {
+                let sol = strategy.solve(&platform).unwrap();
                 let lp_time = 1000.0 / sol.throughput;
                 let int_sched = integer_schedule(&sol.schedule, 1000);
                 let ms = simulate(
@@ -95,7 +96,7 @@ pub fn scaling() -> Table {
     for p in [1usize, 2, 4, 8, 16, 32, 64] {
         let bus = Platform::bus(c, d, &vec![w; p]).unwrap();
         let fifo = bus_fifo(&bus).unwrap();
-        let lifo = star_lifo(&bus);
+        let lifo = optimal_lifo(&bus).expect("a bus is z-tied");
         let zero_d = no_return_platform(&bus);
         let nr = optimal_no_return(&zero_d).unwrap();
         table.row(&[

@@ -16,7 +16,10 @@
 //! This yields an `O(q)` solver per enrolled set — no LP — which this crate
 //! uses three ways: as a fast scheduler ([`chain_best_prefix`]), as an
 //! exact subset-selection oracle for small `p` ([`chain_best_subset`]),
-//! and as an independent cross-check of the LP in tests.
+//! and as an independent cross-check of the LP in tests. The counting
+//! argument belongs to Theorem 1's proof, which assumes a `z`-tied platform
+//! (`d_i = z·c_i`), so every solver here refuses other platforms with
+//! [`CoreError::NotZTied`].
 //!
 //! **Caveat (documented ablation):** the optimal enrolled set need not be a
 //! *prefix* of the `c`-sorted worker list, so [`chain_best_prefix`] is a
@@ -94,7 +97,9 @@ const TOL: f64 = 1e-9;
 ///
 /// Returns `Ok(None)` when neither regime yields a feasible positive-load
 /// solution (meaning this enrolled set cannot be optimal with everyone
-/// participating).
+/// participating). Errors with [`CoreError::NotZTied`] when the platform is
+/// not `z`-tied: Lemma 1's two regimes need `d = z·c`, and without it the
+/// chain can land far below the scenario's LP optimum.
 pub fn chain_fifo(
     platform: &Platform,
     order: &[WorkerId],
@@ -102,6 +107,7 @@ pub fn chain_fifo(
     if order.is_empty() {
         return Err(CoreError::MalformedOrder("empty enrolled order".into()));
     }
+    platform.common_z().ok_or(CoreError::NotZTied)?;
     // Validate via the Schedule constructor.
     Schedule::fifo(platform, order.to_vec(), vec![0.0; platform.num_workers()])?;
     let q = order.len();
@@ -386,6 +392,19 @@ mod tests {
             chain_best_subset(&p, 16),
             Err(CoreError::TooManyWorkers { .. })
         ));
+    }
+
+    #[test]
+    fn platforms_that_are_not_z_tied_are_refused() {
+        // The prefix chain would report 0.1245 here, while the LP over the
+        // FIFO scenario it selects reaches 0.4570.
+        let p = Platform::new(vec![
+            dls_platform::Worker::new(1.0, 1.0, 10.0),
+            dls_platform::Worker::new(2.0, 0.1, 0.1),
+        ])
+        .unwrap();
+        assert_eq!(chain_best_prefix(&p).unwrap_err(), CoreError::NotZTied);
+        assert_eq!(chain_best_subset(&p, 16).unwrap_err(), CoreError::NotZTied);
     }
 
     #[test]

@@ -21,6 +21,9 @@
 //! `α_i = u_i / (1 + dU)` (recovered here from the tight constraint chain;
 //! validated against the LP in tests), and the one-port loads follow by the
 //! rescaling above.
+//!
+//! The companion papers' LIFO load chain is not here: it is
+//! [`crate::lifo::optimal_lifo`] itself, the one LIFO path of the crate.
 
 use dls_platform::Platform;
 
@@ -111,67 +114,9 @@ pub fn bus_fifo(platform: &Platform) -> Result<BusFifoSolution, CoreError> {
     }
 }
 
-/// Closed-form optimal LIFO solution on a **star** (companion papers
-/// \[7, 8\], restated in Section 5: all workers participate, served by
-/// non-decreasing `c`, with no idle time).
-///
-/// With every deadline tight and no idle, consecutive constraints give the
-/// load chain
-///
-/// ```text
-/// α_{i+1} (c_{i+1} + w_{i+1} + d_{i+1}) = α_i · w_i,
-/// α_1 (c_1 + w_1 + d_1) = 1,
-/// ```
-///
-/// which is `O(p)` — no LP required. Validated against
-/// [`crate::lifo::optimal_lifo`] in tests; on a bus it specializes to the
-/// companion papers' bus LIFO formula.
-#[derive(Debug, Clone)]
-pub struct StarLifoSolution {
-    /// Loads by platform worker index (all strictly positive).
-    pub loads: Vec<f64>,
-    /// Optimal LIFO throughput.
-    pub throughput: f64,
-    /// Send order used (non-decreasing `c`).
-    pub order: Vec<dls_platform::WorkerId>,
-}
-
-impl StarLifoSolution {
-    /// Packages the loads as a LIFO schedule.
-    pub fn schedule(&self, platform: &Platform) -> Schedule {
-        Schedule::lifo(platform, self.order.clone(), self.loads.clone())
-            .expect("closed-form loads are valid")
-    }
-}
-
-/// Evaluates the LIFO closed form on any star platform.
-pub fn star_lifo(platform: &Platform) -> StarLifoSolution {
-    let order = platform.order_by_c();
-    let q = order.len();
-    let w = |i: usize| platform.worker(order[i]);
-
-    let mut alphas = vec![0.0; q];
-    alphas[0] = 1.0 / (w(0).c + w(0).w + w(0).d);
-    for i in 0..q - 1 {
-        let nxt = w(i + 1);
-        alphas[i + 1] = alphas[i] * w(i).w / (nxt.c + nxt.w + nxt.d);
-    }
-
-    let mut loads = vec![0.0; platform.num_workers()];
-    for (id, a) in order.iter().zip(&alphas) {
-        loads[id.index()] = *a;
-    }
-    StarLifoSolution {
-        throughput: alphas.iter().sum(),
-        loads,
-        order,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lifo::optimal_lifo;
     use crate::lp_model::solve_fifo;
     use crate::schedule::PortModel;
     use crate::timeline::{makespan, Timeline};
@@ -294,54 +239,6 @@ mod tests {
             sol.two_port_throughput,
             lp.throughput
         );
-    }
-
-    #[test]
-    fn star_lifo_matches_lp_on_stars() {
-        let cases = [
-            Platform::star_with_z(&[(1.0, 2.0), (2.0, 1.0), (1.5, 3.0)], 0.5).unwrap(),
-            Platform::star_with_z(&[(0.5, 5.0), (2.0, 0.5)], 0.8).unwrap(),
-            Platform::bus(1.0, 0.5, &[3.0, 4.0, 5.0]).unwrap(),
-        ];
-        for p in &cases {
-            let cf = star_lifo(p);
-            let lp = optimal_lifo(p).unwrap();
-            assert!(
-                (cf.throughput - lp.throughput).abs() < 1e-7,
-                "LIFO closed form {} vs LP {}",
-                cf.throughput,
-                lp.throughput
-            );
-            for (i, l) in cf.loads.iter().enumerate() {
-                assert!(
-                    (l - lp.schedule.load(WorkerId(i))).abs() < 1e-6,
-                    "load {i}: {l} vs {}",
-                    lp.schedule.load(WorkerId(i))
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn star_lifo_schedule_is_tight_and_feasible() {
-        let p = Platform::star_with_z(&[(1.0, 2.0), (2.0, 1.0), (1.5, 3.0)], 0.5).unwrap();
-        let cf = star_lifo(&p);
-        let s = cf.schedule(&p);
-        assert!(s.is_lifo());
-        let t = Timeline::build(&p, &s, PortModel::OnePort);
-        assert!(t.verify(&p, &s, 1e-7).is_empty());
-        assert!((t.makespan() - 1.0).abs() < 1e-7);
-        // No worker idles in the optimal LIFO schedule.
-        for e in t.entries() {
-            assert!(e.idle < 1e-7, "{} idles {}", e.worker, e.idle);
-        }
-    }
-
-    #[test]
-    fn star_lifo_enrolls_everyone_with_positive_load() {
-        let p = Platform::star_with_z(&[(0.1, 1.0), (0.1, 1.0), (30.0, 2.0)], 0.5).unwrap();
-        let cf = star_lifo(&p);
-        assert!(cf.loads.iter().all(|&l| l > 0.0));
     }
 
     #[test]

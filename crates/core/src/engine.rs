@@ -153,16 +153,21 @@ impl Solution {
         }
     }
 
-    /// Packages a closed-form schedule, measuring the achieved one-port
-    /// throughput off the earliest-feasible timeline.
-    fn measured(platform: &Platform, schedule: Schedule) -> Solution {
-        let throughput = crate::timeline::throughput(platform, &schedule, PortModel::OnePort);
+    /// Packages a closed-form schedule and its throughput.
+    fn closed_form(schedule: Schedule, throughput: f64) -> Solution {
         Solution {
             schedule,
             throughput,
             provenance: Provenance::ClosedForm,
             execution: Execution::Direct,
         }
+    }
+
+    /// Packages a closed-form schedule, measuring the achieved one-port
+    /// throughput off the earliest-feasible timeline.
+    fn measured(platform: &Platform, schedule: Schedule) -> Solution {
+        let throughput = crate::timeline::throughput(platform, &schedule, PortModel::OnePort);
+        Solution::closed_form(schedule, throughput)
     }
 
     /// The platform this solution's schedule must be timed/simulated on:
@@ -275,11 +280,15 @@ pub trait Scheduler: Send + Sync {
     /// optimum (the LP solvers, the closed forms, the exhaustive searches,
     /// the multi-round LP planner) the exact objective must match
     /// [`Solution::throughput`] to floating-point accuracy — the CI
-    /// certification in `tests/exact_registry.rs` relies on this. The
-    /// exceptions report *achieved* values below the scenario optimum: the
-    /// `no_return` baseline (loads chosen while ignoring return costs) and
-    /// the non-LP multi-round planners (uniform/geometric chunking); for
-    /// those the exact objective is an upper bound.
+    /// certification in `tests/exact_registry.rs` relies on this. A closed
+    /// form answers only on platforms where it is that optimum (the LIFO
+    /// and FIFO chains refuse non-`z`-tied platforms with
+    /// [`CoreError::NotZTied`], Theorem 2 refuses non-buses), so this pass
+    /// is what certifies it. The exceptions report *achieved* values below
+    /// the scenario optimum: the `no_return` baseline (loads chosen while
+    /// ignoring return costs) and the non-LP multi-round planners
+    /// (uniform/geometric chunking); for those the exact objective is an
+    /// upper bound.
     fn solve_exact(&self, platform: &Platform) -> Result<ExactSolution, CoreError> {
         let sol = self.solve(platform)?;
         let exec = sol.execution_platform(platform);
@@ -365,9 +374,14 @@ define_scheduler!(
 
 define_scheduler!(
     /// The optimal one-port LIFO schedule (all workers, non-decreasing
-    /// `c`); the paper's `LIFO` heuristic.
+    /// `c`); the paper's `LIFO` heuristic. Answered by the companion
+    /// papers' `O(p)` load chain, with no LP (requires a `z`-tied
+    /// platform); the LIFO scenario LP only certifies it.
     OptimalLifo, "optimal_lifo", "LIFO",
-    |platform| crate::lifo::optimal_lifo(platform).map(Solution::from_lp)
+    |platform| {
+        let sol = crate::lifo::optimal_lifo(platform)?;
+        Ok(Solution::closed_form(sol.schedule, sol.throughput))
+    }
 );
 
 define_scheduler!(
@@ -390,42 +404,18 @@ define_scheduler!(
     BusFifo, "bus_fifo", "BUS_FIFO",
     |platform| {
         let sol = crate::closed_form::bus_fifo(platform)?;
-        Ok(Solution {
-            schedule: sol.schedule(platform),
-            throughput: sol.throughput,
-            provenance: Provenance::ClosedForm,
-            execution: Execution::Direct,
-        })
-    }
-);
-
-define_scheduler!(
-    /// The `O(p)` LIFO closed form from the companion papers (all workers,
-    /// tight constraint chain; no LP).
-    StarLifo, "star_lifo", "LIFO_CF",
-    |platform| {
-        let sol = crate::closed_form::star_lifo(platform);
-        Ok(Solution {
-            schedule: sol.schedule(platform),
-            throughput: sol.throughput,
-            provenance: Provenance::ClosedForm,
-            execution: Execution::Direct,
-        })
+        Ok(Solution::closed_form(sol.schedule(platform), sol.throughput))
     }
 );
 
 define_scheduler!(
     /// The analytical chain solver over prefixes of the `c`-sorted worker
-    /// list — a fast LP-free FIFO heuristic.
+    /// list — a fast LP-free FIFO heuristic (requires a `z`-tied
+    /// platform, like the chain itself).
     ChainFifo, "chain", "CHAIN",
     |platform| {
         let (order, sol) = crate::chain::chain_best_prefix(platform)?;
-        Ok(Solution {
-            schedule: sol.schedule(platform, &order),
-            throughput: sol.throughput,
-            provenance: Provenance::ClosedForm,
-            execution: Execution::Direct,
-        })
+        Ok(Solution::closed_form(sol.schedule(platform, &order), sol.throughput))
     }
 );
 
@@ -484,7 +474,6 @@ pub fn registry() -> Vec<Box<dyn Scheduler>> {
         Box::new(IncC),
         Box::new(IncW),
         Box::new(BusFifo),
-        Box::new(StarLifo),
         Box::new(ChainFifo),
         Box::new(NoReturn),
         Box::new(BruteFifo),

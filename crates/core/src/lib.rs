@@ -18,7 +18,7 @@
 //! |---|---|
 //! | LP (2) for a fixed scenario, §2.3 | [`lp_model::scenario_model`], [`lp_model::solve_scenario`] |
 //! | Theorem 1 + Proposition 1 (optimal FIFO, resource selection) | [`fifo::optimal_fifo`] |
-//! | Optimal LIFO (via companion papers \[7,8\]) | [`lifo::optimal_lifo`] |
+//! | Optimal LIFO (companion papers \[7,8\], `O(p)` closed form) | [`lifo::optimal_lifo`] |
 //! | Theorem 2 (bus closed form) | [`closed_form::bus_fifo`] |
 //! | `INC_C` / `INC_W` heuristics, §5 | [`fifo::inc_c_fifo`], [`fifo::inc_w_fifo`] |
 //! | Integer rounding policy, §5 | [`rounding::round_loads`] |
@@ -77,7 +77,7 @@ pub mod prelude {
     };
     pub use crate::brute_force::{best_fifo, best_lifo, best_scenario};
     pub use crate::chain::{chain_best_prefix, chain_best_subset, chain_fifo};
-    pub use crate::closed_form::{bus_fifo, star_lifo, BusFifoSolution, BusRegime};
+    pub use crate::closed_form::{bus_fifo, BusFifoSolution, BusRegime};
     pub use crate::diagnosis::{diagnose, Diagnosis};
     pub use crate::engine::{
         lookup, register_provider, registry, ExactSolution, Execution, Provenance, Scheduler,
@@ -87,7 +87,7 @@ pub mod prelude {
     pub use crate::interleaved::{
         interleaved_fifo, interleaved_fifo_for_order, interleaved_profile, InterleavedSolution,
     };
-    pub use crate::lifo::optimal_lifo;
+    pub use crate::lifo::{optimal_lifo, LifoSolution};
     pub use crate::lp_model::{
         scenario_model, solve_fifo, solve_lifo, solve_model, solve_scenario, with_engine, LpEngine,
         LpSchedule,

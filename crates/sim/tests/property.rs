@@ -165,15 +165,15 @@ proptest! {
         };
         let mut rng = StdRng::seed_from_u64(seed);
         let p = sampler.sample(&MatrixApp::new(n), &ClusterModel::gdsdmi(), &mut rng);
-        let sol = if lifo {
-            optimal_lifo(&p).expect("cluster platforms are z-tied")
+        let schedule = if lifo {
+            optimal_lifo(&p).expect("cluster platforms are z-tied").schedule
         } else {
-            optimal_fifo(&p).expect("cluster platforms are z-tied")
+            optimal_fifo(&p).expect("cluster platforms are z-tied").schedule
         };
-        let plain = simulate(&p, &sol.schedule, &SimConfig::ideal()).makespan;
+        let plain = simulate(&p, &schedule, &SimConfig::ideal()).makespan;
         let inter = simulate(
             &p,
-            &sol.schedule,
+            &schedule,
             &SimConfig {
                 policy: MasterPolicy::Interleaved,
                 ..SimConfig::ideal()

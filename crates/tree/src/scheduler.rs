@@ -8,8 +8,9 @@
 //! — the same constructor-configured story as `multiround_*`, driving the
 //! bench depth sweeps from plain strings.
 
-use dls_core::engine::{Execution, Provenance, Scheduler, SchedulerProvider, Solution};
-use dls_core::lp_model::LpSchedule;
+use dls_core::engine::{
+    Execution, OptimalFifo, OptimalLifo, Scheduler, SchedulerProvider, Solution,
+};
 use dls_core::CoreError;
 use dls_platform::{Platform, TreePlatform, WorkerId};
 
@@ -42,10 +43,13 @@ impl TreeOrder {
         }
     }
 
-    pub(crate) fn solve_star(self, star: &Platform) -> Result<LpSchedule, CoreError> {
+    /// Solves the collapsed star with the engine strategy of this
+    /// discipline, keeping that strategy's provenance (`Lp` for FIFO,
+    /// `ClosedForm` for LIFO).
+    pub(crate) fn solve_star(self, star: &Platform) -> Result<Solution, CoreError> {
         match self {
-            TreeOrder::Fifo => dls_core::fifo::optimal_fifo(star),
-            TreeOrder::Lifo => dls_core::lifo::optimal_lifo(star),
+            TreeOrder::Fifo => OptimalFifo.solve(star),
+            TreeOrder::Lifo => OptimalLifo.solve(star),
         }
     }
 }
@@ -146,18 +150,14 @@ impl TreeScheduler {
         nodes: Vec<WorkerId>,
     ) -> Result<Solution, CoreError> {
         let star = collapse(&tree);
-        let lp = self.order.solve_star(&star)?;
+        let sol = self.order.solve_star(&star)?;
         Ok(Solution {
-            schedule: lp.schedule,
-            throughput: lp.throughput,
-            provenance: Provenance::Lp {
-                iterations: lp.iterations,
-            },
             execution: Execution::Tree {
                 platform: star,
                 tree,
                 nodes,
             },
+            ..sol
         })
     }
 }
@@ -312,6 +312,7 @@ impl SchedulerProvider for TreeProvider {
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
+    use dls_core::engine::Provenance;
 
     fn star() -> Platform {
         Platform::star_with_z(&[(1.0, 5.0), (2.0, 4.0), (1.5, 6.0)], 0.5).unwrap()

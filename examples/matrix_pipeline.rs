@@ -10,6 +10,7 @@
 // applies to library code only.
 #![allow(clippy::print_stdout)]
 
+use dls::core::engine::{IncC, IncW, OptimalLifo};
 use dls::core::prelude::*;
 use dls::platform::{ClusterModel, MatrixApp, PlatformSampler};
 use dls::report::{num, Table};
@@ -46,11 +47,13 @@ fn main() {
         "workers used",
     ]);
     let mut rhos = Vec::new();
-    for (name, sol) in [
-        ("INC_C (optimal FIFO)", inc_c_fifo(&platform).unwrap()),
-        ("INC_W", inc_w_fifo(&platform).unwrap()),
-        ("LIFO (optimal)", optimal_lifo(&platform).unwrap()),
-    ] {
+    let strategies: [(&str, &dyn Scheduler); 3] = [
+        ("INC_C (optimal FIFO)", &IncC),
+        ("INC_W", &IncW),
+        ("LIFO (optimal)", &OptimalLifo),
+    ];
+    for (name, strategy) in strategies {
+        let sol = strategy.solve(&platform).unwrap();
         let lp_time = m as f64 / sol.throughput;
         // Integer loads via the paper's floor-then-distribute policy.
         let int_sched = integer_schedule(&sol.schedule, m);

@@ -10,6 +10,7 @@
 // applies to library code only.
 #![allow(clippy::print_stdout)]
 
+use dls::core::engine::{OptimalFifo, OptimalLifo};
 use dls::core::prelude::*;
 use dls::platform::scenario;
 use dls::sim::{gantt, simulate, SimConfig};
@@ -20,9 +21,10 @@ fn main() {
     println!("{platform}");
 
     let sol = match mode.as_str() {
-        "lifo" => optimal_lifo(&platform).expect("z-tied"),
-        _ => optimal_fifo(&platform).expect("z-tied"),
-    };
+        "lifo" => OptimalLifo.solve(&platform),
+        _ => OptimalFifo.solve(&platform),
+    }
+    .expect("z-tied");
     println!(
         "{} schedule, {} of {} workers enrolled, rho = {:.4}\n",
         mode.to_uppercase(),

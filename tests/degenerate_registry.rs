@@ -14,6 +14,7 @@ use dls::lp::{
     solve, solve_exact, solve_revised_with, Problem, Rational, Relation, Scalar, SolverOptions,
 };
 use dls::platform::Platform;
+use dls::tree::{TreeOrder, TreeScheduler};
 
 /// Beale's 1955 cycling LP: min -0.75a + 150b - 0.02c + 6d, the classic
 /// instance on which Dantzig's rule cycles forever.
@@ -97,7 +98,14 @@ fn registry_strategies_agree_across_engines_on_the_degenerate_bus() {
 #[test]
 fn registry_strategies_match_exact_rationals_on_the_degenerate_bus() {
     let p = degenerate_bus();
-    for s in dls::core::registry() {
+    // The built-ins plus the two star-collapse tree strategies, built
+    // directly so that no global provider changes what the other tests of
+    // this binary iterate.
+    let tree: [Box<dyn Scheduler>; 2] = [
+        Box::new(TreeScheduler::registry_default(TreeOrder::Fifo)),
+        Box::new(TreeScheduler::registry_default(TreeOrder::Lifo)),
+    ];
+    for s in dls::core::registry().into_iter().chain(tree) {
         let sol = s
             .solve(&p)
             .unwrap_or_else(|e| panic!("{} failed on the degenerate bus: {e}", s.name()));
@@ -105,7 +113,7 @@ fn registry_strategies_match_exact_rationals_on_the_degenerate_bus() {
         // arithmetic: the LP optimum over that scenario bounds what the
         // strategy reports, and LP-provenance strategies must attain it.
         let (rho, _) = solve_scenario_exact::<Rational>(
-            &p,
+            sol.execution_platform(&p),
             sol.schedule.send_order(),
             sol.schedule.return_order(),
             PortModel::OnePort,
@@ -124,7 +132,7 @@ fn registry_strategies_match_exact_rationals_on_the_degenerate_bus() {
         let exact_optimal = lp_backed
             || matches!(
                 s.name(),
-                "bus_fifo" | "star_lifo" | "chain" | "brute_fifo" | "brute_force"
+                "bus_fifo" | "optimal_lifo" | "tree_lifo" | "chain" | "brute_fifo" | "brute_force"
             );
         if exact_optimal {
             assert!(

@@ -117,6 +117,11 @@ fn provenance_distinguishes_solver_families() {
     assert!(matches!(lp.provenance, Provenance::Lp { iterations, .. } if iterations > 0));
     let cf = dls::core::lookup("bus_fifo").unwrap().solve(&p).unwrap();
     assert_eq!(cf.provenance, Provenance::ClosedForm);
+    let lifo = dls::core::lookup("optimal_lifo")
+        .unwrap()
+        .solve(&p)
+        .unwrap();
+    assert_eq!(lifo.provenance, Provenance::ClosedForm);
     let search = dls::core::lookup("brute_fifo").unwrap().solve(&p).unwrap();
     assert!(
         matches!(search.provenance, Provenance::Search { evaluated } if evaluated == 120),
@@ -146,4 +151,6 @@ fn strategy_table_covers_the_fixture() {
     for s in dls::core::registry() {
         assert!(rendered.contains(s.name()), "missing {}", s.name());
     }
+    // A closed form never poses as a pivot-free LP.
+    assert!(!rendered.contains("lp (0 pivots)"), "{rendered}");
 }

@@ -3,7 +3,7 @@
 //! Every expected value below was derived by hand from the paper's
 //! equations, independently of the implementation.
 
-use dls::core::closed_form::{bus_fifo, star_lifo, BusRegime};
+use dls::core::closed_form::{bus_fifo, BusRegime};
 use dls::core::lp_model::solve_scenario_exact;
 use dls::core::prelude::*;
 use dls::core::PortModel;
@@ -75,9 +75,9 @@ fn theorem2_comm_bound_by_hand() {
 #[test]
 fn lifo_chain_by_hand() {
     let p = Platform::bus(1.0, 0.5, &[2.0, 2.0]).unwrap();
-    let sol = star_lifo(&p);
-    close(sol.loads[0], 2.0 / 7.0);
-    close(sol.loads[1], 8.0 / 49.0);
+    let sol = optimal_lifo(&p).unwrap();
+    close(sol.schedule.load(WorkerId(0)), 2.0 / 7.0);
+    close(sol.schedule.load(WorkerId(1)), 8.0 / 49.0);
     close(sol.throughput, 22.0 / 49.0);
     // Exact LIFO LP agrees.
     let order: Vec<WorkerId> = p.ids().collect();

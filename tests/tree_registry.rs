@@ -3,7 +3,7 @@
 //! conservatism along the fanout axis, and simulator replay of expanded
 //! plans with relays enforcing one-port.
 
-use dls::core::{Execution, Scheduler};
+use dls::core::{Execution, Provenance, Scheduler};
 use dls::platform::{Platform, PlatformSampler, TreePlatform, WorkerId};
 use dls::sim::{simulate_tree, verify_tree, SimConfig};
 use dls::tree::{expand, TreeScheduler};
@@ -39,6 +39,17 @@ fn install_extends_registry_and_lookup_resolves_parameterized_ids() {
         let sol = s.solve(&p).expect("z-tied star");
         assert!(sol.throughput > 0.0);
         assert!(matches!(sol.execution, Execution::Tree { .. }));
+        // The collapsed star is solved by `optimal_lifo`'s closed form or
+        // `optimal_fifo`'s LP, and the tree solution says which.
+        if id.starts_with("tree_lifo") {
+            assert_eq!(sol.provenance, Provenance::ClosedForm, "{id}");
+        } else {
+            assert!(
+                matches!(sol.provenance, Provenance::Lp { iterations } if iterations > 0),
+                "{id}: {:?}",
+                sol.provenance
+            );
+        }
         assert!(sol.verified_timeline(&p, 1e-7).is_ok());
     }
     assert!(dls::core::lookup("tree_fifo@0").is_none());
@@ -134,6 +145,7 @@ fn strategy_table_includes_tree_rows() {
         "missing tree rows:\n{rendered}"
     );
     assert!(rendered.contains("TREE_LIFO"), "{rendered}");
+    assert!(!rendered.contains("lp (0 pivots)"), "{rendered}");
 }
 
 #[test]
