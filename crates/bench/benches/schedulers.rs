@@ -22,7 +22,8 @@ fn star(workers: usize, seed: u64) -> Platform {
 
 fn bench_optimal_fifo(c: &mut Criterion) {
     let mut group = c.benchmark_group("scheduler/optimal_fifo_lp");
-    for p in [4usize, 11, 32, 64] {
+    // 256 is the perfbench `large_lp` size.
+    for p in [4usize, 11, 32, 64, 256] {
         let platform = star(p, 3);
         group.bench_with_input(BenchmarkId::from_parameter(p), &platform, |b, pf| {
             b.iter(|| black_box(optimal_fifo(pf).unwrap().throughput))

@@ -18,7 +18,7 @@
 use dls_platform::{Platform, WorkerId};
 
 use crate::error::CoreError;
-use crate::lp_model::{solve_scenario, LpSchedule};
+use crate::lp_model::{solve_fifo, solve_scenario, LpSchedule};
 use crate::schedule::PortModel;
 
 /// Maximum workers for single-permutation enumeration (`8! = 40320` LPs).
@@ -116,11 +116,8 @@ pub fn best_fifo(platform: &Platform, model: PortModel) -> Result<SearchResult, 
             limit: MAX_SINGLE_PERM,
         });
     }
-    search(Permutations::new(p).map(|perm| {
-        let order = to_ids(&perm);
-        solve_scenario(platform, &order, &order, model)
-    }))
-    .ok_or_else(|| CoreError::MalformedOrder("search produced no scenario".into()))
+    search(Permutations::new(p).map(|perm| solve_fifo(platform, &to_ids(&perm), model)))
+        .ok_or_else(|| CoreError::MalformedOrder("search produced no scenario".into()))
 }
 
 /// Exhaustive best LIFO schedule under `model`.

@@ -13,25 +13,31 @@
 //!   `i < q`, (2b) tight. The chain covers `α_1 .. α_{q-1}` and a 2×2
 //!   system in `(α_1, α_q)` closes it.
 //!
-//! This yields an `O(q)` solver per enrolled set — no LP — which this crate
-//! uses three ways: as a fast scheduler ([`chain_best_prefix`]), as an
-//! exact subset-selection oracle for small `p` ([`chain_best_subset`]),
-//! and as an independent cross-check of the LP in tests. The counting
-//! argument belongs to Theorem 1's proof, which assumes a `z`-tied platform
-//! (`d_i = z·c_i`), so every solver here refuses other platforms with
-//! [`CoreError::NotZTied`].
+//! The chain ratios do not depend on where the enrolled prefix ends, so
+//! running sums over them close both regimes of a prefix in `O(1)`: one
+//! `O(q)` pass solves an enrolled set ([`chain_fifo`]), and one `O(p)` pass
+//! solves every prefix of the `c`-sorted list ([`chain_best_prefix`]) — no
+//! LP. This crate uses the chain four ways: as a fast scheduler (the
+//! `chain` strategy), as the first working set of the optimal FIFO LP
+//! ([`crate::fifo::optimal_fifo`]), as an exact subset-selection oracle for
+//! small `p` ([`chain_best_subset`]), and as an independent cross-check of
+//! the LP in tests. The counting argument belongs to Theorem 1's proof,
+//! which assumes a `z`-tied platform (`d_i = z·c_i`), so every solver here
+//! refuses other platforms with [`CoreError::NotZTied`].
 //!
 //! **Caveat (documented ablation):** the optimal enrolled set need not be a
 //! *prefix* of the `c`-sorted worker list, so [`chain_best_prefix`] is a
 //! heuristic; [`chain_best_subset`] enumerates all `2^p − 1` subsets and is
-//! exact (it matches Proposition 1's LP on every instance tested).
+//! exact (it matches Proposition 1's LP on every instance tested). The
+//! optimal FIFO solve does not rely on the prefix: LP duality prices every
+//! worker left out of it and enrolls any that would pay.
 //! `tests/resource_selection.rs` probes whether the LP ever selects a
 //! non-prefix set.
 
-use dls_platform::{Platform, WorkerId};
+use dls_platform::{Platform, Worker, WorkerId};
 
 use crate::error::CoreError;
-use crate::schedule::Schedule;
+use crate::schedule::{check_orders, Schedule};
 
 /// Which LP regime produced the chain solution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,37 +69,176 @@ impl ChainSolution {
     }
 }
 
-/// Evaluates `(2a)_i`'s left side at `x_i = 0` for the enrolled loads.
-fn deadline_lhs(platform: &Platform, order: &[WorkerId], alphas: &[f64], i: usize) -> f64 {
-    let sends: f64 = order
-        .iter()
-        .take(i + 1)
-        .zip(alphas)
-        .map(|(id, a)| a * platform.worker(*id).c)
-        .sum();
-    let returns: f64 = order
-        .iter()
-        .zip(alphas)
-        .skip(i)
-        .map(|(id, a)| a * platform.worker(*id).d)
-        .sum();
-    sends + alphas[i] * platform.worker(*order.get(i).expect("index in range")).w + returns
-}
-
-fn comm_total(platform: &Platform, order: &[WorkerId], alphas: &[f64]) -> f64 {
-    order
-        .iter()
-        .zip(alphas)
-        .map(|(id, a)| {
-            let w = platform.worker(*id);
-            a * (w.c + w.d)
-        })
-        .sum()
-}
-
 const TOL: f64 = 1e-9;
 
-/// Solves the FIFO chain for the exact enrolled set/order `order`.
+/// Running sums of the chain ratios `r_j` over a run of workers.
+#[derive(Debug, Clone, Copy)]
+struct Sums {
+    /// `Σ r_j`.
+    r: f64,
+    /// `Σ r_j·c_j`.
+    c: f64,
+    /// `Σ r_j·d_j`.
+    d: f64,
+    /// `Σ r_j·(c_j + d_j)`.
+    cd: f64,
+    /// `max_i (Σ_{l ≤ i} r_l·c_l + r_i·w_i − Σ_{l < i} r_l·d_l)`: with
+    /// loads `r_l·a1`, deadline row `i` is `a1·(g_i + Σ_l r_l·d_l)` plus the
+    /// returns after the run, so this bounds every row of the run at once.
+    g: f64,
+}
+
+impl Sums {
+    const EMPTY: Sums = Sums {
+        r: 0.0,
+        c: 0.0,
+        d: 0.0,
+        cd: 0.0,
+        g: f64::NEG_INFINITY,
+    };
+
+    /// The sums with one more worker of ratio `r` appended.
+    fn push(self, r: f64, w: &Worker) -> Sums {
+        let c = self.c + r * w.c;
+        Sums {
+            r: self.r + r,
+            c,
+            d: self.d + r * w.d,
+            cd: self.cd + r * (w.c + w.d),
+            g: self.g.max(c + r * w.w - self.d),
+        }
+    }
+}
+
+/// Lemma 1's vertex for one enrolled prefix: the chain workers carry
+/// `r_j·a1`, and in the comm-bound regime the last worker carries `aq`.
+#[derive(Debug, Clone, Copy)]
+struct Vertex {
+    regime: ChainRegime,
+    a1: f64,
+    aq: f64,
+    throughput: f64,
+    last_idle: f64,
+}
+
+/// Both regimes of a prefix, in `O(1)` from the chain sums over the
+/// prefix (`full`) and over all of it but its `last` worker (`head`, whose
+/// own last worker `prev` has ratio `r_prev`). `first` is the prefix's
+/// first worker. `None` when neither regime yields a feasible
+/// positive-load vertex.
+fn vertex(
+    first: &Worker,
+    prev: Option<(&Worker, f64)>,
+    last: &Worker,
+    head: &Sums,
+    full: &Sums,
+) -> Option<Vertex> {
+    // ---- Regime A (compute-bound): full chain, (2a)_1 pins the scale:
+    // alpha_1 (c_1 + w_1) + sum_j alpha_j d_j = 1; (2b) must hold.
+    let denom = first.c + first.w + full.d;
+    if denom > TOL {
+        let a1 = 1.0 / denom;
+        if a1 * full.cd <= 1.0 + TOL {
+            return Some(Vertex {
+                regime: ChainRegime::ComputeBound,
+                a1,
+                aq: 0.0,
+                throughput: a1 * full.r,
+                last_idle: 0.0,
+            });
+        }
+    }
+
+    // ---- Regime B (comm-bound): chain over alpha_1..alpha_{q-1}, 2x2
+    // system closing (alpha_1, alpha_q).
+    // Eq1 ((2a)_{q-1} tight):
+    //   a1 * K1 + aq * d_q = 1,
+    //   K1 = sum_{j<=q-1} r_j c_j + r_{q-1} (w_{q-1} + d_{q-1})
+    // Eq2 ((2b) tight):
+    //   a1 * K2 + aq * (c_q + d_q) = 1,
+    //   K2 = sum_{j<=q-1} r_j (c_j + d_j)
+    let (prev, r_prev) = prev?;
+    let k1 = head.c + r_prev * (prev.w + prev.d);
+    let k2 = head.cd;
+    let dq = last.d;
+    let cdq = last.c + dq;
+    // | K1  d_q  | |a1|   |1|
+    // | K2  cd_q | |aq| = |1|
+    let det = k1 * cdq - dq * k2;
+    if det.abs() <= TOL {
+        return None;
+    }
+    let a1 = (cdq - dq) / det;
+    let aq = (k1 - k2) / det;
+    if !(a1 > TOL && aq >= -TOL) {
+        return None;
+    }
+    let aq = aq.max(0.0);
+    // Feasibility: the last deadline with slack x_q >= 0, and every chain
+    // deadline within 1 (each equals Eq1 in exact arithmetic; the check
+    // rejects an ill-conditioned 2x2 solve).
+    let xq = 1.0 - (a1 * head.c + aq * (last.c + last.w + dq));
+    let rows_fit = a1 * (head.g + head.d) + aq * dq <= 1.0 + 1e-7;
+    (xq >= -TOL && rows_fit).then(|| Vertex {
+        regime: ChainRegime::CommBound,
+        a1,
+        aq,
+        throughput: a1 * head.r + aq,
+        last_idle: xq.max(0.0),
+    })
+}
+
+/// Lemma 1's vertex of every prefix of `order` in one pass: calls
+/// `visit(q, vertex)` for each prefix `order[..q]` with a feasible regime,
+/// and returns the chain ratios. The ratios `r_1 = 1`,
+/// `r_{i+1} = r_i·(w_i + d_i) / (c_{i+1} + w_{i+1})` do not depend on where
+/// the prefix ends, so running sums over them close both regimes of each
+/// prefix in `O(1)`.
+fn scan(platform: &Platform, order: &[WorkerId], mut visit: impl FnMut(usize, Vertex)) -> Vec<f64> {
+    let mut ratios: Vec<f64> = Vec::with_capacity(order.len());
+    let Some(&first) = order.first() else {
+        return ratios;
+    };
+    let first = platform.worker(first);
+    let mut head = Sums::EMPTY;
+    let mut prev: Option<(&Worker, f64)> = None;
+    for (k, &id) in order.iter().enumerate() {
+        let w = platform.worker(id);
+        let r = prev.map_or(1.0, |(p, r_prev)| r_prev * (p.w + p.d) / (w.c + w.w));
+        ratios.push(r);
+        let full = head.push(r, w);
+        if let Some(v) = vertex(first, prev, w, &head, &full) {
+            visit(k + 1, v);
+        }
+        head = full;
+        prev = Some((w, r));
+    }
+    ratios
+}
+
+/// Packages the vertex of the prefix `order` (chain `ratios` from
+/// [`scan`]) as loads by platform worker index.
+fn solution(platform: &Platform, order: &[WorkerId], ratios: &[f64], v: Vertex) -> ChainSolution {
+    let mut alphas: Vec<f64> = ratios[..order.len()].iter().map(|r| r * v.a1).collect();
+    if v.regime == ChainRegime::CommBound {
+        *alphas
+            .last_mut()
+            .expect("a comm-bound prefix has two workers") = v.aq;
+    }
+    let mut loads = vec![0.0; platform.num_workers()];
+    for (id, a) in order.iter().zip(&alphas) {
+        loads[id.index()] = *a;
+    }
+    ChainSolution {
+        throughput: alphas.iter().sum(),
+        loads,
+        last_idle: v.last_idle,
+        regime: v.regime,
+    }
+}
+
+/// Solves the FIFO chain for the exact enrolled set/order `order`, in
+/// `O(q)`.
 ///
 /// Returns `Ok(None)` when neither regime yields a feasible positive-load
 /// solution (meaning this enrolled set cannot be optimal with everyone
@@ -108,111 +253,52 @@ pub fn chain_fifo(
         return Err(CoreError::MalformedOrder("empty enrolled order".into()));
     }
     platform.common_z().ok_or(CoreError::NotZTied)?;
-    // Validate via the Schedule constructor.
-    Schedule::fifo(platform, order.to_vec(), vec![0.0; platform.num_workers()])?;
-    let q = order.len();
-    let w = |i: usize| platform.worker(order[i]);
-
-    // Chain ratios r_i = alpha_i / alpha_1 for the full chain.
-    let mut ratios = vec![1.0; q];
-    for i in 0..q - 1 {
-        let wi = w(i);
-        let wn = w(i + 1);
-        ratios[i + 1] = ratios[i] * (wi.w + wi.d) / (wn.c + wn.w);
-    }
-
-    let pack = |alphas: Vec<f64>, regime: ChainRegime, last_idle: f64| {
-        let mut loads = vec![0.0; platform.num_workers()];
-        for (id, a) in order.iter().zip(&alphas) {
-            loads[id.index()] = *a;
+    check_orders(platform, order, order)?;
+    let mut whole = None;
+    let ratios = scan(platform, order, |q, v| {
+        if q == order.len() {
+            whole = Some(v);
         }
-        ChainSolution {
-            throughput: alphas.iter().sum(),
-            loads,
-            last_idle,
-            regime,
-        }
-    };
-
-    // ---- Regime A (compute-bound): full chain, (2a)_1 pins the scale.
-    {
-        // (2a)_1: alpha_1 (c_1 + w_1) + sum_j alpha_j d_j = 1.
-        let denom = w(0).c + w(0).w + (0..q).map(|j| ratios[j] * w(j).d).sum::<f64>();
-        if denom > TOL {
-            let a1 = 1.0 / denom;
-            let alphas: Vec<f64> = ratios.iter().map(|r| r * a1).collect();
-            if comm_total(platform, order, &alphas) <= 1.0 + TOL {
-                return Ok(Some(pack(alphas, ChainRegime::ComputeBound, 0.0)));
-            }
-        }
-    }
-
-    // ---- Regime B (comm-bound): chain over alpha_1..alpha_{q-1}, 2x2
-    // system closing (alpha_1, alpha_q).
-    if q >= 2 {
-        // 1-based worker q-1 is 0-based index `last = q - 2`.
-        // Eq1 ((2a)_{q-1} tight):
-        //   a1 * K1 + aq * d_q = 1,
-        //   K1 = sum_{j<=q-1} r_j c_j + r_{q-1} (w_{q-1} + d_{q-1})
-        // Eq2 ((2b) tight):
-        //   a1 * K2 + aq * (c_q + d_q) = 1,
-        //   K2 = sum_{j<=q-1} r_j (c_j + d_j)
-        let last = q - 2;
-        let k1: f64 = (0..=last).map(|j| ratios[j] * w(j).c).sum::<f64>()
-            + ratios[last] * (w(last).w + w(last).d);
-        let k2: f64 = (0..=last)
-            .map(|j| ratios[j] * (w(j).c + w(j).d))
-            .sum::<f64>();
-        let dq = w(q - 1).d;
-        let cdq = w(q - 1).c + dq;
-        // | K1  d_q  | |a1|   |1|
-        // | K2  cd_q | |aq| = |1|
-        let det = k1 * cdq - dq * k2;
-        if det.abs() > TOL {
-            let a1 = (cdq - dq) / det;
-            let aq = (k1 - k2) / det;
-            if a1 > TOL && aq >= -TOL {
-                let aq = aq.max(0.0);
-                let mut alphas: Vec<f64> = (0..q - 1).map(|j| ratios[j] * a1).collect();
-                alphas.push(aq);
-                // Feasibility: last deadline with slack x_q >= 0, and all
-                // deadlines within 1.
-                let xq = 1.0 - deadline_lhs(platform, order, &alphas, q - 1);
-                if xq >= -TOL {
-                    let feasible =
-                        (0..q - 1).all(|i| deadline_lhs(platform, order, &alphas, i) <= 1.0 + 1e-7);
-                    if feasible {
-                        return Ok(Some(pack(alphas, ChainRegime::CommBound, xq.max(0.0))));
-                    }
-                }
-            }
-        }
-    }
-
-    Ok(None)
+    });
+    Ok(whole.map(|v| solution(platform, order, &ratios, v)))
 }
 
-/// Best chain solution over all prefixes of the `c`-sorted worker list.
+/// Best chain solution over all prefixes of the `c`-sorted worker list, in
+/// one `O(p)` pass (see [`chain_fifo`] for a single prefix).
 ///
-/// Fast (`O(p²)`) but heuristic: the optimal enrolled set may skip a middle
-/// worker (see module docs). Returns the best feasible prefix solution
-/// together with its order.
+/// Heuristic on its own: the optimal enrolled set may skip a middle worker
+/// (see module docs). [`crate::fifo::optimal_fifo`] therefore uses the
+/// prefix only as its LP's first working set and certifies the result by
+/// duality. Returns the best feasible prefix solution together with its
+/// order; a later prefix replaces an earlier one only when it is better
+/// by more than `1e-9`.
 pub fn chain_best_prefix(platform: &Platform) -> Result<(Vec<WorkerId>, ChainSolution), CoreError> {
+    platform.common_z().ok_or(CoreError::NotZTied)?;
     let sorted = platform.order_by_c();
-    let mut best: Option<(Vec<WorkerId>, ChainSolution)> = None;
-    for q in 1..=sorted.len() {
-        let order = &sorted[..q];
-        if let Some(sol) = chain_fifo(platform, order)? {
-            if best
-                .as_ref()
-                .map(|(_, b)| sol.throughput > b.throughput + TOL)
-                .unwrap_or(true)
-            {
-                best = Some((order.to_vec(), sol));
-            }
+    let (best, ratios) = best_prefix(platform, &sorted);
+    let (q, v) = best.ok_or_else(|| CoreError::MalformedOrder("no feasible prefix".into()))?;
+    let order = sorted[..q].to_vec();
+    let sol = solution(platform, &order, &ratios, v);
+    Ok((order, sol))
+}
+
+/// The length of [`chain_best_prefix`]'s prefix of `sorted` (the `z`-tied
+/// platform's `c`-sorted order, which the caller already holds), without
+/// packaging its solution; `None` when no prefix is feasible.
+pub(crate) fn best_prefix_len(platform: &Platform, sorted: &[WorkerId]) -> Option<usize> {
+    best_prefix(platform, sorted).0.map(|(q, _)| q)
+}
+
+/// The vertex of the first prefix of `sorted` that beats every shorter
+/// one by more than `TOL`, with its length and the chain ratios.
+fn best_prefix(platform: &Platform, sorted: &[WorkerId]) -> (Option<(usize, Vertex)>, Vec<f64>) {
+    let mut best: Option<(usize, Vertex)> = None;
+    let ratios = scan(platform, sorted, |q, v| {
+        if best.is_none_or(|(_, b)| v.throughput > b.throughput + TOL) {
+            best = Some((q, v));
         }
-    }
-    best.ok_or_else(|| CoreError::MalformedOrder("no feasible prefix".into()))
+    });
+    (best, ratios)
 }
 
 /// Exact chain-based optimum: enumerates every nonempty subset of workers
@@ -255,10 +341,37 @@ mod tests {
     use crate::fifo::optimal_fifo;
     use crate::lp_model::solve_fifo;
     use crate::schedule::PortModel;
+    use crate::testkit::z_tied;
     use crate::timeline::makespan;
+    use proptest::prelude::*;
 
     fn star(z: f64, cw: &[(f64, f64)]) -> Platform {
         Platform::star_with_z(cw, z).unwrap()
+    }
+
+    proptest! {
+        /// The one-pass scan picks the prefix that solving every prefix
+        /// with `chain_fifo` picks: the first one better than all shorter
+        /// ones by more than `TOL`.
+        #[test]
+        fn best_prefix_scan_matches_every_prefix_solved_alone(p in z_tied(64)) {
+            let sorted = p.order_by_c();
+            let mut oracle: Option<(usize, ChainSolution)> = None;
+            for q in 1..=sorted.len() {
+                if let Some(sol) = chain_fifo(&p, &sorted[..q]).unwrap() {
+                    if oracle.as_ref().is_none_or(|(_, b)| sol.throughput > b.throughput + TOL) {
+                        oracle = Some((q, sol));
+                    }
+                }
+            }
+            let (q, oracle) = oracle.expect("a one-worker prefix is always feasible");
+            let (order, scan) = chain_best_prefix(&p).unwrap();
+            prop_assert_eq!(order.len(), q);
+            prop_assert!(
+                (scan.throughput - oracle.throughput).abs() <= 1e-12 * oracle.throughput,
+                "scan {} vs per-prefix {}", scan.throughput, oracle.throughput
+            );
+        }
     }
 
     #[test]

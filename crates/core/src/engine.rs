@@ -367,7 +367,8 @@ macro_rules! define_scheduler {
 
 define_scheduler!(
     /// Theorem 1 + Proposition 1: the optimal one-port FIFO schedule with
-    /// LP resource selection (requires a `z`-tied platform).
+    /// LP resource selection (requires a `z`-tied platform), solved on
+    /// Lemma 1's working set and certified by duality.
     OptimalFifo, "optimal_fifo", "OPT_FIFO",
     |platform| crate::fifo::optimal_fifo(platform).map(Solution::from_lp)
 );

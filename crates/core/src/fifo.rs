@@ -4,9 +4,16 @@
 //! one-port FIFO schedule that serves workers in **non-decreasing `c_i`**
 //! order, with idle time only on the last enrolled worker. Proposition 1
 //! turns this into a polynomial algorithm: sort all `p` workers by `c_i`,
-//! solve the LP (2) with every worker enrolled, and read the participating
-//! set off the nonzero `α_i` — the LP performs resource selection for free
+//! solve the LP (2) over that order, and read the participating set off
+//! the nonzero `α_i` — the LP performs resource selection for free
 //! (Section 3: the best FIFO schedule may well *not* involve all workers).
+//!
+//! [`optimal_fifo`] solves that LP on a working set. Lemma 1's chain
+//! ([`crate::chain::chain_best_prefix`], `O(p)`) predicts the enrolled
+//! prefix of the sorted order; the LP enrolls only those workers, and its
+//! duals price every worker left out. Any worker that would raise the
+//! throughput joins and the LP is solved again, so the answer is the
+//! all-worker LP's optimum whether or not the prefix was right.
 //!
 //! The case `z > 1` reduces to `z' = 1/z < 1` by the mirror argument: solve
 //! on the mirrored platform (`c` and `d` swapped) and flip the resulting
@@ -16,8 +23,9 @@
 
 use dls_platform::{Platform, WorkerId};
 
+use crate::chain::best_prefix_len;
 use crate::error::CoreError;
-use crate::lp_model::{solve_fifo, LpSchedule};
+use crate::lp_model::{solve_fifo, solve_fifo_from, LpSchedule};
 use crate::schedule::PortModel;
 
 /// Computes the optimal one-port FIFO schedule with resource selection.
@@ -29,11 +37,11 @@ use crate::schedule::PortModel;
 pub fn optimal_fifo(platform: &Platform) -> Result<LpSchedule, CoreError> {
     let z = platform.common_z().ok_or(CoreError::NotZTied)?;
     if z <= 1.0 {
-        solve_fifo(platform, &platform.order_by_c(), PortModel::OnePort)
+        solve_from_chain_prefix(platform)
     } else {
         // Mirror reduction: the mirrored platform has z' = 1/z < 1.
         let mirrored = platform.mirror();
-        let sol = solve_fifo(&mirrored, &mirrored.order_by_c(), PortModel::OnePort)?;
+        let sol = solve_from_chain_prefix(&mirrored)?;
         // Flip the schedule back in time: feasible and optimal on the
         // original platform with the same loads and throughput.
         let schedule = sol.schedule.mirror();
@@ -46,6 +54,15 @@ pub fn optimal_fifo(platform: &Platform) -> Result<LpSchedule, CoreError> {
             iterations: sol.iterations,
         })
     }
+}
+
+/// The one-port FIFO LP over the `c`-sorted order of a `z`-tied platform,
+/// solved from the chain's best prefix as the first working set (the whole
+/// order if the chain finds none).
+fn solve_from_chain_prefix(platform: &Platform) -> Result<LpSchedule, CoreError> {
+    let order = platform.order_by_c();
+    let first = best_prefix_len(platform, &order).unwrap_or(order.len());
+    solve_fifo_from(platform, &order, first, PortModel::OnePort)
 }
 
 /// The send order Theorem 1 prescribes for this platform (`z`-tied):
@@ -61,9 +78,14 @@ pub fn theorem1_order(platform: &Platform) -> Result<Vec<WorkerId>, CoreError> {
 
 /// The paper's `INC_C` heuristic: FIFO over **all** workers sorted by
 /// non-decreasing `c` (fast-communicating first), loads from the LP.
-/// For `z <= 1` this coincides with the optimal FIFO schedule.
+/// For `z <= 1` this coincides with the optimal FIFO schedule, and the LP
+/// starts from the same working set as [`optimal_fifo`]'s; on any other
+/// platform it starts from the whole order.
 pub fn inc_c_fifo(platform: &Platform) -> Result<LpSchedule, CoreError> {
-    solve_fifo(platform, &platform.order_by_c(), PortModel::OnePort)
+    match platform.common_z() {
+        Some(z) if z <= 1.0 => solve_from_chain_prefix(platform),
+        _ => solve_fifo(platform, &platform.order_by_c(), PortModel::OnePort),
+    }
 }
 
 /// The paper's `INC_W` heuristic: FIFO over all workers sorted by
@@ -75,11 +97,76 @@ pub fn inc_w_fifo(platform: &Platform) -> Result<LpSchedule, CoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::z_tied;
     use crate::timeline::{makespan, Timeline};
     use dls_platform::Worker;
+    use proptest::prelude::*;
 
     fn star(z: f64, cw: &[(f64, f64)]) -> Platform {
         Platform::star_with_z(cw, z).unwrap()
+    }
+
+    /// The all-worker LP over Theorem 1's order, solved with the whole
+    /// order as its first working set (on the mirror when `z > 1`).
+    fn whole_order(p: &Platform) -> LpSchedule {
+        if p.common_z().unwrap() <= 1.0 {
+            solve_fifo(p, &p.order_by_c(), PortModel::OnePort).unwrap()
+        } else {
+            let m = p.mirror();
+            let mut sol = solve_fifo(&m, &m.order_by_c(), PortModel::OnePort).unwrap();
+            sol.schedule = sol.schedule.mirror();
+            sol
+        }
+    }
+
+    /// `a` is `b`'s optimum: same throughput and send order, and every
+    /// load within `1e-9` of the largest.
+    fn assert_same_optimum(a: &LpSchedule, b: &LpSchedule) {
+        assert!(
+            (a.throughput - b.throughput).abs() <= 1e-9 * b.throughput,
+            "throughput {} vs {}",
+            a.throughput,
+            b.throughput
+        );
+        assert_eq!(a.schedule.send_order(), b.schedule.send_order());
+        let largest = b.schedule.loads().iter().copied().fold(0.0, f64::max);
+        for (id, (x, y)) in a
+            .schedule
+            .loads()
+            .iter()
+            .zip(b.schedule.loads())
+            .enumerate()
+        {
+            assert!((x - y).abs() <= 1e-9 * largest, "P{}: {x} vs {y}", id + 1);
+        }
+    }
+
+    proptest! {
+        /// Starting from the chain's prefix (through the mirror when
+        /// `z > 1`) reaches the optimum of the LP over every worker.
+        #[test]
+        fn chain_prefix_working_set_matches_the_whole_order(p in z_tied(64)) {
+            let sol = optimal_fifo(&p).unwrap();
+            assert_same_optimum(&sol, &whole_order(&p));
+            let t = Timeline::build(&p, &sol.schedule, PortModel::OnePort);
+            let violations = t.verify(&p, &sol.schedule, 1e-7);
+            prop_assert!(violations.is_empty(), "{:?}", violations);
+        }
+    }
+
+    #[test]
+    fn a_first_set_that_misses_grows_to_the_same_optimum() {
+        // Every worker enrolls at the optimum, so a first set of the first
+        // worker alone must price the other two in.
+        let p = star(0.5, &[(1.0, 8.0), (1.5, 9.0), (2.0, 10.0)]);
+        let order = p.order_by_c();
+        let regrown = || dls_obs::counter!("fifo.working_set.regrown").value();
+        let before = regrown();
+        let grown = solve_fifo_from(&p, &order, 1, PortModel::OnePort).unwrap();
+        assert!(regrown() > before);
+        let full = solve_fifo(&p, &order, PortModel::OnePort).unwrap();
+        assert_same_optimum(&grown, &full);
+        assert_eq!(grown.schedule.participants().len(), 3);
     }
 
     #[test]

@@ -60,6 +60,8 @@ pub mod lp_model;
 pub mod no_return;
 pub mod rounding;
 mod schedule;
+#[cfg(test)]
+mod testkit;
 pub mod timeline;
 
 pub use engine::{

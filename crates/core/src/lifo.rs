@@ -80,6 +80,7 @@ mod tests {
     use super::*;
     use crate::lp_model::solve_lifo;
     use crate::schedule::PortModel;
+    use crate::testkit::z_tied;
     use crate::timeline::Timeline;
     use dls_platform::{Worker, WorkerId};
     use proptest::prelude::*;
@@ -88,42 +89,12 @@ mod tests {
         Platform::star_with_z(cw, z).unwrap()
     }
 
-    fn cost() -> impl Strategy<Value = f64> {
-        (1u32..=40).prop_map(|v| v as f64 / 4.0)
-    }
-
-    /// `z` below 1, equal to 1 and above 1.
-    fn ratio() -> impl Strategy<Value = f64> {
-        prop_oneof![
-            (1u32..=19).prop_map(|v| v as f64 / 20.0),
-            Just(1.0),
-            (21u32..=200).prop_map(|v| v as f64 / 20.0),
-        ]
-    }
-
-    /// Random `z`-tied stars and buses of 1 to 12 workers.
-    fn z_tied() -> impl Strategy<Value = Platform> {
-        (
-            prop::collection::vec((cost(), cost()), 1..=12),
-            ratio(),
-            any::<bool>(),
-        )
-            .prop_map(|(cw, z, bus)| {
-                if bus {
-                    let ws: Vec<f64> = cw.iter().map(|&(_, w)| w).collect();
-                    Platform::bus(cw[0].0, z * cw[0].0, &ws).expect("valid")
-                } else {
-                    Platform::star_with_z(&cw, z).expect("valid")
-                }
-            })
-    }
-
     proptest! {
         /// The LIFO scenario LP over the `c`-sorted order is the oracle of
         /// the closed form: same throughput, same loads, and a tight,
         /// feasible, idle-free schedule with every worker enrolled.
         #[test]
-        fn closed_form_matches_the_lifo_lp(p in z_tied()) {
+        fn closed_form_matches_the_lifo_lp(p in z_tied(12)) {
             let cf = optimal_lifo(&p).unwrap();
             let lp = solve_lifo(&p, &p.order_by_c(), PortModel::OnePort).unwrap();
             prop_assert!(

@@ -128,7 +128,8 @@ pub struct LpSchedule {
     /// differently from the earliest-feasible timeline; use
     /// [`crate::timeline::Timeline`] for physical idle times.
     pub lp_idles: Vec<f64>,
-    /// Simplex pivots used.
+    /// Simplex pivots used, summed over every LP the answer took (a FIFO
+    /// working set that grows solves more than one).
     pub iterations: usize,
 }
 
@@ -218,7 +219,8 @@ pub fn scenario_model_with_rhs(
     for (k, &id) in send_order.iter().enumerate() {
         let w_i = platform.worker(id);
         let m = return_pos[id.index()];
-        let mut coeffs: Vec<(dls_lp::MVar, f64)> = Vec::with_capacity(q + 2);
+        // k + 1 sends, own computation, own idle gap, q − m returns.
+        let mut coeffs: Vec<(dls_lp::MVar, f64)> = Vec::with_capacity(k + 3 + (q - m));
         // Sends up to and including position k.
         for (l, &jd) in send_order.iter().enumerate().take(k + 1) {
             coeffs.push((alpha_group.var(l), platform.worker(jd).c));
@@ -317,10 +319,30 @@ pub fn solve_scenario(
     );
     let (ir, vars) = scenario_model(platform, send_order, return_order, model)?;
     let sol = solve_model(&ir)?;
+    package(
+        platform,
+        (send_order, return_order),
+        send_order,
+        &vars,
+        &sol,
+        sol.iterations,
+    )
+}
 
+/// Packages the optimum `sol` of a scenario model that enrolls `set` (its
+/// variables `vars`) as a schedule over `orders`, which may also list
+/// workers outside `set`: they get zero load.
+fn package(
+    platform: &Platform,
+    (send_order, return_order): (&[WorkerId], &[WorkerId]),
+    set: &[WorkerId],
+    vars: &LpVars,
+    sol: &Solution<f64>,
+    iterations: usize,
+) -> Result<LpSchedule, CoreError> {
     let mut loads = vec![0.0; platform.num_workers()];
     let mut lp_idles = vec![0.0; platform.num_workers()];
-    for (k, &id) in send_order.iter().enumerate() {
+    for (k, &id) in set.iter().enumerate() {
         loads[id.index()] = sol.value(vars.alphas[k]).max(0.0);
         lp_idles[id.index()] = sol.value(vars.idles[k]).max(0.0);
     }
@@ -329,7 +351,7 @@ pub fn solve_scenario(
         throughput: sol.objective,
         schedule,
         lp_idles,
-        iterations: sol.iterations,
+        iterations,
     })
 }
 
@@ -350,13 +372,143 @@ pub fn solve_scenario_exact<S: Scalar>(
     Ok((sol.objective, loads))
 }
 
-/// Convenience: FIFO scenario (`σ2 = σ1`).
+/// The FIFO scenario (`σ2 = σ1`) LP over all of `order`: the crate's
+/// working-set FIFO solve with the whole order as its first set, so one
+/// LP and nothing to price.
 pub fn solve_fifo(
     platform: &Platform,
     order: &[WorkerId],
     model: PortModel,
 ) -> Result<LpSchedule, CoreError> {
-    solve_scenario(platform, order, order, model)
+    solve_fifo_from(platform, order, order.len(), model)
+}
+
+/// Solves the FIFO scenario LP over `order` from the working set
+/// `order[..first]`, enrolling more workers only where LP duality asks.
+///
+/// Each round builds the scenario LP over the set's workers alone (in
+/// `order`'s relative order) and solves it through [`solve_model`]. Its
+/// duals — `y_k` per deadline row, `y_port` for (2b) — then price every
+/// worker `j` of `order` left out of the set, in one sweep:
+///
+/// ```text
+/// rc_j = 1 − c_j·Σ_{set, after j} y − d_j·Σ_{set, before j} y − (c_j + d_j)·y_port
+/// ```
+///
+/// Its idle column `x_j` prices at 0 (its row's dual is 0), and the same
+/// sweep checks its deadline row at `α_j = 0`. A worker with `rc_j`, or a
+/// row overflow, above the engines' relative tolerance (`1e-9` times the
+/// full LP's [`coefficient scale`](dls_lp::Problem::coefficient_scale))
+/// joins the set, and the round repeats. When no worker does, the set's
+/// optimum extended by `α_j = 0` is primal and dual feasible for the full
+/// LP, hence optimal for it. The schedule lists every worker of `order`
+/// (zero load outside the set), so it is the full LP's scenario;
+/// [`LpSchedule::iterations`] sums the pivots of every round. A solve whose
+/// first set had to grow is counted in `fifo.working_set.regrown`.
+pub(crate) fn solve_fifo_from(
+    platform: &Platform,
+    order: &[WorkerId],
+    first: usize,
+    model: PortModel,
+) -> Result<LpSchedule, CoreError> {
+    let _span = dls_obs::trace_span!(
+        "core.solve_scenario.seconds",
+        "workers" => platform.num_workers(),
+        "enrolled" => first.min(order.len()),
+    );
+    check_orders(platform, order, order)?;
+    let tol = <f64 as Scalar>::tolerance() * fifo_coefficient_scale(platform, order, model);
+    let mut in_set: Vec<bool> = (0..order.len()).map(|k| k < first).collect();
+    // Interned up front so a summary lists the counter even at 0.
+    let regrown_counter = dls_obs::counter!("fifo.working_set.regrown");
+    let mut iterations = 0;
+    let mut regrown = false;
+    loop {
+        let set: Vec<WorkerId> = order
+            .iter()
+            .zip(&in_set)
+            .filter_map(|(&id, &enrolled)| enrolled.then_some(id))
+            .collect();
+        let (ir, vars) = scenario_model(platform, &set, &set, model)?;
+        let sol = solve_model(&ir)?;
+        iterations += sol.iterations;
+        let entering = price_omitted(platform, order, &in_set, &vars, &sol, model, tol);
+        if entering.is_empty() {
+            return package(platform, (order, order), &set, &vars, &sol, iterations);
+        }
+        if !regrown {
+            regrown = true;
+            regrown_counter.incr();
+        }
+        // Each round enrolls at least one worker, so the loop ends by the
+        // time the set is the whole order.
+        for k in entering {
+            in_set[k] = true;
+        }
+    }
+}
+
+/// Positions of `order` outside the working set (`in_set`) that the
+/// set's FIFO optimum `sol` prices in: reduced cost of `α_j` above `tol`,
+/// or deadline row at `α_j = 0` above `1 + tol`. The scenario model lists
+/// one deadline row per set worker in send order, then the one-port row.
+fn price_omitted(
+    platform: &Platform,
+    order: &[WorkerId],
+    in_set: &[bool],
+    vars: &LpVars,
+    sol: &Solution<f64>,
+    model: PortModel,
+    tol: f64,
+) -> Vec<usize> {
+    let q = vars.alphas.len();
+    let y_port = match model {
+        PortModel::OnePort => sol.duals[q],
+        PortModel::TwoPort => 0.0,
+    };
+    let y_total: f64 = sol.duals[..q].iter().sum();
+    let returns_total: f64 = order
+        .iter()
+        .zip(in_set)
+        .filter(|(_, &enrolled)| enrolled)
+        .zip(&vars.alphas)
+        .map(|((&id, _), &a)| sol.value(a) * platform.worker(id).d)
+        .sum();
+    // Running sums over the set's workers before position k.
+    let (mut y_before, mut sends_before, mut returns_before) = (0.0, 0.0, 0.0);
+    let mut s = 0;
+    let mut entering = Vec::new();
+    for (k, (&id, &enrolled)) in order.iter().zip(in_set).enumerate() {
+        let w = platform.worker(id);
+        if enrolled {
+            let alpha = sol.value(vars.alphas[s]);
+            y_before += sol.duals[s];
+            sends_before += alpha * w.c;
+            returns_before += alpha * w.d;
+            s += 1;
+            continue;
+        }
+        let rc = 1.0 - w.c * (y_total - y_before) - w.d * y_before - (w.c + w.d) * y_port;
+        let row = sends_before + (returns_total - returns_before);
+        if rc > tol || row > 1.0 + tol {
+            entering.push(k);
+        }
+    }
+    entering
+}
+
+/// [`dls_lp::Problem::coefficient_scale`] of the FIFO scenario LP over all
+/// of `order`, without building it: its entries are `c`, `w`, `d`, the
+/// idle and objective 1s, and `c + d` in the one-port row.
+fn fifo_coefficient_scale(platform: &Platform, order: &[WorkerId], model: PortModel) -> f64 {
+    order.iter().fold(1.0, |scale: f64, &id| {
+        let w = platform.worker(id);
+        let scale = scale.max(w.c).max(w.w).max(w.d);
+        match model {
+            PortModel::OnePort => scale.max(w.c + w.d),
+            PortModel::TwoPort => scale,
+        }
+    })
 }
 
 /// Convenience: LIFO scenario (`σ2 = σ1` reversed).
@@ -721,6 +873,28 @@ mod tests {
         let p = Platform::star_with_z(&[(1.0, 1e-6), (1.0, 1e-6)], 0.5).unwrap();
         let s = solve_fifo(&p, &ids(&[0, 1]), PortModel::OnePort).unwrap();
         assert!((s.throughput - 1.0 / 1.5).abs() < 1e-4);
+    }
+
+    #[test]
+    fn both_engines_price_omitted_workers_with_their_duals() {
+        // The optimum enrolls P1 and P2 only: P3's link eats the horizon.
+        let p = Platform::star_with_z(&[(0.1, 1.0), (0.1, 1.0), (100.0, 1.0)], 0.5).unwrap();
+        let order = p.order_by_c();
+        let tol =
+            <f64 as Scalar>::tolerance() * fifo_coefficient_scale(&p, &order, PortModel::OnePort);
+        let entering = |first: usize| {
+            let in_set: Vec<bool> = (0..order.len()).map(|k| k < first).collect();
+            let (ir, vars) =
+                scenario_model(&p, &order[..first], &order[..first], PortModel::OnePort).unwrap();
+            let sol = solve_model(&ir).unwrap();
+            price_omitted(&p, &order, &in_set, &vars, &sol, PortModel::OnePort, tol)
+        };
+        for engine in [LpEngine::Revised, LpEngine::Tableau] {
+            with_engine(engine, || {
+                assert_eq!(entering(2), Vec::<usize>::new(), "{engine:?}");
+                assert_eq!(entering(1), vec![1], "{engine:?}");
+            });
+        }
     }
 
     #[test]

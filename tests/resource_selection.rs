@@ -4,7 +4,8 @@
 //! ablation noted on `dls_core::chain`.
 
 use dls::core::prelude::*;
-use dls::platform::{Platform, Worker};
+use dls::platform::{ClusterModel, MatrixApp, Platform, PlatformSampler, Worker};
+use dls_bench::SweepConfig;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -105,6 +106,50 @@ fn optimal_selection_is_a_c_sorted_prefix_empirically() {
     assert!(
         partial > 50,
         "distribution produced too few partial-selection instances ({partial})"
+    );
+}
+
+/// The prefix conjecture at paper scale, where `optimal_fifo` relies on it
+/// for speed (not for correctness: LP duality prices every omitted
+/// worker). On the 1,350 platforms of the Figures 10–12 sweeps —
+/// heterogeneous stars, homogeneous buses and heterogeneous-compute buses,
+/// matrix sizes 40…200, 50 seeds — the chain's prefix is already the LP's
+/// working set: no solve has to grow it.
+#[test]
+fn chain_prefix_never_regrows_on_the_paper_scale_sweeps() {
+    let cfg = SweepConfig::paper();
+    let regrown = || dls::obs::counter!("fifo.working_set.regrown").value();
+    let before = regrown();
+    let (mut solved, mut partial) = (0, 0);
+    for sampler in [
+        PlatformSampler::hetero_star(),
+        PlatformSampler::homogeneous(),
+        PlatformSampler::hetero_compute_bus(),
+    ] {
+        for i in 0..cfg.platforms {
+            let (comm, comp) = sampler.sample_factors(&mut StdRng::seed_from_u64(
+                cfg.base_seed.wrapping_add(i as u64),
+            ));
+            for &n in &cfg.sizes {
+                let p = ClusterModel::gdsdmi()
+                    .platform(&MatrixApp::new(n), &comm, &comp)
+                    .unwrap();
+                let sol = optimal_fifo(&p).unwrap();
+                solved += 1;
+                if sol.schedule.participants().len() < p.num_workers() {
+                    partial += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(solved, 1350);
+    // 1,213 of them select resources, so the prefix decides something.
+    assert!(partial > 1_000, "only {partial} partial selections");
+    assert_eq!(
+        regrown(),
+        before,
+        "a chain prefix had to grow — a candidate counterexample to the \
+         prefix conjecture; pin the platform as a test"
     );
 }
 
