@@ -2,9 +2,10 @@
 //!
 //! The crate grew as a collection of free functions with divergent
 //! signatures (`optimal_fifo` returns an [`LpSchedule`], `bus_fifo` a
-//! [`BusFifoSolution`], `chain_best_prefix` an order/solution pair, …),
-//! which forced every downstream consumer — sweeps, report tables,
-//! benchmarks — to hard-code each call site. This module normalizes them:
+//! [`BusFifoSolution`](crate::closed_form::BusFifoSolution),
+//! `chain_best_prefix` an order/solution pair, …), which forced every
+//! downstream consumer — sweeps, report tables, benchmarks — to hard-code
+//! each call site. This module normalizes them:
 //!
 //! * [`Scheduler`] — `name()` + `solve(&Platform) -> Result<Solution>`,
 //!   plus [`Scheduler::solve_exact`] for exact-rational certification;

@@ -1,4 +1,4 @@
-//! # dls-lp — dense two-phase simplex for divisible-load scheduling
+//! # dls-lp — two simplex engines for divisible-load scheduling
 //!
 //! A self-contained linear-programming solver built for the LP formulations
 //! of Beaumont, Marchal, Rehn & Robert, *"FIFO scheduling of divisible loads
@@ -13,11 +13,13 @@
 //! * the **dense tableau** ([`solve`], [`solve_with`]) — two-phase primal
 //!   simplex, the simple reference engine for small instances;
 //! * the **revised simplex** ([`solve_revised`], [`solve_revised_with`]) —
-//!   sparse LU basis factorization (Markowitz pivoting, Forrest–Tomlin
-//!   updates; see [`BasisFactorization`]) with periodic refactorization,
-//!   candidate-list (partial) pricing on wide instances, and optional
-//!   warm starts from a caller-supplied [`Basis`]. The sparse factors make
-//!   it the faster cold engine on large instances (p ≥ 128 workers).
+//!   a sparse LU basis factorization (Markowitz pivoting, Forrest–Tomlin
+//!   updates) with periodic refactorization, candidate-list (partial)
+//!   pricing on wide instances, and optional warm starts from a
+//!   caller-supplied [`Basis`]. The sparse factors make it the faster cold
+//!   engine on large instances (p ≥ 128 workers). The sparse LU is its
+//!   only basis factorization; the dense product-form inverse it replaced
+//!   is kept only as the oracle of the factorization's own unit tests.
 //!
 //! Above the raw [`Problem`] builder sits the **schedule-model IR**
 //! ([`ScheduleModel`]): named variable groups and tagged constraint
@@ -25,7 +27,7 @@
 //! into one deterministic [`Problem`] — the shared vocabulary every
 //! divisible-load LP variant in the workspace is built from. The engines
 //! solve [`ScheduleModel::problem`] in place; [`ScheduleModel::lower`]
-//! returns an owned copy. The [`analyze`] pass statically checks a model's
+//! returns an owned copy. The [`analyze`](fn@analyze) pass statically checks a model's
 //! structural invariants (row-kind signatures, duplicate/dominated rows,
 //! conditioning) from the problem's rows and their kinds *before* the
 //! solve, turning builder bugs into named diagnostics instead of garbage
@@ -74,4 +76,4 @@ pub use problem::{Constraint, Problem, Relation, Sense, VarId};
 pub use rational::Rational;
 pub use revised::{solve_revised, solve_revised_with, Basis, RevisedSolution};
 pub use scalar::Scalar;
-pub use simplex::{solve, solve_exact, solve_with, BasisFactorization, Solution, SolverOptions};
+pub use simplex::{solve, solve_exact, solve_with, Solution, SolverOptions};

@@ -18,7 +18,7 @@
 //!   [`precedence`](ScheduleModel::precedence) — that write each row
 //!   straight into the model's [`Problem`] and tag it with a [`RowKind`],
 //!   keeping the scheduling semantics visible to debuggers and the static
-//!   analyzer ([`crate::analyze`]);
+//!   analyzer ([`crate::analyze`](fn@crate::analyze));
 //! * **one deterministic problem** ([`ScheduleModel::problem`]) —
 //!   variables in declaration order, rows in declaration order: two
 //!   identical model builds produce byte-identical [`Problem`]s, which is
@@ -118,7 +118,7 @@ impl VarGroup {
 }
 
 /// Scheduling role of a model row — recorded for debuggability and checked
-/// per kind by the static analyzer ([`crate::analyze`]).
+/// per kind by the static analyzer ([`crate::analyze`](fn@crate::analyze)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RowKind {
     /// A per-worker horizon constraint (the paper's (2a) rows).

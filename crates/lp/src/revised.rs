@@ -4,44 +4,40 @@
 //! matrix on every pivot. This module keeps the constraint columns
 //! *immutable* and maintains only a factorization of the basis `B`:
 //!
-//! * **Sparse LU (default).** [`crate::sparse_lu`] factorizes the basis
-//!   with Markowitz pivoting and absorbs pivots as Forrest–Tomlin row
-//!   etas; `FTRAN`/`BTRAN` are sparse triangular solves. This is what
-//!   makes *cold* solves cheap — the scheduling LPs are mostly sparse,
-//!   and the factors stay near the basis nonzero count instead of `m^2`.
-//! * **Dense product form (oracle).** The original implementation: after
-//!   a refactorization the inverse is a dense `m x m` matrix `B0^-1`;
-//!   every pivot appends one dense eta vector. Kept behind
-//!   [`crate::BasisFactorization::Dense`] as a cross-check oracle for the
-//!   sparse path and as a debugging fallback.
+//! * **Sparse LU.** [`crate::sparse_lu`] factorizes the basis with
+//!   Markowitz pivoting and absorbs pivots as Forrest–Tomlin row etas;
+//!   `FTRAN`/`BTRAN` are sparse triangular solves. This is what makes
+//!   *cold* solves cheap — the scheduling LPs are mostly sparse, and the
+//!   factors stay near the basis nonzero count instead of `m^2`. It is the
+//!   solver's only basis representation: the dense product-form inverse
+//!   it replaced lives on solely as the factor-level oracle in
+//!   `sparse_lu`'s unit tests.
 //! * **Periodic refactorization.** When the update file reaches
-//!   [`crate::SolverOptions::refactor_every`] entries (or, for the sparse
-//!   path, update fill outgrows the factors, or a Forrest–Tomlin update
-//!   is rejected as numerically unsafe), the factorization is rebuilt
-//!   from the basis columns, which both bounds the per-iteration cost and
-//!   flushes accumulated floating-point drift. A cold solve replays the
-//!   same pivots every time, so its answer is deterministic without an
+//!   [`crate::SolverOptions::refactor_every`] entries, update fill
+//!   outgrows the factors, or a Forrest–Tomlin update is rejected as
+//!   numerically unsafe, the factorization is rebuilt from the basis
+//!   columns, which both bounds the per-iteration cost and flushes
+//!   accumulated floating-point drift. A cold solve replays the same
+//!   pivots every time, so its answer is deterministic without an
 //!   end-of-solve refactorization.
 //! * **Warm starts.** [`solve_revised_with`] accepts a caller-supplied
-//!   [`Basis`] (in the standardized column indexing shared with the
-//!   tableau). If the basis factorizes and is primal feasible, phase 1 is
-//!   skipped entirely and phase 2 starts from it; otherwise the solver
-//!   silently falls back to the cold slack/artificial start. The
-//!   workspace's own solve path (`dls_core::lp_model`) always passes
-//!   `None`: at scenario sizes a cold solve is cheaper than keeping
-//!   bases around to seed the next one.
+//!   [`Basis`] (in the standardized column indexing: structural, then
+//!   logical, then artificial columns). If the basis factorizes and is
+//!   primal feasible, phase 1 is skipped entirely and phase 2 starts from
+//!   it; otherwise the solver silently falls back to the cold
+//!   slack/artificial start. The workspace's own solve path
+//!   (`dls_core::lp_model`) always passes `None`: at scenario sizes a cold
+//!   solve is cheaper than keeping bases around to seed the next one.
 //!
 //! The solver is generic over [`Scalar`], so the exact rational backend can
-//! certify the floating-point path, and shares standardization and column
-//! layout with the tableau — a [`Basis`] is portable between the two
-//! engines.
+//! certify the floating-point path. It shares standardization and the
+//! column layout with the tableau, so the two engines solve the same
+//! standard form; only this engine takes or returns a [`Basis`].
 
 use crate::error::LpError;
 use crate::problem::{Problem, Relation};
 use crate::scalar::Scalar;
-use crate::simplex::{
-    column_layout, standardize, BasisFactorization, ColumnLayout, Solution, SolverOptions, StdRow,
-};
+use crate::simplex::{column_layout, standardize, ColumnLayout, Solution, SolverOptions, StdRow};
 use crate::sparse_lu::SparseLu;
 
 /// A simplex basis: one standardized column index per constraint row.
@@ -189,287 +185,13 @@ impl<S: Scalar> Columns<S> {
     }
 }
 
-/// Product-form representation of the basis inverse — the dense oracle
-/// behind [`BasisFactorization::Dense`] (see the module docs).
-pub(crate) struct Factor<S> {
-    /// Dense inverse of the basis at the last refactorization, row-major
-    /// `m x m`.
-    binv: Vec<S>,
-    /// Eta file: `(pivot row, pivot column in the then-current basis
-    /// frame)` per pivot since the last refactorization.
-    etas: Vec<(usize, Vec<S>)>,
-    m: usize,
-}
-
-impl<S: Scalar> Factor<S> {
-    /// Builds `B^-1` from the basis columns via Gauss-Jordan with partial
-    /// pivoting. Returns `None` when the basis matrix is singular.
-    ///
-    /// Singularity is judged *per column*, relative to that column's own
-    /// largest original magnitude: a column whose entries are legitimately
-    /// tiny (a `1e-4` coefficient on a `1e6`-scaled instance) still
-    /// factorizes, while a dependent column — whose post-elimination
-    /// residual is noise relative to its original entries — is rejected.
-    pub(crate) fn refactorize(cols: &Columns<S>, basis: &[usize]) -> Option<Factor<S>> {
-        dls_obs::counter!("revised.refactorizations").incr();
-        let _span = dls_obs::trace_span!("revised.refactorize.seconds", "m" => cols.m);
-        let m = cols.m;
-        // Augmented [B | I], eliminated in place.
-        let mut b = vec![S::zero(); m * m];
-        let mut inv = vec![S::zero(); m * m];
-        for (r, row) in inv.chunks_mut(m).enumerate() {
-            row[r] = S::one();
-        }
-        let mut col_tol = vec![S::zero(); m];
-        for (k, &c) in basis.iter().enumerate() {
-            let mut col_max = S::zero();
-            for (&r, v) in cols.support(c).iter().zip(cols.vals(c)) {
-                if v.abs() > col_max {
-                    col_max = v.abs();
-                }
-                b[r * m + k] = v.clone();
-            }
-            col_tol[k] = S::tolerance() * col_max;
-        }
-        for k in 0..m {
-            // Partial pivoting: largest magnitude in column k at/below row k.
-            let mut pr = k;
-            let mut best = b[k * m + k].abs();
-            for r in (k + 1)..m {
-                let mag = b[r * m + k].abs();
-                if mag > best {
-                    best = mag;
-                    pr = r;
-                }
-            }
-            // Exact backends have col_tol = 0: only an exact zero column is
-            // singular there.
-            if best <= col_tol[k] || best.is_zero() {
-                return None; // singular basis
-            }
-            if pr != k {
-                for c in 0..m {
-                    b.swap(pr * m + c, k * m + c);
-                    inv.swap(pr * m + c, k * m + c);
-                }
-            }
-            let piv_inv = S::one() / b[k * m + k].clone();
-            for c in 0..m {
-                b[k * m + c] = b[k * m + c].clone() * piv_inv.clone();
-                inv[k * m + c] = inv[k * m + c].clone() * piv_inv.clone();
-            }
-            for r in 0..m {
-                if r == k {
-                    continue;
-                }
-                let f = b[r * m + k].clone();
-                if f.is_zero() {
-                    continue;
-                }
-                for c in 0..m {
-                    b[r * m + c] = b[r * m + c].clone() - f.clone() * b[k * m + c].clone();
-                    inv[r * m + c] = inv[r * m + c].clone() - f.clone() * inv[k * m + c].clone();
-                }
-            }
-        }
-        Some(Factor {
-            binv: inv,
-            etas: Vec::new(),
-            m,
-        })
-    }
-
-    /// Applies the eta file (in chronological order) to `out`.
-    fn apply_etas(&self, out: &mut [S]) {
-        for (pr, w) in &self.etas {
-            let t = out[*pr].clone() / w[*pr].clone();
-            for (i, wi) in w.iter().enumerate() {
-                if i == *pr {
-                    continue;
-                }
-                if !wi.is_zero() {
-                    out[i] = out[i].clone() - wi.clone() * t.clone();
-                }
-            }
-            out[*pr] = t;
-        }
-    }
-
-    /// `FTRAN`: computes `B^-1 v` for a dense `v`.
-    pub(crate) fn ftran(&self, v: &[S]) -> Vec<S> {
-        let _span = dls_obs::trace_span!("revised.ftran.seconds");
-        let m = self.m;
-        let mut out = vec![S::zero(); m];
-        for (c, vc) in v.iter().enumerate() {
-            if !vc.is_zero() {
-                for (r, o) in out.iter_mut().enumerate() {
-                    *o = o.clone() + self.binv[r * m + c].clone() * vc.clone();
-                }
-            }
-        }
-        self.apply_etas(&mut out);
-        out
-    }
-
-    /// `FTRAN` of a sparse column given as parallel (row indices, values)
-    /// entry lists.
-    pub(crate) fn ftran_sparse(&self, support: &[usize], vals: &[S]) -> Vec<S> {
-        let _span = dls_obs::trace_span!("revised.ftran.seconds");
-        let m = self.m;
-        let mut out = vec![S::zero(); m];
-        for (&c, vc) in support.iter().zip(vals) {
-            for (r, o) in out.iter_mut().enumerate() {
-                *o = o.clone() + self.binv[r * m + c].clone() * vc.clone();
-            }
-        }
-        self.apply_etas(&mut out);
-        out
-    }
-
-    /// `BTRAN`: computes `c^T B^-1` (as a column vector).
-    pub(crate) fn btran(&self, c: &[S]) -> Vec<S> {
-        let _span = dls_obs::trace_span!("revised.btran.seconds");
-        let m = self.m;
-        let mut y: Vec<S> = c.to_vec();
-        for (pr, w) in self.etas.iter().rev() {
-            // y <- y E^-1: only component pr changes.
-            let mut acc = y[*pr].clone();
-            for (i, wi) in w.iter().enumerate() {
-                if i != *pr && !y[i].is_zero() && !wi.is_zero() {
-                    acc = acc - y[i].clone() * wi.clone();
-                }
-            }
-            y[*pr] = acc / w[*pr].clone();
-        }
-        let mut out = vec![S::zero(); m];
-        for (r, yr) in y.iter().enumerate() {
-            if !yr.is_zero() {
-                let row = &self.binv[r * m..(r + 1) * m];
-                for (o, br) in out.iter_mut().zip(row) {
-                    *o = o.clone() + yr.clone() * br.clone();
-                }
-            }
-        }
-        out
-    }
-
-    /// Appends the eta of a pivot on `(pr, w)` where `w = FTRAN(a_entering)`.
-    pub(crate) fn push_eta(&mut self, pr: usize, w: Vec<S>) {
-        self.etas.push((pr, w));
-    }
-}
-
-/// The basis representation actually driving a solve: sparse LU by
-/// default, the dense product form when
-/// [`SolverOptions::factorization`] asks for the oracle.
-enum BasisFactor<S> {
-    Dense(Factor<S>),
-    Sparse(Box<SparseLu<S>>),
-}
-
-impl<S: Scalar> BasisFactor<S> {
-    /// Factorizes the basis columns; `None` means a singular basis.
-    fn refactorize(cols: &Columns<S>, basis: &[usize], kind: BasisFactorization) -> Option<Self> {
-        match kind {
-            BasisFactorization::Dense => Factor::refactorize(cols, basis).map(BasisFactor::Dense),
-            BasisFactorization::SparseLu => {
-                SparseLu::factorize(cols, basis).map(|f| BasisFactor::Sparse(Box::new(f)))
-            }
-        }
-    }
-
-    /// The factorization of the cold slack/artificial basis, which is
-    /// literally an identity matrix.
-    fn identity(cols: &Columns<S>, basis: &[usize], kind: BasisFactorization) -> Option<Self> {
-        match kind {
-            // Dense: write B^-1 = I directly instead of running an O(m^3)
-            // Gauss-Jordan no-op.
-            BasisFactorization::Dense => {
-                let m = cols.m;
-                let mut binv = vec![S::zero(); m * m];
-                for (r, row) in binv.chunks_mut(m).enumerate() {
-                    row[r] = S::one();
-                }
-                Some(BasisFactor::Dense(Factor {
-                    binv,
-                    etas: Vec::new(),
-                    m,
-                }))
-            }
-            // Sparse: factorizing an identity is m singleton pivots — the
-            // standard path is already cheap.
-            BasisFactorization::SparseLu => {
-                SparseLu::factorize(cols, basis).map(|f| BasisFactor::Sparse(Box::new(f)))
-            }
-        }
-    }
-
-    fn ftran(&self, v: &[S]) -> Vec<S> {
-        match self {
-            BasisFactor::Dense(f) => f.ftran(v),
-            BasisFactor::Sparse(f) => f.ftran(v),
-        }
-    }
-
-    fn ftran_sparse(&self, support: &[usize], vals: &[S]) -> Vec<S> {
-        match self {
-            BasisFactor::Dense(f) => f.ftran_sparse(support, vals),
-            BasisFactor::Sparse(f) => f.ftran_sparse(support, vals),
-        }
-    }
-
-    fn btran(&self, c: &[S]) -> Vec<S> {
-        match self {
-            BasisFactor::Dense(f) => f.btran(c),
-            BasisFactor::Sparse(f) => f.btran(c),
-        }
-    }
-
-    /// Absorbs the pivot `(pr, w)` into the factorization. `false` means
-    /// the update was rejected (a numerically unsafe Forrest–Tomlin
-    /// diagonal) and left the factors untouched — the caller must
-    /// refactorize from the (already updated) basis instead.
-    fn update(&mut self, pr: usize, w: Vec<S>) -> bool {
-        match self {
-            BasisFactor::Dense(f) => {
-                f.push_eta(pr, w);
-                true
-            }
-            BasisFactor::Sparse(f) => f.ft_update(pr, &w),
-        }
-    }
-
-    /// Pivots absorbed since the last refactorization (the eta/update
-    /// file length).
-    fn updates_len(&self) -> usize {
-        match self {
-            BasisFactor::Dense(f) => f.etas.len(),
-            BasisFactor::Sparse(f) => f.updates_len(),
-        }
-    }
-
-    /// `true` when the update file hit its cap — or, for the sparse path,
-    /// when update fill outgrew the factors.
-    fn should_refactorize(&self, cap: usize) -> bool {
-        if self.updates_len() >= cap.max(1) {
-            return true;
-        }
-        match self {
-            BasisFactor::Dense(_) => false,
-            BasisFactor::Sparse(f) => f.fill_exceeded(),
-        }
-    }
-}
-
 /// Internal solver state for one (phase-agnostic) pivot loop.
 struct State<S> {
     cols: Columns<S>,
     layout: ColumnLayout,
     basis: Vec<usize>,
     in_basis: Vec<bool>,
-    factor: BasisFactor<S>,
-    /// Which representation `refactorize` rebuilds (from the options).
-    fact: BasisFactorization,
+    factor: SparseLu<S>,
     /// Current basic values `x_B = B^-1 b` (kept incrementally, rebuilt on
     /// refactorization).
     xb: Vec<S>,
@@ -485,9 +207,7 @@ enum PhaseOutcome {
 impl<S: Scalar> State<S> {
     fn refactorize(&mut self) -> Result<(), LpError> {
         dls_obs::histogram!("revised.eta_len").record(self.factor.updates_len() as f64);
-        let f = BasisFactor::refactorize(&self.cols, &self.basis, self.fact)
-            .ok_or(LpError::SingularBasis)?;
-        self.factor = f;
+        self.factor = SparseLu::factorize(&self.cols, &self.basis).ok_or(LpError::SingularBasis)?;
         self.xb = self.factor.ftran(&self.cols.b);
         self.clamp_xb();
         Ok(())
@@ -666,10 +386,15 @@ impl<S: Scalar> State<S> {
             self.in_basis[self.basis[pr]] = false;
             self.in_basis[pc] = true;
             self.basis[pr] = pc;
-            let applied = self.factor.update(pr, w);
+            // A rejected Forrest–Tomlin update leaves the factors untouched;
+            // rebuild them from the (already updated) basis instead.
+            let applied = self.factor.ft_update(pr, &w);
             self.iterations += 1;
 
-            if !applied || self.factor.should_refactorize(opts.refactor_every) {
+            if !applied
+                || self.factor.updates_len() >= opts.refactor_every.max(1)
+                || self.factor.fill_exceeded()
+            {
                 self.refactorize()?;
             }
         }
@@ -714,7 +439,7 @@ impl<S: Scalar> State<S> {
                 self.in_basis[self.basis[r]] = false;
                 self.in_basis[pc] = true;
                 self.basis[r] = pc;
-                if !self.factor.update(r, w) {
+                if !self.factor.ft_update(r, &w) {
                     self.refactorize()?;
                 }
                 self.iterations += 1;
@@ -760,10 +485,10 @@ pub fn solve_revised_with<S: Scalar>(
     // ---- Try the warm start: vet the basis before committing any state,
     // so both branches below assemble the State from the same (single)
     // standardization.
-    let mut warm_parts: Option<(Vec<usize>, BasisFactor<S>, Vec<S>)> = None;
+    let mut warm_parts: Option<(Vec<usize>, SparseLu<S>, Vec<S>)> = None;
     if let Some(wb) = warm {
         if wb.fits(m, num_cols) && is_valid_basis_set(&wb.cols, num_cols) {
-            if let Some(factor) = BasisFactor::refactorize(&cols, &wb.cols, opts.factorization) {
+            if let Some(factor) = SparseLu::factorize(&cols, &wb.cols) {
                 let xb = factor.ftran(&cols.b);
                 let feasible = xb.iter().enumerate().all(|(r, v)| {
                     let nonneg = *v >= -(tol.clone() + tol.clone());
@@ -792,7 +517,6 @@ pub fn solve_revised_with<S: Scalar>(
                 basis,
                 in_basis,
                 factor,
-                fact: opts.factorization,
                 xb,
                 tol: tol.clone(),
                 iterations: 0,
@@ -823,9 +547,9 @@ pub fn solve_revised_with<S: Scalar>(
             for &c in &basis {
                 in_basis[c] = true;
             }
-            // The initial basis is an identity matrix.
-            let factor = BasisFactor::identity(&cols, &basis, opts.factorization)
-                .ok_or(LpError::SingularBasis)?;
+            // The initial basis is an identity matrix: factorizing it is m
+            // singleton pivots.
+            let factor = SparseLu::factorize(&cols, &basis).ok_or(LpError::SingularBasis)?;
             let xb = cols.b.clone();
             let mut s = State {
                 cols,
@@ -833,7 +557,6 @@ pub fn solve_revised_with<S: Scalar>(
                 basis,
                 in_basis,
                 factor,
-                fact: opts.factorization,
                 xb,
                 tol: tol.clone(),
                 iterations: 0,
@@ -1069,56 +792,14 @@ mod tests {
 
     #[test]
     fn frequent_refactorization_is_stable() {
-        // refactor_every = 1 exercises the rebuild path on every pivot,
-        // for both basis representations.
+        // refactor_every = 1 exercises the rebuild path on every pivot.
         let p = textbook();
-        for fact in [BasisFactorization::SparseLu, BasisFactorization::Dense] {
-            let opts = SolverOptions {
-                refactor_every: 1,
-                factorization: fact,
-                ..opts_for(&p)
-            };
-            let s = solve_revised_with::<f64>(&p, &opts, None).unwrap();
-            assert_close(s.solution.objective, 36.0);
-        }
-    }
-
-    #[test]
-    fn dense_oracle_option_matches_sparse_default() {
-        // The dense product form is kept as a cross-check oracle: both
-        // representations must agree on the solution of every phase
-        // combination (pure Le, two-phase Ge, warm start).
-        let p = textbook();
-        let dense_opts = SolverOptions {
-            factorization: BasisFactorization::Dense,
+        let opts = SolverOptions {
+            refactor_every: 1,
             ..opts_for(&p)
         };
-        let sparse = solve_revised_with::<f64>(&p, &opts_for(&p), None).unwrap();
-        let dense = solve_revised_with::<f64>(&p, &dense_opts, None).unwrap();
-        assert_close(sparse.solution.objective, dense.solution.objective);
-        for (a, b) in sparse.solution.x.iter().zip(&dense.solution.x) {
-            assert_close(*a, *b);
-        }
-        for (a, b) in sparse.solution.duals.iter().zip(&dense.solution.duals) {
-            assert_close(*a, *b);
-        }
-        // A basis found by one representation warm-starts the other.
-        let cross = solve_revised_with::<f64>(&p, &dense_opts, Some(&sparse.basis)).unwrap();
-        assert!(cross.warm_started);
-        assert_close(cross.solution.objective, 36.0);
-
-        let mut q = Problem::minimize();
-        let x = q.add_var("x", 2.0);
-        let y = q.add_var("y", 3.0);
-        q.add_constraint("demand", [(x, 1.0), (y, 1.0)], Relation::Ge, 10.0);
-        q.add_constraint("xmin", [(x, 1.0)], Relation::Ge, 2.0);
-        let dense_opts = SolverOptions {
-            factorization: BasisFactorization::Dense,
-            ..opts_for(&q)
-        };
-        let sparse = solve_revised_with::<f64>(&q, &opts_for(&q), None).unwrap();
-        let dense = solve_revised_with::<f64>(&q, &dense_opts, None).unwrap();
-        assert_close(sparse.solution.objective, dense.solution.objective);
+        let s = solve_revised_with::<f64>(&p, &opts, None).unwrap();
+        assert_close(s.solution.objective, 36.0);
     }
 
     #[test]

@@ -16,26 +16,16 @@
 //!   until `bland_after` pivots, then Bland's rule guarantees termination on
 //!   degenerate instances (e.g. Beale's cycling example, covered in tests).
 //! * **Duals** are recovered from the reduced costs of the logical columns.
+//!
+//! This module also owns what the revised engine in [`crate::revised`]
+//! shares with the tableau: [`SolverOptions`], the standard form and the
+//! column layout. That engine factorizes its basis with the sparse LU of
+//! [`crate::sparse_lu`] and nothing else; the dense product-form inverse
+//! survives only as a test oracle for that module.
 
 use crate::error::LpError;
 use crate::problem::{Problem, Relation, Sense, VarId};
 use crate::scalar::Scalar;
-
-/// Basis-inverse representation used by the revised solver.
-///
-/// The sparse LU is the production default: Markowitz-ordered sparse
-/// factors with Forrest–Tomlin row-eta updates, refactorizing when the
-/// update file or fill-in grows past its caps. The dense Gauss-Jordan
-/// inverse (the original implementation) is kept as a cross-check oracle
-/// — the dense-vs-sparse property tests pin both paths to identical
-/// pivots — and as a debugging fallback.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BasisFactorization {
-    /// Sparse LU with Markowitz pivoting and Forrest–Tomlin updates.
-    SparseLu,
-    /// Dense explicit inverse with a dense eta file (oracle path).
-    Dense,
-}
 
 /// Tunable solver parameters.
 #[derive(Debug, Clone)]
@@ -45,8 +35,8 @@ pub struct SolverOptions {
     /// Pivot count after which the entering rule switches from Dantzig to
     /// Bland (anti-cycling).
     pub bland_after: usize,
-    /// Eta/update-file length after which the revised solver rebuilds the
-    /// basis inverse from scratch (ignored by the dense tableau).
+    /// Forrest–Tomlin update count after which the revised solver
+    /// refactorizes its basis from scratch (ignored by the dense tableau).
     pub refactor_every: usize,
     /// Candidate-list (partial) pricing budget for the revised solver:
     /// `0` prices every column each pivot (classic Dantzig); a positive
@@ -56,9 +46,6 @@ pub struct SolverOptions {
     /// the per-pivot pricing cost drops on wide instances. Ignored by the
     /// dense tableau and by Bland's rule.
     pub candidate_list: usize,
-    /// Basis-inverse representation for the revised solver (ignored by
-    /// the dense tableau).
-    pub factorization: BasisFactorization,
 }
 
 impl SolverOptions {
@@ -77,7 +64,6 @@ impl SolverOptions {
             bland_after: 200 + 20 * dim,
             refactor_every: 48,
             candidate_list: if dim >= 192 { 16 } else { 0 },
-            factorization: BasisFactorization::SparseLu,
         }
     }
 }
@@ -144,9 +130,9 @@ pub(crate) enum ColKind {
 
 /// Column layout of a standardized instance: structural columns first, then
 /// one logical per `<=`/`>=` row, then one artificial per `>=`/`==` row.
-/// Both solver backends derive it with [`column_layout`], so a basis
-/// expressed in these indices is portable between them (the foundation of
-/// [`crate::solve_revised_with`]'s warm starts).
+/// Both engines derive it with [`column_layout`], so they pivot over the
+/// same columns; the revised engine's [`crate::Basis`] (its warm-start
+/// currency) is expressed in these indices.
 pub(crate) struct ColumnLayout {
     /// Kind of every column, in layout order.
     pub kinds: Vec<ColKind>,

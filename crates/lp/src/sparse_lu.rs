@@ -2,9 +2,11 @@
 //!
 //! The revised simplex in [`crate::revised`] needs three operations on the
 //! basis matrix `B`: `FTRAN` (`B x = a`), `BTRAN` (`B^T y = c`) and a rank-1
-//! column replacement per pivot. The dense [`crate::revised`] `Factor`
-//! serves them from an explicit `m x m` inverse — `O(m^3)` per
-//! refactorization and `O(m^2)` per solve, which dominates *cold* solves.
+//! column replacement per pivot, and this module is the only way it gets
+//! them. A dense product-form inverse would serve them from an explicit
+//! `m x m` matrix — `O(m^3)` per refactorization and `O(m^2)` per solve,
+//! which dominates *cold* solves; that form survives only as `Factor` in
+//! this module's tests, the oracle the sparse factors are checked against.
 //! The scheduling LPs are far from dense (deadline rows are nested-prefix
 //! sparse; idle and logical columns are singletons; only the one-port and
 //! capacity rows are dense), so this module factorizes `P B Q = L U`
@@ -31,13 +33,13 @@
 //!   unsafe is rejected and the caller refactorizes from scratch
 //!   (Bartels–Golub style); the update file and fill growth are capped by
 //!   [`crate::SolverOptions::refactor_every`] / [`SparseLu::fill_exceeded`],
-//!   and a genuinely singular basis fails factorization exactly like the
-//!   dense path (`LpError::SingularBasis` semantics unchanged).
+//!   and a genuinely singular basis fails factorization, which the solver
+//!   reports as `LpError::SingularBasis`.
 //!
 //! Everything is generic over [`Scalar`]: with `S = Rational` the
 //! tolerance is zero, every drop/skip test degenerates to an exact zero
 //! test, and the factorization is arithmetic-exact (property-tested
-//! against the dense oracle).
+//! against the dense oracle bit for bit).
 
 use crate::revised::Columns;
 use crate::scalar::Scalar;
@@ -120,8 +122,8 @@ impl<S: Scalar> SparseLu<S> {
     /// Factorizes the basis columns. Returns `None` when the basis is
     /// singular — structurally (an active column runs empty) or
     /// numerically (every remaining entry of a column is noise relative
-    /// to that column's original magnitude, mirroring the dense oracle's
-    /// per-column relative tolerance).
+    /// to that column's original magnitude: the per-column relative
+    /// tolerance the dense test oracle also applies).
     ///
     /// Two phases. The scheduling bases are almost perfectly
     /// triangularizable (idle/slack columns are singletons; deadline rows
@@ -841,9 +843,174 @@ mod tests {
     use crate::model::ScheduleModel;
     use crate::problem::{Problem, Relation};
     use crate::rational::Rational;
-    use crate::revised::Factor;
     use crate::simplex::{column_layout, standardize, ColumnLayout};
     use proptest::prelude::*;
+
+    /// Product-form representation of the basis inverse: the dense
+    /// Gauss-Jordan oracle the sparse factors are checked against.
+    struct Factor<S> {
+        /// Dense inverse of the basis at the last refactorization, row-major
+        /// `m x m`.
+        binv: Vec<S>,
+        /// Eta file: `(pivot row, pivot column in the then-current basis
+        /// frame)` per pivot since the last refactorization.
+        etas: Vec<(usize, Vec<S>)>,
+        m: usize,
+    }
+
+    impl<S: Scalar> Factor<S> {
+        /// Builds `B^-1` from the basis columns via Gauss-Jordan with partial
+        /// pivoting. Returns `None` when the basis matrix is singular.
+        ///
+        /// Singularity is judged *per column*, relative to that column's own
+        /// largest original magnitude: a column whose entries are legitimately
+        /// tiny (a `1e-4` coefficient on a `1e6`-scaled instance) still
+        /// factorizes, while a dependent column — whose post-elimination
+        /// residual is noise relative to its original entries — is rejected.
+        fn refactorize(cols: &Columns<S>, basis: &[usize]) -> Option<Factor<S>> {
+            let m = cols.m;
+            // Augmented [B | I], eliminated in place.
+            let mut b = vec![S::zero(); m * m];
+            let mut inv = vec![S::zero(); m * m];
+            for (r, row) in inv.chunks_mut(m).enumerate() {
+                row[r] = S::one();
+            }
+            let mut col_tol = vec![S::zero(); m];
+            for (k, &c) in basis.iter().enumerate() {
+                let mut col_max = S::zero();
+                for (&r, v) in cols.support(c).iter().zip(cols.vals(c)) {
+                    if v.abs() > col_max {
+                        col_max = v.abs();
+                    }
+                    b[r * m + k] = v.clone();
+                }
+                col_tol[k] = S::tolerance() * col_max;
+            }
+            for k in 0..m {
+                // Partial pivoting: largest magnitude in column k at/below row k.
+                let mut pr = k;
+                let mut best = b[k * m + k].abs();
+                for r in (k + 1)..m {
+                    let mag = b[r * m + k].abs();
+                    if mag > best {
+                        best = mag;
+                        pr = r;
+                    }
+                }
+                // Exact backends have col_tol = 0: only an exact zero column is
+                // singular there.
+                if best <= col_tol[k] || best.is_zero() {
+                    return None; // singular basis
+                }
+                if pr != k {
+                    for c in 0..m {
+                        b.swap(pr * m + c, k * m + c);
+                        inv.swap(pr * m + c, k * m + c);
+                    }
+                }
+                let piv_inv = S::one() / b[k * m + k].clone();
+                for c in 0..m {
+                    b[k * m + c] = b[k * m + c].clone() * piv_inv.clone();
+                    inv[k * m + c] = inv[k * m + c].clone() * piv_inv.clone();
+                }
+                for r in 0..m {
+                    if r == k {
+                        continue;
+                    }
+                    let f = b[r * m + k].clone();
+                    if f.is_zero() {
+                        continue;
+                    }
+                    for c in 0..m {
+                        b[r * m + c] = b[r * m + c].clone() - f.clone() * b[k * m + c].clone();
+                        inv[r * m + c] =
+                            inv[r * m + c].clone() - f.clone() * inv[k * m + c].clone();
+                    }
+                }
+            }
+            Some(Factor {
+                binv: inv,
+                etas: Vec::new(),
+                m,
+            })
+        }
+
+        /// Applies the eta file (in chronological order) to `out`.
+        fn apply_etas(&self, out: &mut [S]) {
+            for (pr, w) in &self.etas {
+                let t = out[*pr].clone() / w[*pr].clone();
+                for (i, wi) in w.iter().enumerate() {
+                    if i == *pr {
+                        continue;
+                    }
+                    if !wi.is_zero() {
+                        out[i] = out[i].clone() - wi.clone() * t.clone();
+                    }
+                }
+                out[*pr] = t;
+            }
+        }
+
+        /// `FTRAN`: computes `B^-1 v` for a dense `v`.
+        fn ftran(&self, v: &[S]) -> Vec<S> {
+            let m = self.m;
+            let mut out = vec![S::zero(); m];
+            for (c, vc) in v.iter().enumerate() {
+                if !vc.is_zero() {
+                    for (r, o) in out.iter_mut().enumerate() {
+                        *o = o.clone() + self.binv[r * m + c].clone() * vc.clone();
+                    }
+                }
+            }
+            self.apply_etas(&mut out);
+            out
+        }
+
+        /// `FTRAN` of a sparse column given as parallel (row indices, values)
+        /// entry lists.
+        fn ftran_sparse(&self, support: &[usize], vals: &[S]) -> Vec<S> {
+            let m = self.m;
+            let mut out = vec![S::zero(); m];
+            for (&c, vc) in support.iter().zip(vals) {
+                for (r, o) in out.iter_mut().enumerate() {
+                    *o = o.clone() + self.binv[r * m + c].clone() * vc.clone();
+                }
+            }
+            self.apply_etas(&mut out);
+            out
+        }
+
+        /// `BTRAN`: computes `c^T B^-1` (as a column vector).
+        fn btran(&self, c: &[S]) -> Vec<S> {
+            let m = self.m;
+            let mut y: Vec<S> = c.to_vec();
+            for (pr, w) in self.etas.iter().rev() {
+                // y <- y E^-1: only component pr changes.
+                let mut acc = y[*pr].clone();
+                for (i, wi) in w.iter().enumerate() {
+                    if i != *pr && !y[i].is_zero() && !wi.is_zero() {
+                        acc = acc - y[i].clone() * wi.clone();
+                    }
+                }
+                y[*pr] = acc / w[*pr].clone();
+            }
+            let mut out = vec![S::zero(); m];
+            for (r, yr) in y.iter().enumerate() {
+                if !yr.is_zero() {
+                    let row = &self.binv[r * m..(r + 1) * m];
+                    for (o, br) in out.iter_mut().zip(row) {
+                        *o = o.clone() + yr.clone() * br.clone();
+                    }
+                }
+            }
+            out
+        }
+
+        /// Appends the eta of a pivot on `(pr, w)` where `w = FTRAN(a_entering)`.
+        fn push_eta(&mut self, pr: usize, w: Vec<S>) {
+            self.etas.push((pr, w));
+        }
+    }
 
     /// Standardizes `p` into the immutable column store the factorizations
     /// read, plus the layout and row relations needed to pick bases.

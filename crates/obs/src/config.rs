@@ -40,28 +40,53 @@ static ENV_SINK_PATH: OnceLock<Option<PathBuf>> = OnceLock::new();
 /// Sink path from a programmatic override, if any.
 static OVERRIDE_SINK_PATH: RwLock<Option<Option<PathBuf>>> = RwLock::new(None);
 
+/// Parses a `DLS_TRACE` value (surrounding whitespace ignored); `None`
+/// means the spelling is not recognized. Sink paths must be non-empty, and
+/// `jsonl` is a whole word: `jsonl` or `jsonl:<path>`, never a prefix.
+fn parse_trace(raw: &str) -> Option<Mode> {
+    let v = raw.trim();
+    let path = |p: &str| (!p.is_empty()).then(|| PathBuf::from(p));
+    if v.is_empty() || v == "0" || v.eq_ignore_ascii_case("off") {
+        Some(Mode::Disabled)
+    } else if v.eq_ignore_ascii_case("summary") {
+        Some(Mode::Summary)
+    } else if v == "jsonl" {
+        Some(Mode::Jsonl(None))
+    } else if let Some(p) = v.strip_prefix("jsonl:") {
+        path(p).map(|p| Mode::Jsonl(Some(p)))
+    } else if let Some(p) = v.strip_prefix("chrome:") {
+        path(p).map(Mode::Chrome)
+    } else if let Some(p) = v.strip_prefix("folded:") {
+        path(p).map(Mode::Folded)
+    } else {
+        None
+    }
+}
+
+/// Splits a mode into its code and sink path.
+fn encode(mode: Mode) -> (u8, Option<PathBuf>) {
+    match mode {
+        Mode::Disabled => (CODE_DISABLED, None),
+        Mode::Summary => (CODE_SUMMARY, None),
+        Mode::Jsonl(path) => (CODE_JSONL, path),
+        Mode::Chrome(path) => (CODE_CHROME, Some(path)),
+        Mode::Folded(path) => (CODE_FOLDED, Some(path)),
+    }
+}
+
 fn parse_env() -> (u8, Option<PathBuf>) {
     let Ok(raw) = std::env::var("DLS_TRACE") else {
         return (CODE_DISABLED, None);
     };
-    let v = raw.trim();
-    if v.is_empty() || v == "0" || v.eq_ignore_ascii_case("off") {
-        (CODE_DISABLED, None)
-    } else if v.eq_ignore_ascii_case("summary") {
-        (CODE_SUMMARY, None)
-    } else if let Some(rest) = v.strip_prefix("jsonl") {
-        (CODE_JSONL, rest.strip_prefix(':').map(PathBuf::from))
-    } else if let Some(path) = v.strip_prefix("chrome:").filter(|p| !p.is_empty()) {
-        (CODE_CHROME, Some(PathBuf::from(path)))
-    } else if let Some(path) = v.strip_prefix("folded:").filter(|p| !p.is_empty()) {
-        (CODE_FOLDED, Some(PathBuf::from(path)))
-    } else {
+    let mode = parse_trace(&raw).unwrap_or_else(|| {
         eprintln!(
-            "dls-obs: unrecognized DLS_TRACE={v:?} \
-             (expected summary|jsonl[:path]|chrome:path|folded:path); disabled"
+            "dls-obs: unrecognized DLS_TRACE={:?} \
+             (expected summary|jsonl[:path]|chrome:path|folded:path); disabled",
+            raw.trim()
         );
-        (CODE_DISABLED, None)
-    }
+        Mode::Disabled
+    });
+    encode(mode)
 }
 
 fn code() -> u8 {
@@ -102,15 +127,11 @@ pub fn mode() -> Mode {
 /// tests and benches; takes effect process-wide.
 pub fn set_mode(mode: Option<Mode>) {
     let (code, path_override) = match mode {
-        None => {
-            let (c, _) = parse_env();
-            (c, None)
+        None => (parse_env().0, None),
+        Some(mode) => {
+            let (c, path) = encode(mode);
+            (c, Some(path))
         }
-        Some(Mode::Disabled) => (CODE_DISABLED, None),
-        Some(Mode::Summary) => (CODE_SUMMARY, None),
-        Some(Mode::Jsonl(path)) => (CODE_JSONL, Some(path)),
-        Some(Mode::Chrome(path)) => (CODE_CHROME, Some(Some(path))),
-        Some(Mode::Folded(path)) => (CODE_FOLDED, Some(Some(path))),
     };
     *OVERRIDE_SINK_PATH.write().expect("obs config lock") = path_override;
     MODE_CODE.store(code, Ordering::Relaxed);
@@ -120,4 +141,54 @@ pub fn set_mode(mode: Option<Mode>) {
 /// atomic load — cheap enough for per-pivot call sites.
 pub fn timing_enabled() -> bool {
     code() != CODE_DISABLED
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_spellings_parse_to_their_mode() {
+        for off in ["", "  ", "0", "off", "OFF", " Off "] {
+            assert_eq!(parse_trace(off), Some(Mode::Disabled), "{off:?}");
+        }
+        for summary in ["summary", "SUMMARY", " summary\n"] {
+            assert_eq!(parse_trace(summary), Some(Mode::Summary), "{summary:?}");
+        }
+        assert_eq!(parse_trace("jsonl"), Some(Mode::Jsonl(None)));
+        assert_eq!(parse_trace(" jsonl "), Some(Mode::Jsonl(None)));
+        assert_eq!(
+            parse_trace("jsonl:target/ci-metrics.jsonl"),
+            Some(Mode::Jsonl(Some(PathBuf::from("target/ci-metrics.jsonl"))))
+        );
+        assert_eq!(
+            parse_trace("chrome:target/ci-trace.json"),
+            Some(Mode::Chrome(PathBuf::from("target/ci-trace.json")))
+        );
+        assert_eq!(
+            parse_trace("folded:out.folded"),
+            Some(Mode::Folded(PathBuf::from("out.folded")))
+        );
+    }
+
+    #[test]
+    fn rejected_spellings_parse_to_none() {
+        for bad in [
+            "jsonlfoo",
+            "jsonl:",
+            "jsonl: ",
+            "jsonl=path",
+            "JSONL",
+            "chrome",
+            "chrome:",
+            "folded",
+            "folded:",
+            "summaryx",
+            "1",
+            "on",
+            "trace",
+        ] {
+            assert_eq!(parse_trace(bad), None, "{bad:?} must be rejected");
+        }
+    }
 }

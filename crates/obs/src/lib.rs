@@ -1,8 +1,8 @@
 //! # dls-obs — workspace-wide metrics and tracing
 //!
 //! A process-global, thread-sharded metrics registry for the RR-5738
-//! reproduction: named [counters](counter), [gauges](gauge) and fixed-bucket
-//! [histograms](histogram) with p50/p90/p99 readout, one timing API (the
+//! reproduction: named [counters](counter!), [gauges](gauge!) and fixed-bucket
+//! [histograms](histogram!) with p50/p90/p99 readout, one timing API (the
 //! [`trace_span!`] macro) and pluggable sinks — a human-readable summary
 //! table, a JSON-lines snapshot writer and two trace exporters — selected
 //! by the `DLS_TRACE` environment variable:
@@ -15,6 +15,7 @@
 //! | `jsonl:PATH` | same, appended to `PATH` instead of stderr |
 //! | `chrome:PATH` | [`emit`] writes collected trace-tree events to `PATH` in Chrome Trace Event Format |
 //! | `folded:PATH` | [`emit`] writes collapsed flamegraph stacks to `PATH` |
+//! | anything else (an empty `PATH`, `jsonlfoo`, …) | a warning on stderr, then as `off` |
 //!
 //! When tracing is on, a [`trace_span!`] times a section into the histogram
 //! of the same name and records it as a node of a causal **trace tree**: a

@@ -15,7 +15,7 @@
 //! * [`write_dat`] — gnuplot-friendly series files for regenerating plots;
 //! * [`par_map`] — scoped-thread parallel map for the 50-platform sweeps,
 //!   running every item under the caller's trace context and LP engine;
-//! * [`explain`] — schedule-explain report from a [`dls_sim::Trace`]:
+//! * [`explain`](fn@explain) — schedule-explain report from a [`dls_sim::Trace`]:
 //!   Gantt plus per-worker idle-cause attribution and port-occupancy
 //!   shares (the figure binaries expose it behind `--explain`).
 

@@ -15,9 +15,9 @@
 //!
 //! A note on architecture: because a one-round star platform has no
 //! worker-to-worker interaction, every completion time is known at dispatch
-//! and the master loop can advance time directly; the generic
-//! [`crate::EventQueue`] remains available for multi-round or tree-platform
-//! extensions.
+//! and the master loop advances time directly, with no event queue. The
+//! tree replay ([`crate::simulate_tree`]) likewise walks fixed per-port
+//! hop sequences without one.
 
 use dls_core::{Schedule, LOAD_EPS};
 use dls_platform::{Platform, WorkerId};
@@ -174,25 +174,6 @@ pub fn simulate(platform: &Platform, schedule: &Schedule, config: &SimConfig) ->
 
     let makespan = trace.makespan();
     SimReport { trace, makespan }
-}
-
-/// Simulates the same scenario `reps` times with seeds `base_seed..+reps`,
-/// returning the makespans. Used by the figure harnesses to average jitter.
-pub fn simulate_reps(
-    platform: &Platform,
-    schedule: &Schedule,
-    config: &SimConfig,
-    reps: u32,
-) -> Vec<f64> {
-    (0..reps)
-        .map(|k| {
-            let cfg = SimConfig {
-                seed: config.seed.wrapping_add(k as u64),
-                ..*config
-            };
-            simulate(platform, schedule, &cfg).makespan
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -383,15 +364,5 @@ mod tests {
         // 4 messages, each +0.1, but overlap structure means the increase is
         // at least the two sends plus the last return.
         assert!(with_latency > base + 0.2);
-    }
-
-    #[test]
-    fn simulate_reps_varies_seeds() {
-        let p = platform();
-        let s = Schedule::fifo(&p, ids(&[0, 1]), vec![1.0, 1.0]).unwrap();
-        let reps = simulate_reps(&p, &s, &SimConfig::jittered(0), 5);
-        assert_eq!(reps.len(), 5);
-        let all_same = reps.windows(2).all(|w| w[0] == w[1]);
-        assert!(!all_same, "seeds did not vary: {reps:?}");
     }
 }

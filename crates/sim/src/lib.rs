@@ -14,9 +14,7 @@
 //! * [`simulate_tree`] — store-and-forward replay of tree-platform
 //!   schedules with every node (master, relays, workers) one-port, plus
 //!   the independent [`verify_tree`] constraint checker;
-//! * [`gantt::render`] — Figure 9-style Gantt visualisation;
-//! * [`EventQueue`] / [`SimTime`] — deterministic discrete-event plumbing
-//!   for extensions (multi-round schedules, tree platforms).
+//! * [`gantt::render`] — Figure 9-style Gantt visualisation.
 //!
 //! The key invariant, enforced by tests here and in the workspace
 //! integration suite: under [`RealismModel::ideal`] the simulator
@@ -39,15 +37,11 @@
 mod executor;
 pub mod gantt;
 mod noise;
-mod queue;
-mod time;
 pub mod trace;
 mod tree;
 
-pub use executor::{simulate, simulate_reps, MasterPolicy, SimConfig, SimReport};
+pub use executor::{simulate, MasterPolicy, SimConfig, SimReport};
 pub use noise::{Noise, RealismModel};
-pub use queue::EventQueue;
-pub use time::SimTime;
 pub use trace::{Span, SpanKind, Trace, WorkerStats};
 pub use tree::{
     ideal_tree_makespan, simulate_tree, verify_tree, TreeSimReport, TreeSpan, TreeSpanKind,

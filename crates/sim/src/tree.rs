@@ -23,7 +23,7 @@
 //! pinned by the `dls-tree` replay tests.
 //!
 //! Like the star executor, per-hop and per-compute durations are drawn
-//! from the [`RealismModel`] in a fixed dispatch order, so seeded runs
+//! from the [`crate::RealismModel`] in a fixed dispatch order, so seeded runs
 //! replay bit-for-bit.
 
 use dls_core::{Schedule, LOAD_EPS};

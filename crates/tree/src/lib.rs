@@ -6,7 +6,7 @@
 //! model with return messages, in the spirit of the multi-hop platforms of
 //! Gallet, Robert & Vivien's daisy-chain papers.
 //!
-//! * [`collapse`] — the bandwidth-equivalent **star-collapse reduction**:
+//! * [`collapse`](fn@collapse) — the bandwidth-equivalent **star-collapse reduction**:
 //!   every tree node folds into a virtual star worker whose `c`/`d` are
 //!   the path-summed link costs (serialized store-and-forward cost) and
 //!   whose `w` is its own compute cost. Exact for depth-1 trees (the

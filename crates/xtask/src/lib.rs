@@ -964,7 +964,7 @@ fn hot(xs: &mut [f64], t: f64) {
             );
         }
         for outside in [
-            "crates/lp/tests/sparse_dense.rs",
+            "crates/lp/tests/property.rs",
             "crates/core/src/lib.rs",
             "crates/bench/benches/solver.rs",
         ] {

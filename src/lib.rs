@@ -6,7 +6,10 @@
 //!
 //! Re-exports the workspace crates:
 //!
-//! * [`lp`] — dense two-phase simplex (f64 + exact rational backends);
+//! * [`lp`] — two simplex engines over one standard form: the dense
+//!   two-phase tableau and the revised simplex on a sparse LU basis
+//!   factorization (f64 + exact rational backends), plus the
+//!   schedule-model IR and its static analyzer;
 //! * [`platform`] — star/bus platforms, random families, the matrix-product
 //!   application model;
 //! * [`core`] — the paper's algorithms: scenario LPs, optimal FIFO/LIFO,
