@@ -1,10 +1,10 @@
 //! Benchmarks of the schedule-model IR hot path: building the scenario
 //! model (which builds the `Problem` the engines solve) and solving it in
-//! place through the engine router — the exact pipeline every LP-backed
+//! place through `solve_model` — the exact pipeline every LP-backed
 //! strategy runs per scenario.
 //!
 //! Running with `--smoke` skips the benchmark groups and instead times
-//! one p = 128 IR build+solve — a cold solve through the engine router,
+//! one p = 128 IR build+solve — a cold solve through `solve_model`,
 //! like every solve the sweeps run — against the checked-in baseline
 //! (`benches/ir_baseline.json`), exiting nonzero on a regression past the
 //! gate: the CI guard for the IR refactor's promise that the model layer

@@ -31,13 +31,13 @@ fn star(p: usize, seed: u64) -> Platform {
 }
 
 /// One full tree pipeline: shape the star into a balanced tree, collapse,
-/// solve the collapsed star, expand into per-edge hop timings. The solve
-/// records the shaped tree in `Execution::Tree`, so the expansion reuses
-/// it instead of reshaping.
+/// solve the collapsed star, expand into per-edge hop spans (their count
+/// is returned). The solve records the shaped tree in `Execution::Tree`,
+/// so the expansion reuses it instead of reshaping.
 fn pipeline(platform: &Platform, fanout: usize) -> usize {
     let sol = TreeScheduler::fifo(fanout).solve(platform).expect("z-tied");
     let tree = sol.tree().expect("tree execution");
-    expand(tree, &sol.schedule).expect("consistent").len()
+    expand(tree, &sol.schedule).expect("consistent").spans.len()
 }
 
 fn bench_pipeline_depth_scaling(c: &mut Criterion) {

@@ -1033,37 +1033,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_override_propagates_to_worker_threads() {
-        // `with_engine` is thread-local; par_map re-applies the caller's
-        // override on its workers, so a tableau-forced sweep runs (and
-        // agrees) regardless of how the map is scheduled.
-        let cfg = SweepConfig {
-            sizes: vec![40, 80],
-            platforms: 3,
-            total_units: 100,
-            base_seed: 21,
-        };
-        let revised = run_sweep(&cfg, &quick_variant());
-        let tableau =
-            dls_core::lp_model::with_engine(dls_core::lp_model::LpEngine::Tableau, || {
-                run_sweep(&cfg, &quick_variant())
-            });
-        for (ra, rb) in revised.rows.iter().zip(&tableau.rows) {
-            assert_eq!(ra.size, rb.size);
-            assert!(
-                (ra.baseline_lp - rb.baseline_lp).abs() <= 1e-6 * ra.baseline_lp,
-                "baselines diverge: {} vs {}",
-                ra.baseline_lp,
-                rb.baseline_lp
-            );
-            for ((na, va), (nb, vb)) in ra.ratios.iter().zip(&rb.ratios) {
-                assert_eq!(na, nb);
-                assert!((va - vb).abs() <= 1e-6, "{na}: {va} vs {vb}");
-            }
-        }
-    }
-
-    #[test]
     fn fully_applicable_sweep_has_no_skips() {
         let cfg = SweepConfig {
             sizes: vec![40],

@@ -122,7 +122,6 @@ pub fn run_gate(
     let speed = (calibration_ns / baseline_cal_ns).clamp(0.25, 4.0);
     let measured_ns = measure(5);
     let ratio = measured_ns / (baseline_ns * speed);
-    append_history(label, baseline_key, ratio, calibration_ns, measured_ns);
     println!(
         "smoke: {label} {:.2} ms (baseline {:.2} ms, machine speed {speed:.2}x, \
          normalized ratio {ratio:.2}, gate {max_ratio:.1}x)",
@@ -155,8 +154,7 @@ pub fn run_gate(
 /// and asserts `measure(runs) / measure_ref(runs) <= baseline_key` (the
 /// baseline value is the maximum allowed ratio, not a time). Both sides
 /// run on the same machine in the same process, so no speed normalization
-/// applies — the history record carries `calibration_ns = 0` to mark the
-/// ratio as same-machine.
+/// applies.
 ///
 /// This is how the solver gate pins *relative* wins (e.g. "cold revised
 /// beats the tableau": ratio ≤ 1.0) that an absolute-time gate with a 2x
@@ -175,7 +173,6 @@ pub fn run_ratio_gate(
     let measured_ns = measure(5);
     let reference_ns = measure_ref(5);
     let ratio = measured_ns / reference_ns;
-    append_history(label, baseline_key, ratio, 0.0, measured_ns);
     println!(
         "smoke: {label} {:.2} ms vs reference {:.2} ms (ratio {ratio:.3}, gate {max_ratio:.2})",
         measured_ns / 1e6,
@@ -193,52 +190,6 @@ pub fn run_ratio_gate(
         dls_obs::gauge!("smoke.measured_ns").set(measured_ns);
         dls_obs::gauge!("smoke.normalized_ratio").set(ratio);
         dls_obs::emit(&format!("smoke:{label}"));
-    }
-}
-
-/// Appends one machine-normalized measurement record to the bench history
-/// log, one JSON object per line, so CI runs archived across commits give
-/// a per-gate trend that is comparable between machines (the ratio is
-/// already speed-normalized and the raw calibration probe rides along for
-/// auditing the normalization itself).
-///
-/// Path: `DLS_BENCH_HISTORY` env override, default the workspace
-/// `target/BENCH_history.jsonl` (resolved from this crate's manifest dir —
-/// cargo runs benches with the *package* dir as cwd, so a cwd-relative
-/// default would scatter per-package files); set it to `0` to disable.
-/// Failures and passes are both recorded (the record is written before the
-/// gate decides), and I/O errors only warn — history must never fail a
-/// gate.
-fn append_history(label: &str, key: &str, ratio: f64, calibration_ns: f64, measured_ns: f64) {
-    let path = std::env::var("DLS_BENCH_HISTORY").unwrap_or_else(|_| {
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../target/BENCH_history.jsonl"
-        )
-        .to_string()
-    });
-    if path == "0" || path.is_empty() {
-        return;
-    }
-    let unix_time = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let line = format!(
-        "{{\"gate\":\"{label}\",\"key\":\"{key}\",\"ratio\":{ratio:.6},\
-         \"calibration_ns\":{calibration_ns:.0},\"measured_ns\":{measured_ns:.0},\
-         \"unix_time\":{unix_time}}}\n"
-    );
-    if let Some(dir) = std::path::Path::new(&path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    let written = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
-    if let Err(e) = written {
-        eprintln!("smoke: could not append bench history to {path}: {e}");
     }
 }
 
@@ -261,25 +212,5 @@ mod tests {
     #[test]
     fn calibration_probe_is_positive() {
         assert!(time_calibration_ns(1) > 0.0);
-    }
-
-    #[test]
-    fn history_lines_append_and_round_trip() {
-        let path = std::env::temp_dir().join(format!("bench_history_{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        std::env::set_var("DLS_BENCH_HISTORY", &path);
-        append_history("unit_test_gate", "p128_revised_ns", 1.25, 1.5e6, 2.5e6);
-        append_history("unit_test_gate", "p128_revised_ns", 0.75, 1.5e6, 1.5e6);
-        std::env::remove_var("DLS_BENCH_HISTORY");
-        let doc = std::fs::read_to_string(&path).expect("history file written");
-        let _ = std::fs::remove_file(&path);
-        let lines: Vec<&str> = doc.lines().collect();
-        assert_eq!(lines.len(), 2, "one record per gate run");
-        // Every line round-trips through the same scanner the gates use to
-        // read baselines.
-        assert_eq!(json_number(lines[0], "ratio"), Some(1.25));
-        assert_eq!(json_number(lines[1], "calibration_ns"), Some(1_500_000.0));
-        assert!(lines[0].contains("\"gate\":\"unit_test_gate\""));
-        assert!(lines[0].contains("\"key\":\"p128_revised_ns\""));
     }
 }

@@ -14,8 +14,7 @@
 //!
 //! * [`affine_fifo_for_set`] — the scenario LP for a fixed enrolled set
 //!   (still an LP: latencies only shift the right-hand sides), solved
-//!   through the [`lp_model::solve_model`] engine router like every other
-//!   LP;
+//!   through [`lp_model::solve_model`] like every other LP;
 //! * [`affine_fifo_best_prefix`] — polynomial heuristic over `c`-sorted
 //!   prefixes;
 //! * [`affine_fifo_best_subset`] — exhaustive subset search (exact, small
@@ -30,11 +29,12 @@
 
 use std::sync::Arc;
 
+use dls_lp::ScheduleModel;
 use dls_platform::{Platform, WorkerId};
 
 use crate::engine::{Execution, Provenance, Scheduler, SchedulerProvider, Solution};
 use crate::error::CoreError;
-use crate::lp_model;
+use crate::lp_model::{self, LpVars};
 use crate::schedule::{check_orders, PortModel, Schedule, LOAD_EPS};
 
 /// Per-worker fixed message latencies.
@@ -103,6 +103,29 @@ pub fn affine_fifo_for_set(
     lat: &AffineLatencies,
     order: &[WorkerId],
 ) -> Result<Option<AffineSolution>, CoreError> {
+    let Some((ir, vars)) = affine_model(platform, lat, order)? else {
+        return Ok(None);
+    };
+    let sol = lp_model::solve_model(&ir)?;
+    let mut loads = vec![0.0; platform.num_workers()];
+    for (k, &id) in order.iter().enumerate() {
+        loads[id.index()] = sol.value(vars.alphas[k]).max(0.0);
+    }
+    let schedule = Schedule::fifo(platform, order.to_vec(), loads)?;
+    Ok(Some(AffineSolution {
+        throughput: sol.objective,
+        enrolled: order.to_vec(),
+        schedule,
+    }))
+}
+
+/// Builds the affine FIFO LP of [`affine_fifo_for_set`], or `None` when
+/// the latencies alone exceed the horizon.
+fn affine_model(
+    platform: &Platform,
+    lat: &AffineLatencies,
+    order: &[WorkerId],
+) -> Result<Option<(ScheduleModel, LpVars)>, CoreError> {
     lat.validate(platform)?;
     check_orders(platform, order, order)?;
     if order.is_empty() {
@@ -133,25 +156,15 @@ pub fn affine_fifo_for_set(
     if one_port_rhs < 0.0 {
         return Ok(None);
     }
-    let (ir, vars) = lp_model::scenario_model_with_rhs(
+    lp_model::scenario_model_with_rhs(
         platform,
         order,
         order,
         PortModel::OnePort,
         &deadline_rhs,
         one_port_rhs,
-    )?;
-    let sol = lp_model::solve_model(&ir)?;
-    let mut loads = vec![0.0; platform.num_workers()];
-    for (k, &id) in order.iter().enumerate() {
-        loads[id.index()] = sol.value(vars.alphas[k]).max(0.0);
-    }
-    let schedule = Schedule::fifo(platform, order.to_vec(), loads)?;
-    Ok(Some(AffineSolution {
-        throughput: sol.objective,
-        enrolled: order.to_vec(),
-        schedule,
-    }))
+    )
+    .map(Some)
 }
 
 /// Polynomial heuristic: best `c`-sorted prefix (by Theorem 1 intuition;
@@ -476,26 +489,21 @@ mod tests {
 
     #[test]
     fn both_engines_solve_the_latency_shifted_lp_alike() {
-        // `affine_fifo_for_set` solves through the engine router, so
-        // `with_engine` reaches it: with nonzero latencies the default
-        // engine and the tableau must reach the same optimum.
-        use crate::lp_model::{with_engine, LpEngine};
+        // With nonzero latencies the revised simplex and the tableau, each
+        // handed the latency-shifted LP directly, reach the same optimum.
         let p = star(4);
         let lat = AffineLatencies {
             send: vec![0.01, 0.02, 0.015, 0.005],
             ret: vec![0.005, 0.01, 0.02, 0.01],
         };
         let order = p.order_by_c();
-        let default = affine_fifo_for_set(&p, &lat, &order).unwrap().unwrap();
-        let tableau = with_engine(LpEngine::Tableau, || {
-            affine_fifo_for_set(&p, &lat, &order).unwrap().unwrap()
-        });
-        let rel = (default.throughput - tableau.throughput).abs() / tableau.throughput;
+        let (ir, _) = affine_model(&p, &lat, &order).unwrap().unwrap();
+        let revised = dls_lp::solve_revised(ir.problem()).unwrap().objective;
+        let tableau = dls_lp::solve(ir.problem()).unwrap().objective;
+        let rel = (revised - tableau).abs() / tableau;
         assert!(
             rel <= 1e-9,
-            "engines disagree: default {} vs tableau {}",
-            default.throughput,
-            tableau.throughput
+            "engines disagree: revised {revised} vs tableau {tableau}"
         );
     }
 

@@ -9,10 +9,10 @@
 //! identity `Σ duals = ρ` — which the tests exploit.
 //!
 //! The scenario LP is built by [`lp_model::scenario_model`] and solved
-//! through the [`lp_model::solve_model`] engine router, so a diagnosis
-//! passes the same analyzer gate, engine choice and tableau retry as the
-//! schedule it explains.
+//! through [`lp_model::solve_model`], so a diagnosis passes the same
+//! analyzer gate, engine and tableau retry as the schedule it explains.
 
+use dls_lp::Solution;
 use dls_platform::{Platform, WorkerId};
 
 use crate::error::CoreError;
@@ -57,25 +57,29 @@ pub fn diagnose(
 ) -> Result<Diagnosis, CoreError> {
     let (ir, _vars) = lp_model::scenario_model(platform, send_order, return_order, model)?;
     let sol = lp_model::solve_model(&ir)?;
+    Ok(read_duals(send_order, model, &sol))
+}
 
-    // Constraint layout from scenario_model: one deadline row per enrolled
-    // worker (send order), then the one-port row if applicable.
-    let q = send_order.len();
+/// Reads the shadow prices off an optimum `sol` of the scenario LP that
+/// enrolls `send_order` under `model`. The constraint layout is
+/// `scenario_model`'s: one deadline row per enrolled worker (send order),
+/// then the one-port row if applicable.
+fn read_duals(send_order: &[WorkerId], model: PortModel, sol: &Solution<f64>) -> Diagnosis {
     let deadline_duals: Vec<(WorkerId, f64)> = send_order
         .iter()
         .zip(&sol.duals)
         .map(|(w, y)| (*w, y.max(0.0)))
         .collect();
     let port_dual = if model == PortModel::OnePort {
-        sol.duals[q].max(0.0)
+        sol.duals[send_order.len()].max(0.0)
     } else {
         0.0
     };
-    Ok(Diagnosis {
+    Diagnosis {
         throughput: sol.objective,
         port_dual,
         deadline_duals,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -131,12 +135,11 @@ mod tests {
 
     #[test]
     fn both_engines_give_the_same_diagnosis() {
-        // `diagnose` solves through the engine router, so `with_engine`
-        // reaches it. On a comm-bound and a compute-bound platform (both
-        // with a unique dual optimum) the two engines must agree on the
-        // regime, the binding workers and ρ, and each must satisfy strong
-        // duality on its own.
-        use crate::lp_model::{with_engine, LpEngine};
+        // Each engine solves the scenario LP directly, and `diagnose`'s own
+        // read-out turns its duals into a diagnosis. On a comm-bound and a
+        // compute-bound platform (both with a unique dual optimum) the two
+        // engines must agree on the regime, the binding workers and ρ, and
+        // each must satisfy strong duality on its own.
         for (p, comm_bound) in [
             (
                 Platform::star_with_z(&[(1.0, 0.01), (1.2, 0.02)], 0.5).unwrap(),
@@ -147,8 +150,13 @@ mod tests {
                 false,
             ),
         ] {
-            let revised = diagnose_fifo(&p);
-            let tableau = with_engine(LpEngine::Tableau, || diagnose_fifo(&p));
+            let order = p.order_by_c();
+            let (ir, _) = lp_model::scenario_model(&p, &order, &order, PortModel::OnePort).unwrap();
+            let [revised, tableau] = [
+                dls_lp::solve_revised(ir.problem()).unwrap(),
+                dls_lp::solve(ir.problem()).unwrap(),
+            ]
+            .map(|sol| read_duals(&order, PortModel::OnePort, &sol));
             assert_eq!(revised.is_comm_bound(), comm_bound);
             assert_eq!(tableau.is_comm_bound(), comm_bound);
             assert_eq!(revised.binding_workers(), tableau.binding_workers());

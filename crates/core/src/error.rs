@@ -42,9 +42,8 @@ pub enum CoreError {
     /// error-severity diagnostics in a schedule model about to be lowered —
     /// a structural bug in the builder that produced it. Carries the
     /// rendered [`dls_lp::AnalysisReport`], which names each offending row
-    /// label and [`dls_lp::RowKind`]. Raised only when analysis is enabled
-    /// (debug builds, or `DLS_ANALYZE=1`; see
-    /// [`crate::lp_model::analysis_enabled`]).
+    /// label and [`dls_lp::RowKind`]. Raised only in debug builds, where
+    /// [`crate::lp_model::analyze_gate`] runs.
     InvalidModel(String),
     /// A pinned interleaved-master lead exceeds the platform's enrollment:
     /// the merge family only defines leads `1..=q`, so

@@ -40,7 +40,7 @@
 //! Every LP here is built on the schedule-model IR ([`ScheduleModel`]:
 //! `alpha`/`send_start`/`return_start` groups, `precedence` rows for the
 //! resolved one-port disjunctions) and solved through
-//! [`lp_model::solve_model`], the same cold engine router as the scenario
+//! [`lp_model::solve_model`], the same cold solve path as the scenario
 //! LPs.
 //!
 //! [`MasterPolicy::Interleaved`]: ../../dls_sim/enum.MasterPolicy.html

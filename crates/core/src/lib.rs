@@ -91,8 +91,7 @@ pub mod prelude {
     };
     pub use crate::lifo::{optimal_lifo, LifoSolution};
     pub use crate::lp_model::{
-        scenario_model, solve_fifo, solve_lifo, solve_model, solve_scenario, with_engine, LpEngine,
-        LpSchedule,
+        scenario_model, solve_fifo, solve_lifo, solve_model, solve_scenario, LpSchedule,
     };
     pub use crate::no_return::{no_return_platform, optimal_no_return};
     pub use crate::rounding::{integer_schedule, round_loads};

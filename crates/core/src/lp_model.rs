@@ -24,17 +24,15 @@
 //!
 //! The formulation is built on the **schedule-model IR** of `dls-lp`:
 //! [`scenario_model`] returns the [`ScheduleModel`], whose
-//! [`problem`](ScheduleModel::problem) is the one LP every engine solves.
+//! [`problem`](ScheduleModel::problem) is the one LP the solver sees.
 //! LP variants that keep the canonical shape — the multi-round expanded
 //! scenarios, the affine-latency rows — share this single source of the
 //! (2a)/(2b) rows, and variants that drop it (the interleaved-master and
 //! tree-native families) reuse the same group and combinator vocabulary.
-//! Every floating-point LP of the crate goes through the [`solve_model`]
-//! engine router; the exact re-solves ([`solve_scenario_exact`]) hand the
-//! same problem to the `Rational` backend.
-
-use std::cell::Cell;
-use std::sync::OnceLock;
+//! Every floating-point LP of the crate goes through one solver call,
+//! [`solve_model`], with no engine switch; the exact re-solves
+//! ([`solve_scenario_exact`]) hand the same problem to the `Rational`
+//! backend.
 
 use dls_lp::{LpError, Scalar, ScheduleModel, Solution, SolverOptions, VarId};
 use dls_platform::{Platform, WorkerId};
@@ -42,60 +40,8 @@ use dls_platform::{Platform, WorkerId};
 use crate::error::CoreError;
 use crate::schedule::{check_orders, PortModel, Schedule};
 
-/// Which LP backend [`solve_model`] hands every floating-point LP to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LpEngine {
-    /// The dense two-phase tableau (`solve_with` in `dls-lp`).
-    Tableau,
-    /// The revised simplex with a sparse LU factorization
-    /// (`solve_revised_with` in `dls-lp`), solving cold — the default.
-    Revised,
-}
-
-thread_local! {
-    static ENGINE: Cell<LpEngine> = const { Cell::new(LpEngine::Revised) };
-}
-
-/// The engine the current thread uses for scenario LPs.
-pub fn current_engine() -> LpEngine {
-    ENGINE.with(Cell::get)
-}
-
-/// Runs `f` with the scenario-LP engine overridden to `engine` on this
-/// thread, restoring the previous engine afterwards — also on panic, so a
-/// failing assertion inside `f` cannot leak the override into later tests
-/// sharing the thread. Used by the cross-validation tests to force the
-/// tableau path.
-pub fn with_engine<R>(engine: LpEngine, f: impl FnOnce() -> R) -> R {
-    struct Restore(LpEngine);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            ENGINE.with(|e| e.set(self.0));
-        }
-    }
-    let _restore = Restore(ENGINE.with(|e| e.replace(engine)));
-    f()
-}
-
-/// `true` when the pre-solve static analyzer ([`dls_lp::analyze`]) runs on
-/// every schedule model before it is solved. Defaults to on in debug builds
-/// (so the whole test suite doubles as analyzer coverage) and off in
-/// release; the `DLS_ANALYZE` environment variable overrides either way
-/// (`1`/`true` forces on — e.g. for a release sweep — and `0`/`false`
-/// forces off). Read once per process.
-pub fn analysis_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var("DLS_ANALYZE") {
-        Ok(v) => {
-            let v = v.trim();
-            !(v.is_empty() || v == "0" || v.eq_ignore_ascii_case("false"))
-        }
-        Err(_) => cfg!(debug_assertions),
-    })
-}
-
-/// The pre-solve gate: when [`analysis_enabled`], runs [`dls_lp::analyze`]
-/// over `model` and rejects error-severity findings as
+/// The pre-solve gate: in debug builds, runs [`dls_lp::analyze`] over
+/// `model` and rejects error-severity findings as
 /// [`CoreError::InvalidModel`] (the rendered report names each offending
 /// row label and `RowKind`). Warnings — redundant-but-legal rows,
 /// conditioning hazards — are tolerated. [`solve_model`] calls this before
@@ -103,9 +49,11 @@ pub fn analysis_enabled() -> bool {
 /// [`solve_scenario`], the affine builder
 /// ([`crate::affine::affine_fifo_for_set`]), the bottleneck diagnosis
 /// ([`crate::diagnosis::diagnose`]), the interleaved family, and the
-/// multi-round and tree-native LPs of `dls-rounds` and `dls-tree`.
+/// multi-round and tree-native LPs of `dls-rounds` and `dls-tree`. The
+/// whole test suite therefore doubles as analyzer coverage; release builds
+/// skip the gate.
 pub fn analyze_gate(model: &ScheduleModel) -> Result<(), CoreError> {
-    if !analysis_enabled() {
+    if !cfg!(debug_assertions) {
         return Ok(());
     }
     let _span = dls_obs::trace_span!("core.analyze_gate.seconds", "rows" => model.num_rows());
@@ -151,7 +99,7 @@ pub struct LpVars {
 ///
 /// This is the single source of the paper's LP (2): the model's
 /// [`problem`](ScheduleModel::problem) is the raw LP, [`solve_scenario`]
-/// solves it through the engine router, and the multi-round planner
+/// solves it through [`solve_model`], and the multi-round planner
 /// (`dls-rounds`) builds its expanded round-major scenario on the same
 /// function — an LP variant that keeps the canonical shape only has to
 /// append rows to the returned model before solving it with
@@ -257,55 +205,40 @@ pub fn scenario_model_with_rhs(
     Ok((ir, vars))
 }
 
-/// Solves a schedule-model IR through the thread's [`current_engine`] —
-/// the one engine router every floating-point LP in the workspace goes
-/// through. The engine solves the model's
+/// Solves a schedule-model IR: the one LP call every floating-point LP in
+/// the workspace goes through. The model first passes the [`analyze_gate`]
+/// (debug builds only); then the revised simplex solves the model's
 /// [`problem`](ScheduleModel::problem) in place, and the engine's own
-/// [`Solution`] comes back: the optimal point (index it with
-/// [`VarId`]s or [`dls_lp::MVar::var_id`]), objective, duals and pivot
-/// count. Every solve starts cold, so the result depends only on the
-/// model and the engine, never on earlier solves; a numerical failure of
-/// the revised engine retries once on the tableau. When
-/// [`analysis_enabled`] (debug builds, `DLS_ANALYZE=1`), the model first
-/// passes the [`analyze_gate`] static checks.
+/// [`Solution`] comes back: the optimal point (index it with [`VarId`]s or
+/// [`dls_lp::MVar::var_id`]), objective, duals and pivot count. Every solve
+/// starts cold, so the result depends only on the model, never on earlier
+/// solves; a numerical failure of the revised engine retries once on the
+/// tableau.
 pub fn solve_model(model: &ScheduleModel) -> Result<Solution<f64>, CoreError> {
     analyze_gate(model)?;
     let lp = model.problem();
-    let engine = current_engine();
-    let _span = dls_obs::trace_span!(
-        "lp_model.solve.seconds",
-        "engine" => match engine {
-            LpEngine::Tableau => "tableau",
-            LpEngine::Revised => "revised",
-        },
-    );
+    let _span = dls_obs::trace_span!("lp_model.solve.seconds");
     let opts = SolverOptions::for_size(lp.num_vars(), lp.num_constraints());
-    let sol = match engine {
-        LpEngine::Tableau => dls_lp::solve_with::<f64>(lp, &opts)?,
-        LpEngine::Revised => match dls_lp::solve_revised_with::<f64>(lp, &opts, None) {
-            Ok(r) => r.solution,
-            // Infeasible/unbounded are real answers; numerical failures
-            // (iteration limit, singular refactorization) get one shot on
-            // the tableau before surfacing.
-            Err(LpError::IterationLimit { .. }) | Err(LpError::SingularBasis) => {
-                dls_obs::counter!("lp_model.tableau_retry").incr();
-                dls_obs::trace_event!("lp_model.tableau_retry");
-                dls_lp::solve_with::<f64>(lp, &opts)?
-            }
-            Err(e) => return Err(e.into()),
-        },
+    let sol = match dls_lp::solve_revised_with::<f64>(lp, &opts, None) {
+        Ok(r) => r.solution,
+        // Infeasible/unbounded are real answers; numerical failures
+        // (iteration limit, singular refactorization) get one shot on the
+        // tableau before surfacing.
+        Err(LpError::IterationLimit { .. }) | Err(LpError::SingularBasis) => {
+            dls_obs::counter!("lp_model.tableau_retry").incr();
+            dls_obs::trace_event!("lp_model.tableau_retry");
+            dls_lp::solve_with::<f64>(lp, &opts)?
+        }
+        Err(e) => return Err(e.into()),
     };
-    // Counts solved router LPs. The name predates the cold-only router; it
-    // is kept because the perfbench per-layer report divides by it.
+    // Counts solved LPs. The name predates the cold-only solve path; it is
+    // kept because the perfbench per-layer report divides by it.
     dls_obs::counter!("basis_cache.miss").incr();
     Ok(sol)
 }
 
-/// Solves the scenario LP and packages the optimal schedule.
-///
-/// The LP backend is the thread's [`current_engine`] — by default the
-/// revised simplex, solving cold. On the rare numerical failure of the
-/// revised path the tableau engine is retried before reporting an error.
+/// Solves the scenario LP through [`solve_model`] and packages the optimal
+/// schedule.
 pub fn solve_scenario(
     platform: &Platform,
     send_order: &[WorkerId],
@@ -624,20 +557,29 @@ mod tests {
         assert!((f.throughput - rho.to_f64()).abs() < 1e-9);
     }
 
+    /// The revised simplex's and the tableau's optima of `ir`, each engine
+    /// called directly on the model's problem.
+    fn both_engines(ir: &ScheduleModel) -> [(&'static str, Solution<f64>); 2] {
+        [
+            ("revised", dls_lp::solve_revised(ir.problem()).unwrap()),
+            ("tableau", dls_lp::solve(ir.problem()).unwrap()),
+        ]
+    }
+
     #[test]
     fn tableau_and_revised_engines_agree() {
         let p = platform();
         let order = ids(&[0, 1, 2]);
         for model in [PortModel::OnePort, PortModel::TwoPort] {
-            let revised = solve_fifo(&p, &order, model).unwrap();
-            let tableau = with_engine(LpEngine::Tableau, || solve_fifo(&p, &order, model).unwrap());
+            let (ir, _) = scenario_model(&p, &order, &order, model).unwrap();
+            let [(_, revised), (_, tableau)] = both_engines(&ir);
             let rel =
-                (revised.throughput - tableau.throughput).abs() / tableau.throughput.abs().max(1.0);
+                (revised.objective - tableau.objective).abs() / tableau.objective.abs().max(1.0);
             assert!(
                 rel <= 1e-9,
                 "engines disagree under {model:?}: revised {} vs tableau {}",
-                revised.throughput,
-                tableau.throughput
+                revised.objective,
+                tableau.objective
             );
         }
     }
@@ -674,16 +616,14 @@ mod tests {
 
     #[test]
     fn every_router_solve_is_counted() {
-        // `basis_cache.miss` counts router solves (both engines); the
-        // per-layer benchmark report divides by it.
+        // `basis_cache.miss` counts `solve_model` calls; the per-layer
+        // benchmark report divides by it.
         let p = platform();
         let order = ids(&[0, 1, 2]);
         let solves = || dls_obs::counter!("basis_cache.miss").value();
         let before = solves();
         solve_fifo(&p, &order, PortModel::OnePort).unwrap();
-        with_engine(LpEngine::Tableau, || {
-            solve_fifo(&p, &order, PortModel::OnePort).unwrap()
-        });
+        solve_fifo(&p, &order, PortModel::TwoPort).unwrap();
         assert!(solves() >= before + 2);
     }
 
@@ -813,13 +753,10 @@ mod tests {
         assert!((direct.value(vars.alphas[0]) - scenario.schedule.load(WorkerId(0))).abs() < 1e-9);
     }
 
+    // The gate runs in debug builds only, which is how tests build.
+    #[cfg(debug_assertions)]
     #[test]
     fn analyzer_gate_rejects_corrupt_models_in_debug_builds() {
-        // Tests run with debug_assertions, so the gate is on by default
-        // (unless the environment explicitly disabled it).
-        if !analysis_enabled() {
-            return;
-        }
         let mut ir = ScheduleModel::maximize();
         let alphas = ir.group("alpha", (1..=2).map(|i| (format!("alpha_P{i}"), 1.0)));
         ir.deadline("deadline_P1", [(alphas.var(0), 3.0)], 1.0);
@@ -882,18 +819,22 @@ mod tests {
         let order = p.order_by_c();
         let tol =
             <f64 as Scalar>::tolerance() * fifo_coefficient_scale(&p, &order, PortModel::OnePort);
+        // What each engine's duals decide for the working set `order[..first]`.
         let entering = |first: usize| {
             let in_set: Vec<bool> = (0..order.len()).map(|k| k < first).collect();
             let (ir, vars) =
                 scenario_model(&p, &order[..first], &order[..first], PortModel::OnePort).unwrap();
-            let sol = solve_model(&ir).unwrap();
-            price_omitted(&p, &order, &in_set, &vars, &sol, PortModel::OnePort, tol)
+            both_engines(&ir).map(|(engine, sol)| {
+                let priced =
+                    price_omitted(&p, &order, &in_set, &vars, &sol, PortModel::OnePort, tol);
+                (engine, priced)
+            })
         };
-        for engine in [LpEngine::Revised, LpEngine::Tableau] {
-            with_engine(engine, || {
-                assert_eq!(entering(2), Vec::<usize>::new(), "{engine:?}");
-                assert_eq!(entering(1), vec![1], "{engine:?}");
-            });
+        for (engine, priced) in entering(2) {
+            assert_eq!(priced, Vec::<usize>::new(), "{engine}");
+        }
+        for (engine, priced) in entering(1) {
+            assert_eq!(priced, vec![1], "{engine}");
         }
     }
 

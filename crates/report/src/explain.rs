@@ -357,15 +357,11 @@ mod tests {
     }
 
     #[test]
-    fn cross_checks_against_to_obs_gauges() {
+    fn cross_checks_against_the_trace_aggregates() {
         let t = sample();
         let rep = explain(&t);
-        dls_sim::trace::to_obs(&t);
-        let snap = dls_obs::snapshot();
-        let makespan = snap.gauge("sim.makespan.seconds").expect("gauge set");
-        let util = snap.gauge("sim.master_utilization").expect("gauge set");
-        assert!((makespan - rep.makespan).abs() < 1e-12);
-        assert!((util - rep.master_utilization).abs() < 1e-12);
+        assert!((t.makespan() - rep.makespan).abs() < 1e-12);
+        assert!((t.master_utilization() - rep.master_utilization).abs() < 1e-12);
     }
 
     #[test]

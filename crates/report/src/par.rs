@@ -6,10 +6,9 @@
 //! the parallelism the workload needs (no rayon dependency: the build is
 //! offline, see the README's "Development" section).
 //!
-//! Two pieces of caller state live in thread-locals and would reset to
-//! their defaults on a worker thread: the trace context and the LP-engine
-//! override ([`dls_core::lp_model::with_engine`]). [`par_map`] carries both
-//! onto every item, so callers never hand them over themselves.
+//! The caller's trace context lives in a thread-local and would reset on a
+//! worker thread; [`par_map`] carries it onto every item, so callers never
+//! hand it over themselves.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -19,7 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Work is distributed dynamically via an atomic cursor so uneven item
 /// costs (LPs of different sizes) balance across threads. Runs inline when
 /// `items` is small or only one CPU is available. Every item runs under the
-/// caller's LP engine and trace context, whichever thread it lands on.
+/// caller's trace context, whichever thread it lands on.
 ///
 /// # Panics
 /// If `f` panics on some item, the *rest of the batch still completes*:
@@ -42,13 +41,9 @@ where
     // attach it so per-item spans (and the solve trees under them) nest
     // under the span that submitted the batch, not as orphan roots.
     let ctx = dls_obs::current_context();
-    let engine = dls_core::lp_model::current_engine();
     let run = |i: usize| -> Result<U, String> {
         let _item_span = dls_obs::trace_span!("par_map.item.seconds", "index" => i);
-        catch_unwind(AssertUnwindSafe(|| {
-            dls_core::lp_model::with_engine(engine, || f(&items[i]))
-        }))
-        .map_err(|payload| {
+        catch_unwind(AssertUnwindSafe(|| f(&items[i]))).map_err(|payload| {
             if let Some(s) = payload.downcast_ref::<&str>() {
                 (*s).to_string()
             } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -208,14 +203,6 @@ mod tests {
             .filter(|e| e.name == "par_map.item.seconds" && e.parent_id == Some(batch.span_id))
             .count();
         assert_eq!(nested, 16, "every item span is a child of the batch span");
-    }
-
-    #[test]
-    fn items_run_under_the_callers_lp_engine() {
-        use dls_core::lp_model::{current_engine, with_engine, LpEngine};
-        let items: Vec<u64> = (0..16).collect();
-        let seen = with_engine(LpEngine::Tableau, || par_map(&items, |_| current_engine()));
-        assert!(seen.iter().all(|&e| e == LpEngine::Tableau), "{seen:?}");
     }
 
     #[test]

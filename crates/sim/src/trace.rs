@@ -189,31 +189,6 @@ impl Trace {
     }
 }
 
-/// Folds a trace into the `dls-obs` registry, so simulated schedules and
-/// real solves share one reporting path (`dls_obs::emit` renders both).
-///
-/// Per-worker [`WorkerStats`] intervals land in the `sim.worker.*.seconds`
-/// histograms (one observation per worker per call — the spread across
-/// workers is the busy/idle balance signal) and the whole-trace aggregates
-/// in the `sim.makespan.seconds` / `sim.master_utilization` gauges
-/// (last-trace-wins). Values come from simulated clocks, not the wall
-/// clock, so recording is deterministic and independent of `DLS_TRACE`.
-pub fn to_obs(trace: &Trace) {
-    for worker in trace.workers() {
-        let Some(stats) = trace.worker_stats(worker) else {
-            continue;
-        };
-        dls_obs::histogram!("sim.worker.recv.seconds").record(stats.recv);
-        dls_obs::histogram!("sim.worker.compute.seconds").record(stats.compute);
-        dls_obs::histogram!("sim.worker.return.seconds").record(stats.ret);
-        dls_obs::histogram!("sim.worker.idle.seconds").record(stats.idle);
-        dls_obs::histogram!("sim.worker.busy.seconds")
-            .record(stats.recv + stats.compute + stats.ret);
-    }
-    dls_obs::gauge!("sim.makespan.seconds").set(trace.makespan());
-    dls_obs::gauge!("sim.master_utilization").set(trace.master_utilization());
-}
-
 #[cfg(test)]
 // Unit tests assert exact outcomes of exact arithmetic.
 #[allow(clippy::float_cmp)]
@@ -259,22 +234,6 @@ mod tests {
             end: 4.25,
         });
         t
-    }
-
-    #[test]
-    fn to_obs_folds_worker_stats_and_aggregates() {
-        let t = sample();
-        to_obs(&t);
-        let snap = dls_obs::snapshot();
-        let busy = snap
-            .histogram("sim.worker.busy.seconds")
-            .expect("busy intervals recorded");
-        assert!(busy.count >= 2, "one observation per traced worker");
-        // Worker 0 is the busiest: recv 1 + compute 2 + return 0.5.
-        assert!(busy.max >= 3.5);
-        assert_eq!(snap.gauge("sim.makespan.seconds"), Some(4.25));
-        let util = snap.gauge("sim.master_utilization").expect("set");
-        assert!((util - 2.75 / 4.25).abs() < 1e-12);
     }
 
     #[test]

@@ -22,13 +22,15 @@
 //! the collapsed star *is* the tree.
 //!
 //! **Expansion.** [`expand`] turns a collapsed-star schedule back into
-//! per-edge hop timings ([`NodeTiming`]): downward hops run back-to-back
-//! from the star send's start, upward hops back-to-back into the star
-//! return's end.
+//! per-edge hop spans, recorded as the simulator's [`TreeSimReport`]:
+//! downward hops run back-to-back from the star send's start, upward hops
+//! back-to-back into the star return's end. [`dls_sim::verify_tree`], the
+//! checker every replay goes through, checks an expansion the same way.
 
-use dls_core::timeline::{Interval, Timeline};
-use dls_core::{CoreError, PortModel, Schedule, LOAD_EPS};
-use dls_platform::{Platform, TreePlatform, Worker, WorkerId};
+use dls_core::timeline::Timeline;
+use dls_core::{CoreError, PortModel, Schedule};
+use dls_platform::{Platform, TreePlatform, Worker};
+use dls_sim::{TreeSimReport, TreeSpan, TreeSpanKind};
 
 /// Builds the bandwidth-equivalent collapsed star of a tree: virtual
 /// worker `j` carries tree node `j`'s compute cost and its path-summed
@@ -44,46 +46,20 @@ pub fn collapse(tree: &TreePlatform) -> Platform {
     Platform::new(workers).expect("path sums of valid costs are valid costs")
 }
 
-/// Serialized timing of one message hop over one tree edge.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HopTiming {
-    /// Child endpoint of the edge the hop crosses (the edge "belongs" to
-    /// its child node, like [`TreePlatform`] costs).
-    pub edge: WorkerId,
-    /// Transfer interval.
-    pub interval: Interval,
-}
-
-/// Full serialized timing of one participating node's load: the downward
-/// hop chain, the computation, and the upward hop chain.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeTiming {
-    /// The node processing this load share.
-    pub node: WorkerId,
-    /// Load share `α`.
-    pub load: f64,
-    /// Downward hops in path order (master's child first); hop `k` crosses
-    /// the edge into `path[k]`.
-    pub down: Vec<HopTiming>,
-    /// The node's computation.
-    pub compute: Interval,
-    /// Upward hops in travel order (deepest edge first, master's child
-    /// last). Empty when the path's return cost is negligible.
-    pub up: Vec<HopTiming>,
-}
-
-/// Expands a collapsed-star schedule into per-edge hop timings on `tree`.
+/// Expands a collapsed-star schedule into per-edge hop spans on `tree`.
 ///
 /// The schedule's worker ids are tree node ids (the collapse mapping is
 /// the identity on indices); its loads/orders are exactly what a star
 /// solver produced on [`collapse`]`(tree)`. Each star send interval
-/// `[s, s + α·Σc]` is cut into back-to-back hops down the path; each star
-/// return `[r, r + α·Σd]` into back-to-back hops up the path, so the last
-/// hop reaches the master exactly at the star interval's end. The
-/// feasibility of this layout — one-port at every node, store-and-forward
-/// precedence — follows from the disjointness of the star intervals and is
-/// pinned by the `dls-sim` replay tests.
-pub fn expand(tree: &TreePlatform, schedule: &Schedule) -> Result<Vec<NodeTiming>, CoreError> {
+/// `[s, s + α·Σc]` is cut into back-to-back [`Down`](TreeSpanKind::Down)
+/// hops down the path, the node computes in its star compute interval,
+/// and each star return `[r, r + α·Σd]` is cut into back-to-back
+/// [`Up`](TreeSpanKind::Up) hops up the path, so the last hop reaches the
+/// master exactly at the star interval's end. The report's `makespan` is
+/// the latest span end. The feasibility of this layout — one-port at every
+/// node, store-and-forward precedence — follows from the disjointness of
+/// the star intervals; [`dls_sim::verify_tree`] checks it.
+pub fn expand(tree: &TreePlatform, schedule: &Schedule) -> Result<TreeSimReport, CoreError> {
     if schedule.loads().len() != tree.num_nodes() {
         return Err(CoreError::MalformedOrder(format!(
             "schedule has {} loads for a {}-node tree",
@@ -93,136 +69,38 @@ pub fn expand(tree: &TreePlatform, schedule: &Schedule) -> Result<Vec<NodeTiming
     }
     let star = collapse(tree);
     let timeline = Timeline::build(&star, schedule, PortModel::OnePort);
-    let mut out = Vec::with_capacity(timeline.entries().len());
+    let mut spans = Vec::new();
     for e in timeline.entries() {
-        let node = e.worker;
-        let alpha = schedule.load(node);
-        let path = tree.path(node);
+        let msg = e.worker;
+        let alpha = schedule.load(msg);
+        let path = tree.path(msg);
+        let span = |node, kind, start, end| TreeSpan {
+            msg,
+            node,
+            kind,
+            start,
+            end,
+        };
 
-        let mut down = Vec::with_capacity(path.len());
         let mut t = e.send.start;
-        for &hop in &path {
-            let len = alpha * tree.node(hop).c;
-            down.push(HopTiming {
-                edge: hop,
-                interval: Interval {
-                    start: t,
-                    end: t + len,
-                },
-            });
-            t += len;
+        for &edge in &path {
+            let end = t + alpha * tree.node(edge).c;
+            spans.push(span(edge, TreeSpanKind::Down, t, end));
+            t = end;
         }
-
-        let mut up = Vec::with_capacity(path.len());
+        let compute = e.compute;
+        spans.push(span(msg, TreeSpanKind::Compute, compute.start, compute.end));
         if !e.ret.is_empty() {
             let mut t = e.ret.start;
-            for &hop in path.iter().rev() {
-                let len = alpha * tree.node(hop).d;
-                up.push(HopTiming {
-                    edge: hop,
-                    interval: Interval {
-                        start: t,
-                        end: t + len,
-                    },
-                });
-                t += len;
-            }
-        }
-
-        out.push(NodeTiming {
-            node,
-            load: alpha,
-            down,
-            compute: e.compute,
-            up,
-        });
-    }
-    Ok(out)
-}
-
-/// Independently re-checks the tree-model constraints of an expansion:
-/// hop durations match `α · cost`, hops chain in store-and-forward order,
-/// computation sits between delivery and the first upward hop, and every
-/// node's port (master included) carries at most one transfer at a time.
-/// Empty = feasible.
-pub fn verify_expansion(tree: &TreePlatform, timings: &[NodeTiming], tol: f64) -> Vec<String> {
-    let mut violations = Vec::new();
-    // (interval, port) pairs: each hop occupies the edge's child endpoint
-    // and its parent (None = master).
-    let mut port_use: Vec<(Interval, Option<WorkerId>)> = Vec::new();
-    for t in timings {
-        let path = tree.path(t.node);
-        if t.down.len() != path.len() {
-            violations.push(format!("{}: down hop count != path length", t.node));
-            continue;
-        }
-        let mut prev_end = f64::NEG_INFINITY;
-        for (hop, &edge) in t.down.iter().zip(&path) {
-            if hop.edge != edge {
-                violations.push(format!("{}: down hop edge mismatch", t.node));
-            }
-            if (hop.interval.len() - t.load * tree.node(hop.edge).c).abs() > tol {
-                violations.push(format!("{}: down hop duration != alpha*c", t.node));
-            }
-            if hop.interval.start < prev_end - tol {
-                violations.push(format!("{}: hop forwards before full receipt", t.node));
-            }
-            prev_end = hop.interval.end;
-            port_use.push((hop.interval, tree.parent(hop.edge)));
-            port_use.push((hop.interval, Some(hop.edge)));
-        }
-        if t.compute.start < prev_end - tol {
-            violations.push(format!("{}: computes before delivery", t.node));
-        }
-        if (t.compute.len() - t.load * tree.node(t.node).w).abs() > tol {
-            violations.push(format!("{}: compute duration != alpha*w", t.node));
-        }
-        let (_, ret_cost) = tree.path_costs(t.node);
-        if t.up.is_empty() {
-            if t.load * ret_cost > tol.max(LOAD_EPS) {
-                violations.push(format!("{}: return chain missing", t.node));
-            }
-            continue;
-        }
-        if t.up.len() != path.len() {
-            violations.push(format!(
-                "{}: {} up hops for depth {}",
-                t.node,
-                t.up.len(),
-                path.len()
-            ));
-            continue;
-        }
-        let mut prev_end = t.compute.end;
-        for (hop, &edge) in t.up.iter().zip(path.iter().rev()) {
-            if hop.edge != edge {
-                violations.push(format!("{}: up hop edge mismatch", t.node));
-            }
-            if (hop.interval.len() - t.load * tree.node(hop.edge).d).abs() > tol {
-                violations.push(format!("{}: up hop duration != alpha*d", t.node));
-            }
-            if hop.interval.start < prev_end - tol {
-                violations.push(format!("{}: return forwarded before receipt", t.node));
-            }
-            prev_end = hop.interval.end;
-            port_use.push((hop.interval, tree.parent(hop.edge)));
-            port_use.push((hop.interval, Some(hop.edge)));
-        }
-    }
-    // One-port at every node: transfers touching the same port are
-    // pairwise disjoint.
-    for (i, (a, pa)) in port_use.iter().enumerate() {
-        if a.len() <= LOAD_EPS {
-            continue;
-        }
-        for (b, pb) in &port_use[i + 1..] {
-            if pa == pb && b.len() > LOAD_EPS && a.overlaps(b, tol) {
-                let port = pa.map_or("master".to_string(), |p| p.to_string());
-                violations.push(format!("one-port violated at {port}"));
+            for &edge in path.iter().rev() {
+                let end = t + alpha * tree.node(edge).d;
+                spans.push(span(edge, TreeSpanKind::Up, t, end));
+                t = end;
             }
         }
     }
-    violations
+    let makespan = spans.iter().map(|s| s.end).fold(0.0, f64::max);
+    Ok(TreeSimReport { spans, makespan })
 }
 
 #[cfg(test)]
@@ -231,6 +109,8 @@ pub fn verify_expansion(tree: &TreePlatform, timings: &[NodeTiming], tol: f64) -
 mod tests {
     use super::*;
     use dls_core::prelude::*;
+    use dls_platform::WorkerId;
+    use dls_sim::verify_tree;
 
     fn star3() -> Platform {
         Platform::star_with_z(&[(1.0, 5.0), (2.0, 4.0), (1.5, 6.0)], 0.5).unwrap()
@@ -256,73 +136,92 @@ mod tests {
         assert!((s.common_z().unwrap() - 0.5).abs() < 1e-12);
     }
 
+    /// Indices into `report.spans` of `msg`'s spans of `kind`, in order.
+    fn span_indices(report: &TreeSimReport, msg: WorkerId, kind: TreeSpanKind) -> Vec<usize> {
+        (0..report.spans.len())
+            .filter(|&i| report.spans[i].msg == msg && report.spans[i].kind == kind)
+            .collect()
+    }
+
+    /// The chain over [`star3`], its collapsed optimum and the expansion.
+    fn expanded_chain() -> (TreePlatform, Schedule, TreeSimReport) {
+        let t = TreePlatform::chain(&star3());
+        let sol = optimal_fifo(&collapse(&t)).unwrap();
+        let report = expand(&t, &sol.schedule).unwrap();
+        (t, sol.schedule, report)
+    }
+
+    /// The first participant of `schedule` with more than one `kind` hop.
+    fn deep_node(schedule: &Schedule, report: &TreeSimReport, kind: TreeSpanKind) -> WorkerId {
+        schedule
+            .participants()
+            .into_iter()
+            .find(|&id| span_indices(report, id, kind).len() > 1)
+            .expect("chain has deep nodes")
+    }
+
     #[test]
     fn expansion_of_the_collapsed_optimum_is_feasible() {
         let p = star3();
         for fanout in [1usize, 2, 3] {
             let t = TreePlatform::balanced(&p, fanout);
             let sol = optimal_fifo(&collapse(&t)).unwrap();
-            let timings = expand(&t, &sol.schedule).unwrap();
-            let violations = verify_expansion(&t, &timings, 1e-9);
+            let report = expand(&t, &sol.schedule).unwrap();
+            let violations = verify_tree(&t, &sol.schedule, &report, 1e-9);
             assert!(violations.is_empty(), "fanout {fanout}: {violations:?}");
             // The expansion ends exactly at the collapsed-star makespan.
-            let last = timings
-                .iter()
-                .flat_map(|t| t.up.iter().map(|h| h.interval.end))
-                .fold(0.0, f64::max);
+            let last = report.makespan;
             assert!((last - 1.0).abs() < 1e-7, "horizon not filled: {last}");
         }
     }
 
     #[test]
     fn expansion_hop_chains_cover_the_star_intervals() {
-        let p = star3();
-        let t = TreePlatform::chain(&p);
-        let star = collapse(&t);
-        let sol = optimal_fifo(&star).unwrap();
-        let timeline = Timeline::build(&star, &sol.schedule, PortModel::OnePort);
-        let timings = expand(&t, &sol.schedule).unwrap();
-        for nt in &timings {
-            let e = timeline.entry(nt.node).unwrap();
-            assert!((nt.down.first().unwrap().interval.start - e.send.start).abs() < 1e-12);
-            assert!((nt.down.last().unwrap().interval.end - e.send.end).abs() < 1e-12);
-            if !nt.up.is_empty() {
-                assert!((nt.up.first().unwrap().interval.start - e.ret.start).abs() < 1e-12);
-                assert!((nt.up.last().unwrap().interval.end - e.ret.end).abs() < 1e-12);
+        let (t, schedule, report) = expanded_chain();
+        let timeline = Timeline::build(&collapse(&t), &schedule, PortModel::OnePort);
+        for e in timeline.entries() {
+            let down = span_indices(&report, e.worker, TreeSpanKind::Down);
+            let first = report.spans[down[0]];
+            let last = report.spans[down[down.len() - 1]];
+            assert!((first.start - e.send.start).abs() < 1e-12);
+            assert!((last.end - e.send.end).abs() < 1e-12);
+            let up = span_indices(&report, e.worker, TreeSpanKind::Up);
+            if let (Some(&first), Some(&last)) = (up.first(), up.last()) {
+                assert!((report.spans[first].start - e.ret.start).abs() < 1e-12);
+                assert!((report.spans[last].end - e.ret.end).abs() < 1e-12);
             }
         }
     }
 
     #[test]
-    fn verify_expansion_catches_truncated_return_chains() {
-        let p = star3();
-        let t = TreePlatform::chain(&p);
-        let sol = optimal_fifo(&collapse(&t)).unwrap();
-        let mut timings = expand(&t, &sol.schedule).unwrap();
+    fn verify_tree_catches_truncated_return_chains() {
+        let (t, schedule, mut report) = expanded_chain();
         // Drop the final master-bound hop of a deep node's return: the
         // results never reach the master, which must not verify clean.
-        let victim = timings
-            .iter_mut()
-            .find(|nt| nt.up.len() > 1)
-            .expect("chain has deep returns");
-        victim.up.pop();
-        let violations = verify_expansion(&t, &timings, 1e-9);
+        let victim = deep_node(&schedule, &report, TreeSpanKind::Up);
+        let master_bound = *span_indices(&report, victim, TreeSpanKind::Up)
+            .last()
+            .unwrap();
+        report.spans.remove(master_bound);
+        let violations = verify_tree(&t, &schedule, &report, 1e-9);
         assert!(
-            violations.iter().any(|v| v.contains("up hops for depth")),
+            violations
+                .iter()
+                .any(|v| v.contains("partial return chain")),
             "truncated chain not caught: {violations:?}"
         );
     }
 
     #[test]
-    fn verify_expansion_catches_wholly_deleted_return_chains() {
-        // A positive return cost with an *empty* up chain is just as
-        // wrong as a truncated one.
-        let p = star3();
-        let t = TreePlatform::chain(&p);
-        let sol = optimal_fifo(&collapse(&t)).unwrap();
-        let mut timings = expand(&t, &sol.schedule).unwrap();
-        timings[0].up.clear();
-        let violations = verify_expansion(&t, &timings, 1e-9);
+    fn verify_tree_catches_wholly_deleted_return_chains() {
+        // A positive return cost with *no* up hops is just as wrong as a
+        // truncated chain.
+        let (t, schedule, mut report) = expanded_chain();
+        let first = schedule.participants()[0];
+        report
+            .spans
+            .retain(|s| !(s.msg == first && s.kind == TreeSpanKind::Up));
+        let violations = verify_tree(&t, &schedule, &report, 1e-9);
         assert!(
             violations
                 .iter()
@@ -332,18 +231,19 @@ mod tests {
     }
 
     #[test]
-    fn verify_expansion_catches_tampering() {
-        let p = star3();
-        let t = TreePlatform::chain(&p);
-        let sol = optimal_fifo(&collapse(&t)).unwrap();
-        let mut timings = expand(&t, &sol.schedule).unwrap();
+    fn verify_tree_catches_tampering() {
+        let (t, schedule, mut report) = expanded_chain();
         // Shift one deep hop before its upstream hop completes.
-        let victim = timings
-            .iter_mut()
-            .find(|nt| nt.down.len() > 1)
-            .expect("chain has deep nodes");
-        victim.down[1].interval.start = 0.0;
-        assert!(!verify_expansion(&t, &timings, 1e-9).is_empty());
+        let victim = deep_node(&schedule, &report, TreeSpanKind::Down);
+        let second = span_indices(&report, victim, TreeSpanKind::Down)[1];
+        report.spans[second].start = 0.0;
+        let violations = verify_tree(&t, &schedule, &report, 1e-9);
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains("forwarded before full receipt")),
+            "early forward not caught: {violations:?}"
+        );
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!   relays can pipeline hops the reduction serializes through the
 //!   master's port — but always *safe*: expanded plans never violate
 //!   one-port at any node;
-//! * [`expand`] / [`NodeTiming`] — the collapsed-star schedule cut back
-//!   into per-edge send/compute/return hop timings, feasibility re-checked
-//!   by [`verify_expansion`] and replayed by `dls_sim::simulate_tree`;
+//! * [`expand`] — the collapsed-star schedule cut back into per-edge
+//!   send/compute/return hop spans, recorded as the simulator's
+//!   `TreeSimReport` so that `dls_sim::verify_tree`, the checker of every
+//!   `dls_sim::simulate_tree` replay, re-checks its feasibility;
 //! * [`TreeScheduler`] + [`install`] — constructor-configured
 //!   [`Scheduler`]s (`tree_fifo`, `tree_lifo`, plus parameterized ids like
 //!   `tree_fifo@1` for chains) registered into [`dls_core::registry`]
@@ -44,7 +45,7 @@ mod collapse;
 pub mod lp;
 mod scheduler;
 
-pub use collapse::{collapse, expand, verify_expansion, HopTiming, NodeTiming};
+pub use collapse::{collapse, expand};
 pub use lp::{solve_tree_lp, tree_lp_model, TreeLpSolution};
 pub use scheduler::{TreeLpScheduler, TreeOrder, TreeProvider, TreeScheduler, DEFAULT_FANOUT};
 

@@ -42,7 +42,7 @@ use dls_core::lp_model;
 use dls_core::{CoreError, Schedule};
 use dls_lp::{ScheduleModel, VarGroup};
 use dls_platform::{Platform, TreePlatform, WorkerId};
-use dls_sim::{ideal_tree_makespan, simulate_tree, verify_tree, SimConfig};
+use dls_sim::ideal_tree_makespan;
 
 use crate::collapse::collapse;
 use crate::scheduler::TreeOrder;
@@ -192,28 +192,29 @@ pub fn tree_lp_solution(tree: TreePlatform, nodes: Vec<WorkerId>, sol: TreeLpSol
     }
 }
 
-/// Replays an engine solution's schedule on its tree and independently
-/// verifies the store-and-forward run (one-port at every node, σ orders,
-/// durations); returns the replay makespan. Used by the acceptance tests.
-pub fn verified_replay_makespan(
-    tree: &TreePlatform,
-    schedule: &Schedule,
-    tol: f64,
-) -> Result<f64, Vec<String>> {
-    let report = simulate_tree(tree, schedule, &SimConfig::ideal());
-    let violations = verify_tree(tree, schedule, &report, tol);
-    if violations.is_empty() {
-        Ok(report.makespan)
-    } else {
-        Err(violations)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dls_core::prelude::*;
     use dls_platform::Platform;
+    use dls_sim::{simulate_tree, verify_tree, SimConfig};
+
+    /// Replays an engine solution's schedule on its tree and independently
+    /// verifies the store-and-forward run (one-port at every node, σ orders,
+    /// durations); returns the replay makespan.
+    fn verified_replay_makespan(
+        tree: &TreePlatform,
+        schedule: &Schedule,
+        tol: f64,
+    ) -> Result<f64, Vec<String>> {
+        let report = simulate_tree(tree, schedule, &SimConfig::ideal());
+        let violations = verify_tree(tree, schedule, &report, tol);
+        if violations.is_empty() {
+            Ok(report.makespan)
+        } else {
+            Err(violations)
+        }
+    }
 
     fn star(n: usize) -> Platform {
         let cw: Vec<(f64, f64)> = (0..n)

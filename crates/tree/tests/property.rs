@@ -6,7 +6,7 @@
 use dls_core::{Provenance, Scheduler};
 use dls_lp::Scalar;
 use dls_platform::{Platform, TreePlatform};
-use dls_tree::{collapse, expand, verify_expansion, TreeLpScheduler, TreeScheduler};
+use dls_tree::{collapse, expand, TreeLpScheduler, TreeScheduler};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -84,8 +84,8 @@ proptest! {
                 tree.depth(),
                 sol.throughput
             );
-            let timings = expand(&tree, &sol.schedule).expect("consistent");
-            let violations = verify_expansion(&tree, &timings, 1e-7);
+            let expansion = expand(&tree, &sol.schedule).expect("consistent");
+            let violations = dls_sim::verify_tree(&tree, &sol.schedule, &expansion, 1e-7);
             prop_assert!(violations.is_empty(), "infeasible expansion: {violations:?}");
 
             // The store-and-forward replay respects every constraint and
@@ -93,10 +93,7 @@ proptest! {
             let rep = dls_sim::simulate_tree(&tree, &sol.schedule, &dls_sim::SimConfig::ideal());
             let sim_violations = dls_sim::verify_tree(&tree, &sol.schedule, &rep, 1e-7);
             prop_assert!(sim_violations.is_empty(), "replay violations: {sim_violations:?}");
-            let predicted = timings
-                .iter()
-                .flat_map(|t| t.up.iter().map(|h| h.interval.end).chain([t.compute.end]))
-                .fold(0.0, f64::max);
+            let predicted = expansion.makespan;
             prop_assert!(
                 rep.makespan <= predicted + 1e-7,
                 "depth-{} replay {} > serialized {predicted}",

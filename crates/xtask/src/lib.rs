@@ -36,6 +36,7 @@
 //! (tests may build raw problems and compare exact floats). A line may
 //! carry an explicit waiver: `// xtask: allow(<rule>)`.
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -370,70 +371,115 @@ fn macro_name_starts_at(s: &str, pos: usize) -> bool {
     pos == 0 || !matches!(s.as_bytes()[pos - 1], b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_')
 }
 
+/// The metric-name literals handed to a `dls-obs` macro in the non-test
+/// code of `content`, as `(line, waived, name)`: the 1-based line holding
+/// the literal, and whether a line of the call waives `obs-metric-names`.
+/// The literal follows the macro's `(` on the same line or, where rustfmt
+/// breaks the call after the `(`, opens the next line. Dynamically-built
+/// names (`dls_obs::histogram(&format!(..))`) are out of scope — the
+/// README documents those as patterns.
+fn obs_metric_literals(content: &str) -> Vec<(usize, bool, String)> {
+    const RULE: &str = "obs-metric-names";
+    // The blanked code hides a literal's contents; recover them from the
+    // raw line (metric names contain no escapes).
+    fn literal(raw: &str) -> Option<String> {
+        let rest = raw.trim_start().strip_prefix('"')?;
+        Some(rest[..rest.find('"')?].to_string())
+    }
+    let raw_lines: Vec<&str> = content.lines().collect();
+    let raw = |number: usize| raw_lines.get(number - 1).copied().unwrap_or_default();
+    let lines = code_lines(content);
+    let mut out = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        for mac in OBS_MACROS {
+            // Gate on the comment/string-blanked code: a definition-side
+            // `histogram!($name)` or a name quoted in a comment never fires.
+            let (mut same_line, mut next_line) = (false, false);
+            for (abs, _) in line.code.match_indices(mac) {
+                if macro_name_starts_at(&line.code, abs) {
+                    let rest = line.code[abs + mac.len()..].trim_start();
+                    same_line |= rest.starts_with('"');
+                    next_line |= rest.is_empty();
+                }
+            }
+            if same_line {
+                let raw = raw(line.number);
+                for (abs, _) in raw.match_indices(mac) {
+                    if macro_name_starts_at(raw, abs) {
+                        if let Some(name) = literal(&raw[abs + mac.len()..]) {
+                            out.push((line.number, waived(line, RULE), name));
+                        }
+                    }
+                }
+            }
+            let next = lines.get(i + 1).filter(|next| {
+                next_line
+                    && next.number == line.number + 1
+                    && next.code.trim_start().starts_with('"')
+            });
+            if let Some(next) = next {
+                if let Some(name) = literal(raw(next.number)) {
+                    let waived = waived(line, RULE) || waived(next, RULE);
+                    out.push((next.number, waived, name));
+                }
+            }
+        }
+    }
+    out
+}
+
 /// Rule `obs-metric-names`: every metric-name literal handed to a
 /// `dls-obs` macro must appear backticked in the README (the
 /// observability inventory), mirroring how `baseline-keys` pins the smoke
-/// baselines. Dynamically-built names (`dls_obs::histogram(&format!(..))`)
-/// are out of scope — the README documents those as patterns.
+/// baselines. `check_obs_inventory` is the reverse direction.
 pub fn check_obs_metric_names(path: &Path, content: &str, readme: &str) -> Vec<Violation> {
-    const RULE: &str = "obs-metric-names";
+    obs_metric_literals(content)
+        .into_iter()
+        .filter(|(_, waived, name)| !waived && !readme.contains(&format!("`{name}`")))
+        .map(|(line, _, name)| Violation {
+            file: path.to_path_buf(),
+            line,
+            rule: "obs-metric-names",
+            message: format!(
+                "metric name \"{name}\" is missing from the README \
+                 observability inventory — add `{name}` to the metric \
+                 table in README.md (or rename the metric)"
+            ),
+        })
+        .collect()
+}
+
+/// Rule `obs-metric-names`, reverse direction: every row of the README's
+/// metric inventory (the table whose header's first cell is `metric`)
+/// must name a metric in `emitted`, the literals the source hands to the
+/// `dls-obs` macros, so a row cannot outlive the code that recorded it.
+/// Each stale row is reported at its README line.
+fn check_obs_inventory(path: &Path, readme: &str, emitted: &BTreeSet<String>) -> Vec<Violation> {
     let mut out = Vec::new();
-    let raw_lines: Vec<&str> = content.lines().collect();
-    for line in code_lines(content) {
-        if waived(&line, RULE) {
+    let mut in_table = false;
+    for (idx, line) in readme.lines().enumerate() {
+        let Some(row) = line.trim().strip_prefix('|') else {
+            in_table = false;
+            continue;
+        };
+        let first = row.split('|').next().unwrap_or_default().trim();
+        if !in_table {
+            in_table = first == "metric";
             continue;
         }
-        let raw = raw_lines.get(line.number - 1).copied().unwrap_or_default();
-        for mac in OBS_MACROS {
-            // Gate on the comment/string-blanked code: the macro must be
-            // invoked with a string literal on this line. A definition-side
-            // `histogram!($name)` or a name quoted in a comment never fires.
-            let mut literal_call = false;
-            let mut from = 0;
-            while let Some(pos) = line.code[from..].find(mac) {
-                let abs = from + pos;
-                from = abs + mac.len();
-                if !macro_name_starts_at(&line.code, abs) {
-                    continue;
-                }
-                if line.code[from..].trim_start().starts_with('"') {
-                    literal_call = true;
-                    break;
-                }
-            }
-            if !literal_call {
-                continue;
-            }
-            // The blanked code hides the literal's contents; recover the
-            // names from the raw line (metric names contain no escapes).
-            let mut from = 0;
-            while let Some(pos) = raw[from..].find(mac) {
-                let abs = from + pos;
-                from = abs + mac.len();
-                if !macro_name_starts_at(raw, abs) {
-                    continue;
-                }
-                let rest = raw[from..].trim_start();
-                let Some(stripped) = rest.strip_prefix('"') else {
-                    continue;
-                };
-                let Some(end) = stripped.find('"') else {
-                    continue;
-                };
-                let name = &stripped[..end];
-                if !readme.contains(&format!("`{name}`")) {
-                    out.push(Violation {
-                        file: path.to_path_buf(),
-                        line: line.number,
-                        rule: RULE,
-                        message: format!(
-                            "metric name \"{name}\" is missing from the README \
-                             observability inventory — add `{name}` to the metric \
-                             table in README.md (or rename the metric)"
-                        ),
-                    });
-                }
-            }
+        let Some(name) = first.strip_prefix('`').and_then(|n| n.strip_suffix('`')) else {
+            continue; // the header separator
+        };
+        if !emitted.contains(name) {
+            out.push(Violation {
+                file: path.to_path_buf(),
+                line: idx + 1,
+                rule: "obs-metric-names",
+                message: format!(
+                    "inventory row `{name}` names a metric no source literal emits — \
+                     delete the row (or restore the metric)"
+                ),
+            });
         }
     }
     out
@@ -486,6 +532,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Violation>> {
     }
     files.sort();
     let readme = fs::read_to_string(root.join("README.md")).unwrap_or_default();
+    let mut emitted = BTreeSet::new();
     for path in &files {
         let rel = path.strip_prefix(root).unwrap_or(path).to_path_buf();
         let content = fs::read_to_string(path)?;
@@ -499,7 +546,13 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Violation>> {
             violations.extend(check_lp_core_discipline(&rel, &content));
         }
         violations.extend(check_obs_metric_names(&rel, &content, &readme));
+        emitted.extend(obs_metric_literals(&content).into_iter().map(|(_, _, n)| n));
     }
+    violations.extend(check_obs_inventory(
+        Path::new("README.md"),
+        &readme,
+        &emitted,
+    ));
 
     // Rule 3 over crates/bench/benches/*_baseline.json.
     let benches = root.join("crates/bench/benches");
@@ -1068,6 +1121,25 @@ fn f() {
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v[0].message.contains("ghost.span.seconds"));
         assert!(v[1].message.contains("ghost.instant"));
+    }
+
+    #[test]
+    fn obs_metric_names_reads_literals_on_the_line_after_the_call() {
+        // rustfmt breaks a call with attributes after its `(`.
+        let src = "\
+fn f() {
+    let _s = dls_obs::trace_span!(
+        \"wrapped.seconds\",
+        \"rows\" => 3,
+    );
+}
+";
+        let v = check_obs_metric_names(Path::new("crates/foo/src/lib.rs"), src, "");
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].line, 3);
+        assert!(v[0].message.contains("wrapped.seconds"));
+        let readme = "| `wrapped.seconds` | phase |\n";
+        assert!(check_obs_metric_names(Path::new("crates/foo/src/lib.rs"), src, readme).is_empty());
     }
 
     #[test]

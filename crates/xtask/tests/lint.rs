@@ -135,6 +135,33 @@ fn flags_metric_names_missing_from_the_readme_inventory() {
 }
 
 #[test]
+fn flags_inventory_rows_that_no_source_literal_emits() {
+    let fx = Fixture::new("obs-stale");
+    // Only the table headed `metric` is the inventory.
+    fx.write(
+        "README.md",
+        "| `DLS_TRACE` | behavior |\n|---|---|\n| `summary` | a mode, not a metric |\n\n\
+         | metric | kind | meaning |\n|---|---|---|\n\
+         | `lp.solve.count` | counter | scenario LPs solved |\n\
+         | `sim.gone.seconds` | histogram | recorded by deleted code |\n",
+    );
+    fx.write(
+        "crates/foo/src/lib.rs",
+        "fn f() {\n    dls_obs::counter!(\"lp.solve.count\").incr();\n}\n\n\
+         #[cfg(test)]\nmod tests {\n    fn g() {\n        \
+         dls_obs::histogram!(\"sim.gone.seconds\").record(1.0);\n    }\n}\n",
+    );
+
+    // A name only test code records does not keep its row alive.
+    let v = lint_workspace(&fx.root).unwrap();
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert_eq!(v[0].rule, "obs-metric-names");
+    assert_eq!(v[0].file, Path::new("README.md"));
+    assert_eq!(v[0].line, 8);
+    assert!(v[0].message.contains("sim.gone.seconds"));
+}
+
+#[test]
 fn clean_fixture_produces_no_violations() {
     let fx = Fixture::new("clean");
     fx.write(

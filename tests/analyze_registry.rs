@@ -1,14 +1,14 @@
 //! The static analyzer accepts every model the workspace actually builds.
 //!
 //! Two layers: (1) solve every registered strategy on a platform matrix
-//! with the pre-solve gate active (debug builds run it by default, and CI
-//! additionally forces `DLS_ANALYZE=1`), so a builder emitting a broken
-//! row fails here with a named diagnostic rather than deep inside the
-//! simplex; (2) run `dls_lp::analyze` directly on each model-building
-//! entry point and assert zero error-severity findings.
+//! with the pre-solve gate active (debug builds, which is how tests build,
+//! always run it), so a builder emitting a broken row fails here with a
+//! named diagnostic rather than deep inside the simplex; (2) run
+//! `dls_lp::analyze` directly on each model-building entry point and
+//! assert zero error-severity findings.
 
 use dls::core::interleaved::{interleaved_model, merge_with_lead};
-use dls::core::lp_model::{analysis_enabled, scenario_model};
+use dls::core::lp_model::scenario_model;
 use dls::core::PortModel;
 use dls::lp::analyze;
 use dls::platform::{Platform, TreePlatform, WorkerId};
@@ -39,10 +39,6 @@ fn install_all() {
 #[test]
 fn every_registry_strategy_passes_the_gate() {
     install_all();
-    assert!(
-        analysis_enabled() || !cfg!(debug_assertions),
-        "debug builds must run the analyzer unless DLS_ANALYZE=0"
-    );
     for platform in matrix() {
         for strategy in dls::core::registry() {
             match strategy.solve(&platform) {

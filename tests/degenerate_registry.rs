@@ -1,17 +1,18 @@
 //! Degenerate instances through the *registry*: the Beale cycling LP and a
-//! fully tie-ridden platform, solved by every registered strategy under
-//! both LP engines (revised and tableau) and certified against the exact
-//! rational backend.
+//! fully tie-ridden platform, solved by every registered strategy, with
+//! each LP-backed answer's own scenario re-solved on both LP engines
+//! (revised and tableau) and certified against the exact rational backend.
 //!
 //! The raw-`SolverOptions` unit tests in `dls-lp` cover the solver kernels;
 //! this suite covers the full path the sweeps take — `Scheduler::solve` →
-//! `lp_model::solve_scenario` → engine selection — on inputs engineered to
-//! cycle or stall a naive simplex.
+//! `lp_model::solve_model` — on inputs engineered to cycle or stall a
+//! naive simplex.
 
-use dls::core::lp_model::{solve_scenario_exact, with_engine, LpEngine};
+use dls::core::lp_model::{scenario_model, solve_scenario_exact};
 use dls::core::prelude::*;
 use dls::lp::{
-    solve, solve_exact, solve_revised_with, Problem, Rational, Relation, Scalar, SolverOptions,
+    solve, solve_exact, solve_revised, solve_revised_with, Problem, Rational, Relation, Scalar,
+    SolverOptions,
 };
 use dls::platform::Platform;
 use dls::tree::{TreeOrder, TreeScheduler};
@@ -47,6 +48,37 @@ fn degenerate_bus() -> Platform {
     Platform::bus(1.0, 0.5, &[2.0, 2.0, 2.0, 2.0]).unwrap()
 }
 
+/// Re-solves the scenario LP that strategy `name` chose on `p` (its
+/// answer `sol`) on both engines, each handed the problem directly, and
+/// checks that both optima match the reported throughput to 1e-9 relative.
+/// Only LP-backed answers have a scenario LP of their own.
+fn assert_engines_agree_on_own_scenario(name: &str, p: &Platform, sol: &Solution) {
+    if !matches!(sol.provenance, Provenance::Lp { .. }) {
+        return;
+    }
+    let (ir, _) = scenario_model(
+        sol.execution_platform(p),
+        sol.schedule.send_order(),
+        sol.schedule.return_order(),
+        PortModel::OnePort,
+    )
+    .unwrap();
+    for (engine, result) in [
+        ("revised", solve_revised(ir.problem())),
+        ("tableau", solve(ir.problem())),
+    ] {
+        let objective = result
+            .unwrap_or_else(|e| panic!("{name}: {engine} failed on its own scenario: {e}"))
+            .objective;
+        let rel = (objective - sol.throughput).abs() / sol.throughput.abs().max(1.0);
+        assert!(
+            rel <= 1e-9,
+            "{name}: {engine} re-solve of its scenario gives {objective}, the strategy reported {}",
+            sol.throughput
+        );
+    }
+}
+
 #[test]
 fn beale_agrees_across_engines_and_backends() {
     let p = beale();
@@ -71,27 +103,15 @@ fn beale_agrees_across_engines_and_backends() {
 fn registry_strategies_agree_across_engines_on_the_degenerate_bus() {
     let p = degenerate_bus();
     for s in dls::core::registry() {
-        let revised = with_engine(LpEngine::Revised, || s.solve(&p))
-            .unwrap_or_else(|e| panic!("{} failed (revised) on the degenerate bus: {e}", s.name()));
-        let tableau = with_engine(LpEngine::Tableau, || s.solve(&p))
-            .unwrap_or_else(|e| panic!("{} failed (tableau) on the degenerate bus: {e}", s.name()));
-        let rel =
-            (revised.throughput - tableau.throughput).abs() / tableau.throughput.abs().max(1.0);
+        let sol = s
+            .solve(&p)
+            .unwrap_or_else(|e| panic!("{} failed on the degenerate bus: {e}", s.name()));
+        assert_engines_agree_on_own_scenario(s.name(), &p, &sol);
         assert!(
-            rel <= 1e-9,
-            "{}: engines disagree on the degenerate bus: revised {} vs tableau {}",
-            s.name(),
-            revised.throughput,
-            tableau.throughput
+            sol.verified_timeline(&p, 1e-7).is_ok(),
+            "{}: infeasible timeline",
+            s.name()
         );
-        // Both engines' schedules execute feasibly.
-        for sol in [&revised, &tableau] {
-            assert!(
-                sol.verified_timeline(&p, 1e-7).is_ok(),
-                "{}: infeasible timeline",
-                s.name()
-            );
-        }
     }
 }
 
@@ -152,26 +172,11 @@ fn degenerate_star_with_zero_cost_ties_survives_both_engines() {
     let p =
         Platform::star_with_z(&[(1.0, 2.0), (1.0, 2.0), (1.0, 2.0), (100.0, 0.1)], 0.5).unwrap();
     for s in dls::core::registry() {
-        // The bus closed form rightly refuses a star; every other strategy
-        // must agree across engines.
-        let revised = with_engine(LpEngine::Revised, || s.solve(&p));
-        let tableau = with_engine(LpEngine::Tableau, || s.solve(&p));
-        match (revised, tableau) {
-            (Ok(r), Ok(t)) => {
-                let rel = (r.throughput - t.throughput).abs() / t.throughput.abs().max(1.0);
-                assert!(
-                    rel <= 1e-9,
-                    "{}: engines disagree on the tie-star: {} vs {}",
-                    s.name(),
-                    r.throughput,
-                    t.throughput
-                );
-            }
-            (Err(re), Err(te)) => assert_eq!(re, te, "{}: engines differ in error", s.name()),
-            (r, t) => panic!(
-                "{}: one engine errored, the other did not: {r:?} vs {t:?}",
-                s.name()
-            ),
+        // The bus closed form rightly refuses a star; every LP-backed
+        // strategy's scenario must solve alike on both engines.
+        match s.solve(&p) {
+            Ok(sol) => assert_engines_agree_on_own_scenario(s.name(), &p, &sol),
+            Err(e) => assert_eq!(s.name(), "bus_fifo", "unexpected failure: {e}"),
         }
     }
 }

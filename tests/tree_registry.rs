@@ -5,7 +5,7 @@
 
 use dls::core::{Execution, Provenance, Scheduler};
 use dls::platform::{Platform, PlatformSampler, TreePlatform, WorkerId};
-use dls::sim::{simulate_tree, verify_tree, SimConfig};
+use dls::sim::{simulate_tree, verify_tree, SimConfig, TreeSpanKind};
 use dls::tree::{expand, TreeScheduler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -123,13 +123,18 @@ fn native_random_trees_solve_and_expand() {
     for seed in 0..5u64 {
         let tree = TreePlatform::random(&p, &mut StdRng::seed_from_u64(seed));
         let sol = TreeScheduler::fifo(2).solve_tree(&tree).unwrap();
-        let timings = expand(&tree, &sol.schedule).unwrap();
+        let expansion = expand(&tree, &sol.schedule).unwrap();
+        let computes = expansion
+            .spans
+            .iter()
+            .filter(|s| s.kind == TreeSpanKind::Compute)
+            .count();
         assert_eq!(
-            timings.len(),
+            computes,
             sol.schedule.participants().len(),
-            "one timing per participant"
+            "one compute span per participant"
         );
-        let violations = dls::tree::verify_expansion(&tree, &timings, 1e-7);
+        let violations = verify_tree(&tree, &sol.schedule, &expansion, 1e-7);
         assert!(violations.is_empty(), "seed {seed}: {violations:?}");
     }
 }
