@@ -2,10 +2,12 @@
 //! scaling on the paper's scheduling LPs (2p variables, 3p+1 constraints)
 //! and pivot-rule sensitivity.
 //!
-//! Running with `--smoke` skips the benchmark groups and instead times the
-//! p = 128 revised solve against the checked-in baseline
-//! (`benches/solver_baseline.json`), exiting nonzero on a >2x regression —
-//! the CI gate for the sweep hot path.
+//! Running with `--smoke` skips the benchmark groups and instead runs the
+//! CI gates against the checked-in baseline (`benches/solver_baseline.json`):
+//! the cold p = 128 and p = 256 revised solves and a refactorization-heavy
+//! p = 128 solve exit nonzero on a >2x regression, and the cold revised
+//! solve must beat the cold tableau at p = 128 and p = 256 in the median
+//! of alternating paired solves.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use dls_core::lp_model::scenario_model;
@@ -128,19 +130,22 @@ fn time_cold_ns(p: usize, runs: usize) -> f64 {
     best
 }
 
-/// Times one cold *tableau* solve at worker count `p` — the reference side
-/// of the cold revised/tableau ratio gates.
-fn time_cold_tableau_ns(p: usize, runs: usize) -> f64 {
+/// Runs the cold revised/tableau ratio gate at worker count `p`: one cold
+/// revised solve against one cold tableau solve of the same LP, per pair.
+fn cold_ratio_gate(baseline: &str, key: &str, p: usize) {
     let (_, lp) = fifo_lp(p, 7);
     let opts = SolverOptions::for_size(lp.num_vars(), lp.num_constraints());
-    black_box(solve_with::<f64>(&lp, &opts).unwrap());
-    let mut best = f64::INFINITY;
-    for _ in 0..runs {
-        let t = std::time::Instant::now();
-        black_box(solve_with::<f64>(&lp, &opts).unwrap());
-        best = best.min(t.elapsed().as_nanos() as f64);
-    }
-    best
+    dls_bench::smoke::run_ratio_gate(
+        baseline,
+        key,
+        &format!("p={p} cold revised vs tableau"),
+        || {
+            black_box(solve_revised_with::<f64>(&lp, &opts, None).unwrap());
+        },
+        || {
+            black_box(solve_with::<f64>(&lp, &opts).unwrap());
+        },
+    );
 }
 
 /// Times a refactorization-heavy cold revised solve (`refactor_every = 1`
@@ -186,22 +191,11 @@ fn main() {
             |runs| time_sparse_lu_ns(128, runs),
         );
         // The sparse-LU tentpole win, pinned as same-machine ratios: a
-        // cold revised solve must beat the cold tableau at p >= 128
-        // (ratio gates read the max allowed ratio from the baseline).
-        dls_bench::smoke::run_ratio_gate(
-            baseline,
-            "p128_cold_ratio",
-            "p=128 cold revised vs tableau",
-            |runs| time_cold_ns(128, runs),
-            |runs| time_cold_tableau_ns(128, runs),
-        );
-        dls_bench::smoke::run_ratio_gate(
-            baseline,
-            "p256_cold_ratio",
-            "p=256 cold revised vs tableau",
-            |runs| time_cold_ns(256, runs),
-            |runs| time_cold_tableau_ns(256, runs),
-        );
+        // cold revised solve must beat the cold tableau at p >= 128 in the
+        // median of alternating paired solves (ratio gates read the max
+        // allowed ratio from the baseline).
+        cold_ratio_gate(baseline, "p128_cold_ratio", 128);
+        cold_ratio_gate(baseline, "p256_cold_ratio", 256);
         return;
     }
     benches();

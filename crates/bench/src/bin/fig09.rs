@@ -1,5 +1,5 @@
 //! Regenerates Figure 9 (execution trace / Gantt). Usage:
-//! `fig09 [n] [M]` (defaults: n = 400, M = 1000).
+//! `fig09 [n] [M]` (defaults: n = 200, M = 1000).
 
 use dls_bench::figures::fig09;
 

@@ -1,14 +1,20 @@
 //! Shared harness for the `--smoke` CI regression gates.
 //!
-//! Each gated bench (`benches/solver.rs`, `benches/multiround.rs`) times
-//! one hot-path operation and compares it against a checked-in baseline
-//! JSON through [`run_gate`]: the measurement is normalized by a
-//! machine-speed probe (a fixed matrix product timed on both the baseline
-//! machine and the runner) so the gate compares solver work, not runner
-//! hardware. A wildly off calibration is clamped so it cannot mask a real
-//! regression.
+//! Each gated bench (`benches/solver.rs`, `benches/multiround.rs`,
+//! `benches/tree.rs`, `benches/ir.rs`) times one hot-path operation and
+//! compares it against a checked-in baseline JSON through [`run_gate`]:
+//! the measurement is normalized by a machine-speed probe (a fixed matrix
+//! product timed on both the baseline machine and the runner) so the gate
+//! compares solver work, not runner hardware. A wildly off calibration is
+//! clamped so it cannot mask a real regression.
+//!
+//! The solver bench also pins same-machine ratios between two operations
+//! through [`run_ratio_gate`], which gates on the median of alternating
+//! paired timings rather than on two separately timed best-of blocks.
 
 use std::hint::black_box;
+
+use dls_report::percentile;
 
 /// Reads the `"key": <number>` field out of a flat baseline JSON document.
 ///
@@ -150,11 +156,17 @@ pub fn run_gate(
     }
 }
 
-/// Runs one *ratio* smoke gate: measures two operations on this machine
-/// and asserts `measure(runs) / measure_ref(runs) <= baseline_key` (the
-/// baseline value is the maximum allowed ratio, not a time). Both sides
-/// run on the same machine in the same process, so no speed normalization
-/// applies.
+/// Paired samples a ratio gate takes. Odd, so the median is one sample.
+const RATIO_PAIRS: usize = 41;
+
+/// Runs one *ratio* smoke gate: asserts that the median over 41
+/// (`RATIO_PAIRS`) paired timings of `op` over `reference` is at most
+/// `baseline_key` (the baseline value is the maximum allowed ratio, not a
+/// time). Each pair times one call of each, back to back, and the pairs
+/// alternate which one goes first, so drift in machine speed (frequency
+/// scaling, a noisy neighbour) lands on both sides of a pair instead of
+/// on one of two separately timed blocks. Both sides run on the same
+/// machine in the same process, so no speed normalization applies.
 ///
 /// This is how the solver gate pins *relative* wins (e.g. "cold revised
 /// beats the tableau": ratio ≤ 1.0) that an absolute-time gate with a 2x
@@ -163,25 +175,30 @@ pub fn run_ratio_gate(
     baseline_path: &str,
     baseline_key: &str,
     label: &str,
-    measure: impl FnOnce(usize) -> f64,
-    measure_ref: impl FnOnce(usize) -> f64,
+    mut op: impl FnMut(),
+    mut reference: impl FnMut(),
 ) {
     let doc = std::fs::read_to_string(baseline_path)
         .unwrap_or_else(|e| panic!("cannot read {baseline_path}: {e}"));
     let max_ratio = json_number(&doc, baseline_key)
         .unwrap_or_else(|| panic!("baseline JSON missing {baseline_key}"));
-    let measured_ns = measure(5);
-    let reference_ns = measure_ref(5);
-    let ratio = measured_ns / reference_ns;
+    let pairs = paired_timings(&mut op, &mut reference);
+    let ratios: Vec<f64> = pairs.iter().map(|&(a, b)| a / b).collect();
+    let [q1, ratio, q3] =
+        [25.0, 50.0, 75.0].map(|p| percentile(&ratios, p).expect("RATIO_PAIRS > 0"));
+    let median = |side: Vec<f64>| percentile(&side, 50.0).expect("RATIO_PAIRS > 0");
+    let measured_ns = median(pairs.iter().map(|p| p.0).collect());
+    let reference_ns = median(pairs.iter().map(|p| p.1).collect());
     println!(
-        "smoke: {label} {:.2} ms vs reference {:.2} ms (ratio {ratio:.3}, gate {max_ratio:.2})",
+        "smoke: {label} {:.2} ms vs reference {:.2} ms (median of {RATIO_PAIRS} paired \
+         ratios {ratio:.3}, quartiles {q1:.3}..{q3:.3}, gate {max_ratio:.2})",
         measured_ns / 1e6,
         reference_ns / 1e6
     );
     if ratio > max_ratio {
         eprintln!(
-            "smoke: FAIL — {label} is {ratio:.3}x the reference on this machine, \
-             above the {max_ratio:.2} gate"
+            "smoke: FAIL — {label} is {ratio:.3}x the reference on this machine \
+             (median paired ratio), above the {max_ratio:.2} gate"
         );
         std::process::exit(1);
     }
@@ -191,6 +208,30 @@ pub fn run_ratio_gate(
         dls_obs::gauge!("smoke.normalized_ratio").set(ratio);
         dls_obs::emit(&format!("smoke:{label}"));
     }
+}
+
+/// Times [`RATIO_PAIRS`] back-to-back pairs of `op` and `reference`
+/// after one warm-up call each, alternating which goes first. Returns each
+/// pair's `(op, reference)` times in nanoseconds.
+fn paired_timings(op: &mut dyn FnMut(), reference: &mut dyn FnMut()) -> Vec<(f64, f64)> {
+    fn time_ns(f: &mut dyn FnMut()) -> f64 {
+        let t = std::time::Instant::now();
+        f();
+        t.elapsed().as_nanos() as f64
+    }
+    op();
+    reference();
+    (0..RATIO_PAIRS)
+        .map(|k| {
+            if k % 2 == 0 {
+                let a = time_ns(op);
+                (a, time_ns(reference))
+            } else {
+                let b = time_ns(reference);
+                (time_ns(op), b)
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -207,6 +248,19 @@ mod tests {
         assert_eq!(json_number(doc, "p128_revised_ns"), Some(950000.0));
         assert_eq!(json_number(doc, "exp"), Some(1500.0));
         assert_eq!(json_number(doc, "missing"), None);
+    }
+
+    #[test]
+    fn paired_timings_alternate_which_side_goes_first() {
+        let calls = std::cell::RefCell::new(String::new());
+        let pairs = paired_timings(&mut || calls.borrow_mut().push('o'), &mut || {
+            calls.borrow_mut().push('r')
+        });
+        assert_eq!(pairs.len(), RATIO_PAIRS);
+        let calls = calls.into_inner();
+        // One warm-up call each, then pairs in alternating order.
+        assert_eq!(&calls[..10], "ororroorro");
+        assert_eq!(calls.len(), 2 + 2 * RATIO_PAIRS);
     }
 
     #[test]

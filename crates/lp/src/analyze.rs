@@ -151,11 +151,6 @@ impl AnalysisReport {
         self.errors().next().is_some()
     }
 
-    /// `true` when the model produced no findings at all.
-    pub fn is_clean(&self) -> bool {
-        self.diagnostics.is_empty()
-    }
-
     fn error(&mut self, row: &Row, message: String) {
         self.diagnostics.push(Diagnostic {
             severity: Severity::Error,

@@ -36,9 +36,6 @@ pub enum LpError {
     /// initial slack/artificial basis is an identity — so it signals a
     /// numerically collapsed instance.
     SingularBasis,
-    /// LP-format text could not be parsed (see
-    /// [`Problem::from_lp_format`](crate::Problem::from_lp_format)).
-    ParseError(String),
 }
 
 impl fmt::Display for LpError {
@@ -60,7 +57,6 @@ impl fmt::Display for LpError {
             LpError::SingularBasis => {
                 write!(f, "basis matrix is singular at the working tolerance")
             }
-            LpError::ParseError(msg) => write!(f, "LP-format parse error: {msg}"),
         }
     }
 }

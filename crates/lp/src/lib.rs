@@ -27,7 +27,9 @@
 //! into one deterministic [`Problem`] — the shared vocabulary every
 //! divisible-load LP variant in the workspace is built from. The engines
 //! solve [`ScheduleModel::problem`] in place; [`ScheduleModel::lower`]
-//! returns an owned copy. The [`analyze`](fn@analyze) pass statically checks a model's
+//! returns an owned copy. A [`Problem`] has no text form: it compares
+//! structurally (`==` on sense, names, objective and rows), which is how
+//! tests pin a model build. The [`analyze`](fn@analyze) pass statically checks a model's
 //! structural invariants (row-kind signatures, duplicate/dominated rows,
 //! conditioning) from the problem's rows and their kinds *before* the
 //! solve, turning builder bugs into named diagnostics instead of garbage

@@ -40,7 +40,7 @@ impl VarId {
 }
 
 /// A single linear constraint in sparse form.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Constraint {
     /// `(variable index, coefficient)` pairs; indices need not be sorted but
     /// duplicates are summed during standardization.
@@ -54,7 +54,12 @@ pub struct Constraint {
 }
 
 /// A linear program over non-negative variables.
-#[derive(Debug, Clone)]
+///
+/// Equality is structural: same sense, variable names, objective, and rows
+/// with the same labels, relations, right-hand sides and coefficient lists
+/// in the same order. Coefficients compare as `f64` values, so a model
+/// build is pinned bit for bit (up to the sign of zero).
+#[derive(Debug, Clone, PartialEq)]
 pub struct Problem {
     sense: Sense,
     names: Vec<String>,
@@ -221,149 +226,6 @@ impl Problem {
         self.objective.iter().zip(x).map(|(c, v)| c * v).sum()
     }
 
-    /// The sanitized, collision-free LP-format identifier of every
-    /// variable, in declaration order. Sanitization maps every
-    /// non-alphanumeric character to `_`; when two distinct declared names
-    /// collide after sanitization (a round-trip gap in the original
-    /// exporter: both `x P2` and `x_P2` rendered as `x_P2`), later
-    /// occurrences get a `__<index>` suffix — re-suffixed until genuinely
-    /// unique, since a declared name may itself end in `__<index>` — so
-    /// the written file always keeps the variables distinct.
-    fn lp_format_names(&self) -> Vec<String> {
-        let sanitize = |s: &str| -> String {
-            s.chars()
-                .map(|c| {
-                    if c.is_alphanumeric() || c == '_' {
-                        c
-                    } else {
-                        '_'
-                    }
-                })
-                .collect()
-        };
-        let mut seen = std::collections::HashSet::new();
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| {
-                let base = sanitize(n);
-                let mut name = base.clone();
-                let mut k = i;
-                while !seen.insert(name.clone()) {
-                    name = format!("{base}__{k}");
-                    k += self.names.len(); // strides past any declared __<index> tail
-                }
-                name
-            })
-            .collect()
-    }
-
-    /// Serializes the problem in the standard **LP file format** (as read
-    /// by CPLEX, Gurobi, HiGHS, glpsol, `lp_solve` — the solver the paper
-    /// used). Handy for certifying this crate's answers against an
-    /// external solver, and for dumping IR-built models as readable text;
-    /// [`Problem::from_lp_format`] parses the emitted subset back, and the
-    /// snapshot tests pin the exact bytes for the scenario models.
-    ///
-    /// Round-trip guarantees: sanitized variable names are kept distinct
-    /// (colliding names get a `__<index>` suffix), an all-zero objective
-    /// or constraint expression is written as `0 <first-var>` instead of
-    /// an empty (unparseable) expression, and equality rows use the
-    /// format's `=`. Variables that appear in neither the objective nor
-    /// any constraint are the one lossy case (the format has nowhere to
-    /// mention them).
-    pub fn to_lp_format(&self) -> String {
-        use std::fmt::Write as _;
-        let names = self.lp_format_names();
-        let sanitize = |s: &str| -> String {
-            s.chars()
-                .map(|c| {
-                    if c.is_alphanumeric() || c == '_' {
-                        c
-                    } else {
-                        '_'
-                    }
-                })
-                .collect()
-        };
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{}",
-            match self.sense {
-                Sense::Maximize => "Maximize",
-                Sense::Minimize => "Minimize",
-            }
-        );
-        let _ = write!(out, " obj:");
-        let mut wrote_obj = false;
-        for (i, &c) in self.objective.iter().enumerate() {
-            if c.abs() > 0.0 {
-                let _ = write!(out, " {:+} {}", c, names[i]);
-                wrote_obj = true;
-            }
-        }
-        if !wrote_obj {
-            // A constant-zero objective still needs a parseable expression.
-            let _ = write!(out, " +0 {}", names[0]);
-        }
-        let _ = writeln!(out, "\nSubject To");
-        for (k, con) in self.constraints.iter().enumerate() {
-            let label = if con.label.is_empty() {
-                format!("c{k}")
-            } else {
-                sanitize(&con.label)
-            };
-            let _ = write!(out, " {label}:");
-            let mut dense = vec![0.0; self.names.len()];
-            for &(idx, c) in &con.coeffs {
-                dense[idx] += c;
-            }
-            let mut wrote_term = false;
-            for (i, &c) in dense.iter().enumerate() {
-                if c.abs() > 0.0 {
-                    let _ = write!(out, " {:+} {}", c, names[i]);
-                    wrote_term = true;
-                }
-            }
-            if !wrote_term {
-                let _ = write!(out, " +0 {}", names[0]);
-            }
-            let rel = match con.relation {
-                Relation::Le => "<=",
-                Relation::Ge => ">=",
-                Relation::Eq => "=",
-            };
-            let _ = writeln!(out, " {rel} {}", con.rhs);
-        }
-        // All variables are non-negative by this crate's convention, which
-        // is the LP-format default — no Bounds section needed.
-        let _ = writeln!(out, "End");
-        out
-    }
-
-    /// Parses the LP file format back into a [`Problem`] — the inverse of
-    /// [`Problem::to_lp_format`] on the subset this crate emits, plus two
-    /// forms external files use that the exporter cannot produce:
-    /// **ranged rows** (`lo <= expr <= hi`, split into a `>= lo` and a
-    /// `<= hi` row labeled `<label>_lo`/`<label>_hi`) and bare
-    /// coefficient-less terms (`x + y <= 1`).
-    ///
-    /// Variables are declared in order of first appearance (objective
-    /// first, then rows). For the canonical scenario models (alphas in the
-    /// objective, each idle introduced by its own deadline row) this
-    /// coincides with the original declaration order; models whose
-    /// zero-objective variables first appear out of declaration order in
-    /// the rows (e.g. the interleaved start variables) parse into a
-    /// *different* [`VarId`] numbering — the round trip is
-    /// self-consistent, but original variable handles must not be reused
-    /// against the reparsed problem. `\`-comments are stripped;
-    /// `Bounds`/`General`/`Binary` sections are rejected (this crate's
-    /// problems are continuous and non-negative by construction).
-    pub fn from_lp_format(text: &str) -> Result<Problem, LpError> {
-        parse::parse(text)
-    }
-
     /// Checks primal feasibility of `x` within tolerance `tol`.
     ///
     /// Returns the first violated constraint label, or `None` if feasible.
@@ -385,329 +247,6 @@ impl Problem {
         }
         None
     }
-}
-
-/// LP-format parsing (see [`Problem::from_lp_format`]).
-mod parse {
-    use super::{Problem, Relation, Sense};
-    use crate::error::LpError;
-    use std::collections::HashMap;
-
-    #[derive(Debug, Clone, PartialEq)]
-    enum Token {
-        Word(String),
-        Num(f64),
-        Colon,
-        Plus,
-        Minus,
-        Le,
-        Ge,
-        Eq,
-    }
-
-    fn err(msg: impl Into<String>) -> LpError {
-        LpError::ParseError(msg.into())
-    }
-
-    fn tokenize(text: &str) -> Result<Vec<Token>, LpError> {
-        let mut tokens = Vec::new();
-        for line in text.lines() {
-            // `\` starts a comment in the LP format.
-            let line = line.split('\\').next().unwrap_or("");
-            let bytes: Vec<char> = line.chars().collect();
-            let mut i = 0;
-            while i < bytes.len() {
-                let c = bytes[i];
-                if c.is_whitespace() {
-                    i += 1;
-                } else if c == ':' {
-                    tokens.push(Token::Colon);
-                    i += 1;
-                } else if c == '+' {
-                    tokens.push(Token::Plus);
-                    i += 1;
-                } else if c == '-' {
-                    tokens.push(Token::Minus);
-                    i += 1;
-                } else if c == '<' || c == '>' || c == '=' {
-                    // Accept <=, >=, =, =<, =>, and the bare <, > forms.
-                    let mut rel = String::from(c);
-                    if i + 1 < bytes.len() && matches!(bytes[i + 1], '<' | '>' | '=') {
-                        rel.push(bytes[i + 1]);
-                        i += 1;
-                    }
-                    i += 1;
-                    tokens.push(match rel.as_str() {
-                        "<" | "<=" | "=<" => Token::Le,
-                        ">" | ">=" | "=>" => Token::Ge,
-                        "=" | "==" => Token::Eq,
-                        other => return Err(err(format!("unrecognized relation '{other}'"))),
-                    });
-                } else if c.is_ascii_digit() || c == '.' {
-                    let start = i;
-                    while i < bytes.len()
-                        && (bytes[i].is_ascii_digit()
-                            || bytes[i] == '.'
-                            || bytes[i] == 'e'
-                            || bytes[i] == 'E'
-                            || (matches!(bytes[i], '+' | '-')
-                                && i > start
-                                && matches!(bytes[i - 1], 'e' | 'E')))
-                    {
-                        i += 1;
-                    }
-                    let lit: String = bytes[start..i].iter().collect();
-                    // An exponent-free token of digits followed by a name
-                    // character would be a malformed name ("9x"): let the
-                    // number parse fail loudly rather than mis-splitting.
-                    let value = lit
-                        .parse::<f64>()
-                        .map_err(|_| err(format!("bad numeric literal '{lit}'")))?;
-                    tokens.push(Token::Num(value));
-                } else if c.is_alphanumeric() || c == '_' {
-                    let start = i;
-                    while i < bytes.len() && (bytes[i].is_alphanumeric() || bytes[i] == '_') {
-                        i += 1;
-                    }
-                    tokens.push(Token::Word(bytes[start..i].iter().collect()));
-                } else {
-                    return Err(err(format!("unexpected character '{c}'")));
-                }
-            }
-        }
-        Ok(tokens)
-    }
-
-    /// Linear expression: `(terms, next position)`; stops at the first
-    /// relation token or section keyword.
-    fn parse_terms(
-        tokens: &[Token],
-        mut i: usize,
-        vars: &mut Vec<String>,
-        index: &mut HashMap<String, usize>,
-    ) -> Result<(Vec<(usize, f64)>, usize), LpError> {
-        let mut terms = Vec::new();
-        let mut sign = 1.0;
-        let mut coeff: Option<f64> = None;
-        loop {
-            match tokens.get(i) {
-                Some(Token::Plus) => {
-                    if coeff.is_some() {
-                        return Err(err("dangling coefficient before '+'"));
-                    }
-                    i += 1;
-                }
-                Some(Token::Minus) => {
-                    if coeff.is_some() {
-                        return Err(err("dangling coefficient before '-'"));
-                    }
-                    sign = -sign;
-                    i += 1;
-                }
-                Some(Token::Num(v)) => {
-                    if coeff.is_some() {
-                        return Err(err("two consecutive numeric literals"));
-                    }
-                    coeff = Some(*v);
-                    i += 1;
-                }
-                Some(Token::Word(w)) if !is_keyword(w) => {
-                    let idx = *index.entry(w.clone()).or_insert_with(|| {
-                        vars.push(w.clone());
-                        vars.len() - 1
-                    });
-                    terms.push((idx, sign * coeff.unwrap_or(1.0)));
-                    sign = 1.0;
-                    coeff = None;
-                    i += 1;
-                }
-                _ => break,
-            }
-        }
-        if coeff.is_some() {
-            // A trailing number belongs to the caller (a right-hand side);
-            // rewind so it can read it.
-            i -= 1;
-        }
-        Ok((terms, i))
-    }
-
-    fn is_keyword(word: &str) -> bool {
-        matches!(
-            word.to_ascii_lowercase().as_str(),
-            "subject" | "st" | "end" | "bounds" | "general" | "generals" | "binary" | "binaries"
-        )
-    }
-
-    fn read_rhs(tokens: &[Token], mut i: usize) -> Result<(f64, usize), LpError> {
-        let mut sign = 1.0;
-        loop {
-            match tokens.get(i) {
-                Some(Token::Plus) => i += 1,
-                Some(Token::Minus) => {
-                    sign = -sign;
-                    i += 1;
-                }
-                Some(Token::Num(v)) => return Ok((sign * v, i + 1)),
-                other => return Err(err(format!("expected a right-hand side, got {other:?}"))),
-            }
-        }
-    }
-
-    pub(super) fn parse(text: &str) -> Result<Problem, LpError> {
-        let tokens = tokenize(text)?;
-        let mut i = 0;
-
-        // Sense.
-        let sense = match tokens.get(i) {
-            Some(Token::Word(w)) => match w.to_ascii_lowercase().as_str() {
-                "maximize" | "maximise" | "max" => Sense::Maximize,
-                "minimize" | "minimise" | "min" => Sense::Minimize,
-                other => return Err(err(format!("expected Maximize/Minimize, got '{other}'"))),
-            },
-            other => return Err(err(format!("expected Maximize/Minimize, got {other:?}"))),
-        };
-        i += 1;
-
-        // Objective: optional `label:` then terms.
-        let mut vars: Vec<String> = Vec::new();
-        let mut index: HashMap<String, usize> = HashMap::new();
-        if let (Some(Token::Word(_)), Some(Token::Colon)) = (tokens.get(i), tokens.get(i + 1)) {
-            i += 2;
-        }
-        let (obj_terms, next) = parse_terms(&tokens, i, &mut vars, &mut index)?;
-        i = next;
-
-        // "Subject To" / "ST".
-        match tokens.get(i) {
-            Some(Token::Word(w)) if w.eq_ignore_ascii_case("subject") => {
-                i += 1;
-                match tokens.get(i) {
-                    Some(Token::Word(t)) if t.eq_ignore_ascii_case("to") => i += 1,
-                    other => {
-                        return Err(err(format!("expected 'To' after 'Subject', got {other:?}")))
-                    }
-                }
-            }
-            Some(Token::Word(w)) if w.eq_ignore_ascii_case("st") => i += 1,
-            other => return Err(err(format!("expected 'Subject To', got {other:?}"))),
-        }
-
-        // Rows until End.
-        struct Row {
-            label: String,
-            terms: Vec<(usize, f64)>,
-            relation: Relation,
-            rhs: f64,
-        }
-        let mut rows: Vec<Row> = Vec::new();
-        loop {
-            match tokens.get(i) {
-                None => return Err(err("missing 'End'")),
-                Some(Token::Word(w)) if w.eq_ignore_ascii_case("end") => break,
-                Some(Token::Word(w))
-                    if matches!(
-                        w.to_ascii_lowercase().as_str(),
-                        "bounds" | "general" | "generals" | "binary" | "binaries"
-                    ) =>
-                {
-                    return Err(err(format!(
-                        "unsupported section '{w}': this crate's problems are continuous \
-                         and non-negative by construction"
-                    )));
-                }
-                _ => {}
-            }
-            // Optional label.
-            let label = match (tokens.get(i), tokens.get(i + 1)) {
-                (Some(Token::Word(w)), Some(Token::Colon)) => {
-                    i += 2;
-                    w.clone()
-                }
-                _ => format!("c{}", rows.len()),
-            };
-            // Ranged-low form: `lo <= expr <= hi`.
-            let mut low: Option<(f64, Relation)> = None;
-            if let Ok((lo, after_num)) = read_rhs(&tokens, i) {
-                if let Some(rel @ (Token::Le | Token::Ge)) = tokens.get(after_num) {
-                    let relation = if *rel == Token::Le {
-                        Relation::Ge // lo <= expr  ⇒  expr >= lo
-                    } else {
-                        Relation::Le
-                    };
-                    low = Some((lo, relation));
-                    i = after_num + 1;
-                }
-            }
-            let (terms, next) = parse_terms(&tokens, i, &mut vars, &mut index)?;
-            if terms.is_empty() {
-                return Err(err(format!("row '{label}' has no terms")));
-            }
-            i = next;
-            if let Some((lo, relation)) = low {
-                rows.push(Row {
-                    label: format!("{label}_lo"),
-                    terms: terms.clone(),
-                    relation,
-                    rhs: lo,
-                });
-            }
-            let relation = match tokens.get(i) {
-                Some(Token::Le) => Relation::Le,
-                Some(Token::Ge) => Relation::Ge,
-                Some(Token::Eq) => Relation::Eq,
-                other if low.is_some() => {
-                    // `lo <= expr` with no upper side: the low row covers it.
-                    let _ = other;
-                    continue;
-                }
-                other => {
-                    return Err(err(format!(
-                        "row '{label}': expected a relation, got {other:?}"
-                    )))
-                }
-            };
-            i += 1;
-            let (rhs, next) = read_rhs(&tokens, i)?;
-            i = next;
-            rows.push(Row {
-                label: if low.is_some() {
-                    format!("{label}_hi")
-                } else {
-                    label
-                },
-                terms,
-                relation,
-                rhs,
-            });
-        }
-
-        if vars.is_empty() {
-            return Err(LpError::Empty);
-        }
-        let mut p = Problem::new(sense);
-        let mut objective = vec![0.0; vars.len()];
-        for (idx, c) in obj_terms {
-            objective[idx] += c;
-        }
-        let ids: Vec<VarIdAlias> = vars
-            .iter()
-            .zip(&objective)
-            .map(|(name, &obj)| p.add_var(name.clone(), obj))
-            .collect();
-        for row in rows {
-            p.add_constraint(
-                row.label,
-                row.terms.iter().map(|&(idx, c)| (ids[idx], c)),
-                row.relation,
-                row.rhs,
-            );
-        }
-        p.validate()?;
-        Ok(p)
-    }
-
-    type VarIdAlias = super::VarId;
 }
 
 #[cfg(test)]
@@ -771,144 +310,6 @@ mod tests {
         let rows = p.dense_rows();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].0, vec![3.0]);
-    }
-
-    #[test]
-    fn lp_format_export() {
-        let mut p = Problem::maximize();
-        let x = p.add_var("alpha_P1", 1.0);
-        let y = p.add_var("x P2", 0.0); // space gets sanitized
-        p.add_constraint("deadline 1", [(x, 2.0), (y, 1.0)], Relation::Le, 1.0);
-        p.add_constraint("balance", [(x, 1.0), (y, -1.0)], Relation::Eq, 0.0);
-        p.add_constraint("floor", [(y, 1.0)], Relation::Ge, 0.25);
-        let lp = p.to_lp_format();
-        assert!(lp.starts_with("Maximize"));
-        assert!(lp.contains("obj: +1 alpha_P1"));
-        assert!(lp.contains("deadline_1: +2 alpha_P1 +1 x_P2 <= 1"));
-        assert!(lp.contains("balance: +1 alpha_P1 -1 x_P2 = 0"));
-        assert!(lp.contains("floor: +1 x_P2 >= 0.25"));
-        assert!(lp.trim_end().ends_with("End"));
-    }
-
-    #[test]
-    fn lp_format_keeps_colliding_sanitized_names_distinct() {
-        // "x P2" and "x_P2" both sanitize to x_P2: the round-trip gap the
-        // exporter used to have. The writer must keep them apart.
-        let mut p = Problem::maximize();
-        let a = p.add_var("x_P2", 1.0);
-        let b = p.add_var("x P2", 2.0);
-        p.add_constraint("cap", [(a, 1.0), (b, 1.0)], Relation::Le, 1.0);
-        let lp = p.to_lp_format();
-        assert!(lp.contains("+1 x_P2"), "{lp}");
-        assert!(lp.contains("+2 x_P2__1"), "{lp}");
-        let back = Problem::from_lp_format(&lp).unwrap();
-        assert_eq!(back.num_vars(), 2);
-
-        // Adversarial case: a declared name that already looks like a
-        // dedup suffix must not be collided into by the dedup of a later
-        // variable (the single-pass suffixing bug).
-        let mut q = Problem::maximize();
-        let a = q.add_var("x_P2__2", 1.0);
-        let b = q.add_var("x P2", 2.0);
-        let c = q.add_var("x_P2", 4.0);
-        q.add_constraint("cap", [(a, 1.0), (b, 1.0), (c, 1.0)], Relation::Le, 1.0);
-        let text = q.to_lp_format();
-        let back = Problem::from_lp_format(&text).unwrap();
-        assert_eq!(back.num_vars(), 3, "names collapsed in:\n{text}");
-        assert_eq!(back.objective().iter().sum::<f64>(), 7.0);
-    }
-
-    #[test]
-    fn lp_format_writes_parseable_zero_expressions() {
-        // All-zero objective and an all-zero row: both must still emit a
-        // parseable expression instead of an empty one.
-        let mut p = Problem::minimize();
-        let x = p.add_var("x", 0.0);
-        p.add_constraint("zero", [(x, 0.0)], Relation::Le, 5.0);
-        p.add_constraint("real", [(x, 2.0)], Relation::Ge, 1.0);
-        let lp = p.to_lp_format();
-        assert!(lp.contains("obj: +0 x"), "{lp}");
-        assert!(lp.contains("zero: +0 x <= 5"), "{lp}");
-        let back = Problem::from_lp_format(&lp).unwrap();
-        assert_eq!(back.num_constraints(), 2);
-        assert_eq!(back.sense(), Sense::Minimize);
-    }
-
-    #[test]
-    fn lp_format_round_trips_mixed_relations() {
-        let mut p = Problem::maximize();
-        let x = p.add_var("x", 3.0);
-        let y = p.add_var("y", -0.25);
-        p.add_constraint("le", [(x, 2.0), (y, 1.0)], Relation::Le, 4.0);
-        p.add_constraint("ge", [(x, 1.0)], Relation::Ge, 0.5);
-        p.add_constraint("eq", [(x, 1.0), (y, -1.0)], Relation::Eq, 0.0);
-        p.add_constraint("neg", [(y, 1.0)], Relation::Le, -2.0);
-        let text = p.to_lp_format();
-        let back = Problem::from_lp_format(&text).unwrap();
-        // Identical structure: re-serializing gives the same bytes.
-        assert_eq!(back.to_lp_format(), text);
-        assert_eq!(back.sense(), p.sense());
-        assert_eq!(back.num_vars(), p.num_vars());
-        assert_eq!(back.objective(), p.objective());
-        for (a, b) in back.dense_rows().iter().zip(p.dense_rows()) {
-            assert_eq!(a.0, b.0);
-            assert_eq!(a.1, b.1);
-            assert_eq!(a.2, b.2);
-        }
-        // Equality rows survive the trip (the historical gap).
-        assert_eq!(back.constraints()[2].relation, Relation::Eq);
-        assert_eq!(back.constraints()[2].label, "eq");
-    }
-
-    #[test]
-    fn lp_format_parses_ranged_rows_from_external_files() {
-        // `lo <= expr <= hi` (CPLEX ranged rows — not producible by the
-        // writer) split into two rows.
-        let text = "Minimize\n obj: x + 2 y\nSubject To\n band: 1 <= x + y <= 3\n\
-                    floor: 0.5 <= x\nEnd\n";
-        let p = Problem::from_lp_format(text).unwrap();
-        assert_eq!(p.num_constraints(), 3);
-        assert_eq!(p.constraints()[0].label, "band_lo");
-        assert_eq!(p.constraints()[0].relation, Relation::Ge);
-        assert_eq!(p.constraints()[0].rhs, 1.0);
-        assert_eq!(p.constraints()[1].label, "band_hi");
-        assert_eq!(p.constraints()[1].relation, Relation::Le);
-        assert_eq!(p.constraints()[1].rhs, 3.0);
-        assert_eq!(p.constraints()[2].label, "floor_lo");
-        assert_eq!(p.constraints()[2].relation, Relation::Ge);
-        // Coefficient-less terms default to 1; solve it for good measure:
-        // min x + 2y with x + y >= 1, x >= 0.5 puts everything on x.
-        let sol = crate::simplex::solve(&p).unwrap();
-        assert!((sol.objective - 1.0).abs() < 1e-9, "{}", sol.objective);
-    }
-
-    #[test]
-    fn lp_format_parser_rejects_garbage_and_unsupported_sections() {
-        assert!(matches!(
-            Problem::from_lp_format("Maximize obj: x Subject To Bounds End"),
-            Err(LpError::ParseError(_))
-        ));
-        assert!(matches!(
-            Problem::from_lp_format("Dance obj: x End"),
-            Err(LpError::ParseError(_))
-        ));
-        assert!(matches!(
-            Problem::from_lp_format("Maximize obj: x Subject To r: x ? 1 End"),
-            Err(LpError::ParseError(_))
-        ));
-        assert!(matches!(
-            Problem::from_lp_format("Maximize obj: x Subject To r: x <= 1"),
-            Err(LpError::ParseError(_)) // missing End
-        ));
-    }
-
-    #[test]
-    fn lp_format_comments_are_stripped() {
-        let text = "\\ a header comment\nMaximize\n obj: +1 x \\ trailing\nSubject To\n\
-                    c: +1 x <= 2\nEnd\n";
-        let p = Problem::from_lp_format(text).unwrap();
-        let sol = crate::simplex::solve(&p).unwrap();
-        assert!((sol.objective - 2.0).abs() < 1e-9);
     }
 
     #[test]

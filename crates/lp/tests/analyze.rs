@@ -1,12 +1,11 @@
 //! Property-based validation of the pre-solve static analyzer.
 //!
 //! Two directions: every *valid* randomly-generated schedule model must
-//! come back clean (no error-severity findings) and survive the full
-//! `lower → to_lp_format → from_lp_format` round trip; every *seeded
-//! corruption* of a valid model must be caught, with the diagnostic
-//! naming the right row label and [`RowKind`].
+//! come back clean (no error-severity findings) and solve to a positive
+//! throughput; every *seeded corruption* of a valid model must be caught,
+//! with the diagnostic naming the right row label and [`RowKind`].
 
-use dls_lp::{analyze, solve, Problem, RowKind, ScheduleModel, Severity};
+use dls_lp::{analyze, solve, RowKind, ScheduleModel, Severity};
 use proptest::prelude::*;
 
 /// Per-worker positive costs on a small grid (matches the platform
@@ -109,28 +108,15 @@ fn build(c: &[f64], w: &[f64], d: &[f64], corrupt: Option<Corruption>) -> Schedu
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Valid models are clean, and the lowered problem survives the LP
-    /// text round trip with its solution intact.
+    /// Valid models are clean, and the problem they build solves.
     #[test]
-    fn valid_models_are_clean_and_round_trip((c, w, d) in parts()) {
+    fn valid_models_are_clean_and_solvable((c, w, d) in parts()) {
         let m = build(&c, &w, &d, None);
         let report = analyze(&m);
         prop_assert!(!report.has_errors(), "valid model flagged:\n{report}");
 
-        let lp = m.lower();
-        let text = lp.to_lp_format();
-        let back = Problem::from_lp_format(&text).expect("re-parse LP text");
-        prop_assert_eq!(back.num_vars(), lp.num_vars());
-        prop_assert_eq!(back.num_constraints(), lp.num_constraints());
-
-        let s1 = solve(&lp).expect("solve lowered model");
-        let s2 = solve(&back).expect("solve round-tripped model");
-        prop_assert!(
-            (s1.objective - s2.objective).abs() < 1e-9,
-            "round trip changed the optimum: {} vs {}",
-            s1.objective,
-            s2.objective
-        );
+        let sol = solve(m.problem()).expect("solve the built model");
+        prop_assert!(sol.objective > 0.0, "optimum {}", sol.objective);
     }
 
     /// Every seeded corruption is caught as an error, and row-scoped

@@ -34,4 +34,4 @@ pub use output::{write_dat, write_text, Series};
 pub use par::par_map;
 pub use regression::{linear_fit, LinearFit};
 pub use stats::{geometric_mean, mean, percentile, summarize, Summary};
-pub use table::{multiround_table, num, strategy_table, tree_table, Align, Table};
+pub use table::{multiround_table, num, strategy_table, tree_table, Table};

@@ -6,44 +6,21 @@ use std::fmt::Write as _;
 use dls_core::engine::Provenance;
 use dls_platform::Platform;
 
-/// Column alignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Align {
-    /// Left-aligned (labels).
-    Left,
-    /// Right-aligned (numbers).
-    Right,
-}
-
-/// A simple monospace table builder.
+/// A simple monospace table builder: the first column (labels) renders
+/// left-aligned, every other column (numbers) right-aligned.
 #[derive(Debug, Clone)]
 pub struct Table {
     headers: Vec<String>,
-    aligns: Vec<Align>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
-    /// New table with the given column headers (all right-aligned except
-    /// the first).
+    /// New table with the given column headers.
     pub fn new(headers: &[&str]) -> Self {
-        let aligns = headers
-            .iter()
-            .enumerate()
-            .map(|(i, _)| if i == 0 { Align::Left } else { Align::Right })
-            .collect();
         Table {
             headers: headers.iter().map(|s| s.to_string()).collect(),
-            aligns,
             rows: Vec::new(),
         }
-    }
-
-    /// Overrides column alignments (must match the header count).
-    pub fn with_aligns(mut self, aligns: &[Align]) -> Self {
-        assert_eq!(aligns.len(), self.headers.len());
-        self.aligns = aligns.to_vec();
-        self
     }
 
     /// Appends a row of already formatted cells.
@@ -83,22 +60,16 @@ impl Table {
             }
         }
         let mut out = String::new();
-        let fmt_row = |out: &mut String, cells: &[String], widths: &[usize], aligns: &[Align]| {
-            for i in 0..cols {
-                if i > 0 {
+        let fmt_row = |out: &mut String, cells: &[String]| {
+            for (i, cell) in cells.iter().enumerate() {
+                let pad = " ".repeat(widths[i] - cell.chars().count());
+                if i == 0 {
+                    out.push_str(cell);
+                    out.push_str(&pad);
+                } else {
                     out.push_str("  ");
-                }
-                let cell = &cells[i];
-                let pad = widths[i] - cell.chars().count();
-                match aligns[i] {
-                    Align::Left => {
-                        out.push_str(cell);
-                        out.push_str(&" ".repeat(pad));
-                    }
-                    Align::Right => {
-                        out.push_str(&" ".repeat(pad));
-                        out.push_str(cell);
-                    }
+                    out.push_str(&pad);
+                    out.push_str(cell);
                 }
             }
             // Trim trailing padding.
@@ -107,11 +78,11 @@ impl Table {
             }
             out.push('\n');
         };
-        fmt_row(&mut out, &self.headers, &widths, &self.aligns);
+        fmt_row(&mut out, &self.headers);
         let total: usize = widths.iter().sum::<usize>() + 2 * (cols - 1);
         let _ = writeln!(out, "{}", "-".repeat(total));
         for row in &self.rows {
-            fmt_row(&mut out, row, &widths, &self.aligns);
+            fmt_row(&mut out, row);
         }
         out
     }
