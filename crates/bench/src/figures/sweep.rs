@@ -247,9 +247,9 @@ fn column<'a, T: Copy + 'a>(
         // trace event carries the attribution.
         dls_obs::trace_event!(
             "sweep.skips",
-            "strategy" => id,
+            "strategy" => id.to_string(),
             "platforms" => failed.len(),
-            "reason" => reason,
+            "reason" => reason.clone(),
         );
         SkippedStrategy {
             id: id.to_string(),
@@ -309,7 +309,7 @@ pub fn run_sweep(cfg: &SweepConfig, variant: &SweepVariant) -> SweepResult {
     // solve trees under them) nest here via the TraceContext handoff.
     let _sweep_span = dls_obs::trace_span!(
         "sweep.run.seconds",
-        "label" => variant.label,
+        "label" => variant.label.clone(),
         "platforms" => cfg.platforms,
     );
     let schedulers = variant.resolve_schedulers();
@@ -505,7 +505,7 @@ fn run_axis_sweep(
 ) -> AxisSweep {
     let _sweep_span = dls_obs::trace_span!(
         "sweep.run.seconds",
-        "label" => label,
+        "label" => label.to_string(),
         "platforms" => cfg.platforms,
     );
     let cluster = ClusterModel::gdsdmi();

@@ -128,11 +128,14 @@ pub fn run_gate(
     let speed = (calibration_ns / baseline_cal_ns).clamp(0.25, 4.0);
     let measured_ns = measure(5);
     let ratio = measured_ns / (baseline_ns * speed);
+    // Three decimals of a millisecond, and the probe's own time, so a
+    // baseline can be re-recorded from the printed line.
     println!(
-        "smoke: {label} {:.2} ms (baseline {:.2} ms, machine speed {speed:.2}x, \
-         normalized ratio {ratio:.2}, gate {max_ratio:.1}x)",
+        "smoke: {label} {:.3} ms (baseline {:.3} ms, probe {:.3} ms, machine speed \
+         {speed:.2}x, normalized ratio {ratio:.2}, gate {max_ratio:.1}x)",
         measured_ns / 1e6,
-        baseline_ns / 1e6
+        baseline_ns / 1e6,
+        calibration_ns / 1e6
     );
     if ratio > max_ratio {
         eprintln!(

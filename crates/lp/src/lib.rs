@@ -69,6 +69,7 @@ mod rational;
 mod revised;
 mod scalar;
 mod simplex;
+mod solve_trace;
 mod sparse_lu;
 
 pub use analyze::{analyze, AnalysisReport, Diagnostic, Severity, SPREAD_LIMIT};

@@ -38,7 +38,14 @@ use crate::error::LpError;
 use crate::problem::{Problem, Relation};
 use crate::scalar::Scalar;
 use crate::simplex::{column_layout, standardize, ColumnLayout, Solution, SolverOptions, StdRow};
+use crate::solve_trace::{Phase, SolveTrace};
 use crate::sparse_lu::SparseLu;
+
+/// Indices of the revised engine's timed phases in its [`SolveTrace`].
+const REFACTORIZE: usize = 0;
+const PRICING: usize = 1;
+const FTRAN: usize = 2;
+const BTRAN: usize = 3;
 
 /// A simplex basis: one standardized column index per constraint row.
 ///
@@ -196,7 +203,8 @@ struct State<S> {
     /// refactorization).
     xb: Vec<S>,
     tol: S,
-    iterations: usize,
+    /// The solve's span, pivot count and phase clocks.
+    trace: SolveTrace<4>,
 }
 
 enum PhaseOutcome {
@@ -207,8 +215,11 @@ enum PhaseOutcome {
 impl<S: Scalar> State<S> {
     fn refactorize(&mut self) -> Result<(), LpError> {
         dls_obs::histogram!("revised.eta_len").record(self.factor.updates_len() as f64);
-        self.factor = SparseLu::factorize(&self.cols, &self.basis).ok_or(LpError::SingularBasis)?;
-        self.xb = self.factor.ftran(&self.cols.b);
+        self.factor = self
+            .trace
+            .time(REFACTORIZE, || SparseLu::factorize(&self.cols, &self.basis))
+            .ok_or(LpError::SingularBasis)?;
+        self.xb = self.trace.time(FTRAN, || self.factor.ftran(&self.cols.b));
         self.clamp_xb();
         Ok(())
     }
@@ -240,25 +251,24 @@ impl<S: Scalar> State<S> {
         opts: &SolverOptions,
         enterable: impl Fn(usize) -> bool,
     ) -> Result<PhaseOutcome, LpError> {
-        let start = self.iterations;
+        let start = self.trace.pivots;
         // Partial-pricing state: the candidate pool and the wrap cursor of
         // the last rebuild scan (rotating the scan start spreads the
         // pool across the column range instead of favoring low indices).
         let mut candidates: Vec<usize> = Vec::new();
         let mut cursor = 0usize;
         loop {
-            if self.iterations >= opts.max_iterations {
+            if self.trace.pivots >= opts.max_iterations {
                 return Err(LpError::IterationLimit {
-                    iterations: self.iterations,
+                    iterations: self.trace.pivots,
                 });
             }
-            let use_bland = self.iterations - start >= opts.bland_after;
+            let use_bland = self.trace.pivots - start >= opts.bland_after;
 
             // Price: y = c_B^T B^-1, then d_j = c_j - y . a_j.
-            let pricing = dls_obs::trace_span!("revised.pricing.seconds");
             let cb: Vec<S> = self.basis.iter().map(|&c| costs[c].clone()).collect();
-            let y = self.factor.btran(&cb);
-            let entering: Option<(usize, S)> = {
+            let y = self.trace.time(BTRAN, || self.factor.btran(&cb));
+            let entering: Option<(usize, S)> = self.trace.time(PRICING, || {
                 let price = |c: usize| -> S {
                     let mut d = costs[c].clone();
                     for (&r, av) in self.cols.support(c).iter().zip(self.cols.vals(c)) {
@@ -339,17 +349,17 @@ impl<S: Scalar> State<S> {
                     }
                     best
                 }
-            };
-            pricing.finish();
+            });
             let Some((pc, _)) = entering else {
                 return Ok(PhaseOutcome::Optimal);
             };
             candidates.retain(|&c| c != pc);
 
             // FTRAN the entering column and run the ratio test.
-            let w = self
-                .factor
-                .ftran_sparse(self.cols.support(pc), self.cols.vals(pc));
+            let w = self.trace.time(FTRAN, || {
+                self.factor
+                    .ftran_sparse(self.cols.support(pc), self.cols.vals(pc))
+            });
             // Ratio test. `w` lives in the normalized basis frame (O(1)
             // entries), so eligibility uses the backend's *base* tolerance;
             // the instance-scaled tolerance would skip genuine small pivots
@@ -389,7 +399,7 @@ impl<S: Scalar> State<S> {
             // A rejected Forrest–Tomlin update leaves the factors untouched;
             // rebuild them from the (already updated) basis instead.
             let applied = self.factor.ft_update(pr, &w);
-            self.iterations += 1;
+            self.trace.pivots += 1;
 
             if !applied
                 || self.factor.updates_len() >= opts.refactor_every.max(1)
@@ -411,7 +421,7 @@ impl<S: Scalar> State<S> {
             // Row r of B^-1 A: e_r^T B^-1 then dot with every column.
             let mut e = vec![S::zero(); self.cols.m];
             e[r] = S::one();
-            let rho = self.factor.btran(&e);
+            let rho = self.trace.time(BTRAN, || self.factor.btran(&e));
             let candidate = (0..self.layout.cols).find(|&c| {
                 if self.in_basis[c] || self.layout.is_artificial(c) {
                     return false;
@@ -425,9 +435,10 @@ impl<S: Scalar> State<S> {
                 !v.is_zero()
             });
             if let Some(pc) = candidate {
-                let w = self
-                    .factor
-                    .ftran_sparse(self.cols.support(pc), self.cols.vals(pc));
+                let w = self.trace.time(FTRAN, || {
+                    self.factor
+                        .ftran_sparse(self.cols.support(pc), self.cols.vals(pc))
+                });
                 let theta = self.xb[r].clone() / w[r].clone();
                 for (i, wi) in w.iter().enumerate() {
                     if i != r && !wi.is_zero() {
@@ -442,7 +453,7 @@ impl<S: Scalar> State<S> {
                 if !self.factor.ft_update(r, &w) {
                     self.refactorize()?;
                 }
-                self.iterations += 1;
+                self.trace.pivots += 1;
             }
         }
         Ok(())
@@ -462,11 +473,21 @@ pub fn solve_revised_with<S: Scalar>(
     warm: Option<&Basis>,
 ) -> Result<RevisedSolution<S>, LpError> {
     dls_obs::counter!("revised.solve").incr();
-    let _span = dls_obs::trace_span!(
-        "revised.solve.seconds",
-        "vars" => problem.num_vars(),
-        "rows" => problem.num_constraints(),
-        "warm" => warm.is_some(),
+    let mut trace = SolveTrace::new(
+        dls_obs::trace_span!(
+            "revised.solve.seconds",
+            "vars" => problem.num_vars(),
+            "rows" => problem.num_constraints(),
+        ),
+        [
+            Phase::new(
+                "refactorize_s",
+                dls_obs::histogram!("revised.refactorize.seconds"),
+            ),
+            Phase::new("pricing_s", dls_obs::histogram!("revised.pricing.seconds")),
+            Phase::new("ftran_s", dls_obs::histogram!("revised.ftran.seconds")),
+            Phase::new("btran_s", dls_obs::histogram!("revised.btran.seconds")),
+        ],
     );
     problem.validate()?;
     let n = problem.num_vars();
@@ -488,8 +509,8 @@ pub fn solve_revised_with<S: Scalar>(
     let mut warm_parts: Option<(Vec<usize>, SparseLu<S>, Vec<S>)> = None;
     if let Some(wb) = warm {
         if wb.fits(m, num_cols) && is_valid_basis_set(&wb.cols, num_cols) {
-            if let Some(factor) = SparseLu::factorize(&cols, &wb.cols) {
-                let xb = factor.ftran(&cols.b);
+            if let Some(factor) = trace.time(REFACTORIZE, || SparseLu::factorize(&cols, &wb.cols)) {
+                let xb = trace.time(FTRAN, || factor.ftran(&cols.b));
                 let feasible = xb.iter().enumerate().all(|(r, v)| {
                     let nonneg = *v >= -(tol.clone() + tol.clone());
                     // A basic artificial above tolerance means the point
@@ -519,7 +540,7 @@ pub fn solve_revised_with<S: Scalar>(
                 factor,
                 xb,
                 tol: tol.clone(),
-                iterations: 0,
+                trace,
             };
             s.clamp_xb();
             // A warm basis can carry an inert basic artificial (a redundant
@@ -549,7 +570,9 @@ pub fn solve_revised_with<S: Scalar>(
             }
             // The initial basis is an identity matrix: factorizing it is m
             // singleton pivots.
-            let factor = SparseLu::factorize(&cols, &basis).ok_or(LpError::SingularBasis)?;
+            let factor = trace
+                .time(REFACTORIZE, || SparseLu::factorize(&cols, &basis))
+                .ok_or(LpError::SingularBasis)?;
             let xb = cols.b.clone();
             let mut s = State {
                 cols,
@@ -559,7 +582,7 @@ pub fn solve_revised_with<S: Scalar>(
                 factor,
                 xb,
                 tol: tol.clone(),
-                iterations: 0,
+                trace,
             };
 
             // Phase 1 only when artificials exist.
@@ -624,7 +647,7 @@ pub fn solve_revised_with<S: Scalar>(
     }
 
     let cb: Vec<S> = state.basis.iter().map(|&c| p2_costs[c].clone()).collect();
-    let y = state.factor.btran(&cb);
+    let y = state.trace.time(BTRAN, || state.factor.btran(&cb));
     let mut duals = Vec::with_capacity(m);
     for (i, row) in std_form.rows.iter().enumerate() {
         let mut d = y[i].clone();
@@ -637,13 +660,14 @@ pub fn solve_revised_with<S: Scalar>(
         duals.push(d);
     }
 
-    dls_obs::histogram!("revised.iterations").record(state.iterations as f64);
+    let iterations = state.trace.pivots;
+    dls_obs::histogram!("revised.iterations").record(iterations as f64);
     Ok(RevisedSolution {
         solution: Solution {
             objective: obj,
             x,
             duals,
-            iterations: state.iterations,
+            iterations,
         },
         basis: Basis {
             cols: state.basis,

@@ -26,6 +26,11 @@
 use crate::error::LpError;
 use crate::problem::{Problem, Relation, Sense, VarId};
 use crate::scalar::Scalar;
+use crate::solve_trace::{Phase, SolveTrace};
+
+/// Index of the tableau's one timed phase (its pivots) in its
+/// [`SolveTrace`].
+const PIVOT: usize = 0;
 
 /// Tunable solver parameters.
 #[derive(Debug, Clone)]
@@ -402,10 +407,16 @@ pub fn solve_with<S: Scalar>(
     opts: &SolverOptions,
 ) -> Result<Solution<S>, LpError> {
     dls_obs::counter!("tableau.solve").incr();
-    let _span = dls_obs::trace_span!(
-        "tableau.solve.seconds",
-        "vars" => problem.num_vars(),
-        "rows" => problem.num_constraints(),
+    let mut trace = SolveTrace::new(
+        dls_obs::trace_span!(
+            "tableau.solve.seconds",
+            "vars" => problem.num_vars(),
+            "rows" => problem.num_constraints(),
+        ),
+        [Phase::new(
+            "pivot_s",
+            dls_obs::histogram!("tableau.pivot.seconds"),
+        )],
     );
     problem.validate()?;
     let n = problem.num_vars();
@@ -457,7 +468,6 @@ pub fn solve_with<S: Scalar>(
     }
 
     let is_artificial = |c: usize| matches!(kinds[c], ColKind::Artificial(_));
-    let mut iterations = 0usize;
 
     // ---- Phase 1 (only if artificials exist): maximize -sum(artificials).
     let need_phase1 = (0..cols).any(is_artificial);
@@ -469,7 +479,7 @@ pub fn solve_with<S: Scalar>(
             }
         }
         t.reprice(&p1_costs);
-        run_phase(&mut t, &mut iterations, opts, |_c| true)?;
+        run_phase(&mut t, &mut trace, opts, |_c| true)?;
 
         // Optimal phase-1 value must be ~0 for feasibility; the threshold is
         // row-scaled because the value sums residuals over all m rows.
@@ -483,8 +493,8 @@ pub fn solve_with<S: Scalar>(
         for r in 0..m {
             if is_artificial(t.basis[r]) {
                 if let Some(pc) = (0..cols).find(|&c| !is_artificial(c) && !t.at(r, c).is_zero()) {
-                    t.pivot(r, pc);
-                    iterations += 1;
+                    trace.time(PIVOT, || t.pivot(r, pc));
+                    trace.pivots += 1;
                 }
                 // Otherwise the row is redundant: all structural and logical
                 // entries are zero, so no later pivot can touch it.
@@ -496,7 +506,7 @@ pub fn solve_with<S: Scalar>(
     let mut p2_costs = vec![S::zero(); cols];
     p2_costs[..n].clone_from_slice(&std_form.costs);
     t.reprice(&p2_costs);
-    run_phase(&mut t, &mut iterations, opts, |c| {
+    run_phase(&mut t, &mut trace, opts, |c| {
         !matches!(kinds[c], ColKind::Artificial(_))
     })?;
 
@@ -536,12 +546,12 @@ pub fn solve_with<S: Scalar>(
         duals.push(y);
     }
 
-    dls_obs::histogram!("tableau.iterations").record(iterations as f64);
+    dls_obs::histogram!("tableau.iterations").record(trace.pivots as f64);
     Ok(Solution {
         objective: obj,
         x,
         duals,
-        iterations,
+        iterations: trace.pivots,
     })
 }
 
@@ -549,18 +559,18 @@ pub fn solve_with<S: Scalar>(
 /// priced) objective. `enterable` filters candidate entering columns.
 fn run_phase<S: Scalar>(
     t: &mut Tableau<S>,
-    iterations: &mut usize,
+    trace: &mut SolveTrace<1>,
     opts: &SolverOptions,
     enterable: impl Fn(usize) -> bool,
 ) -> Result<(), LpError> {
-    let start = *iterations;
+    let start = trace.pivots;
     loop {
-        if *iterations >= opts.max_iterations {
+        if trace.pivots >= opts.max_iterations {
             return Err(LpError::IterationLimit {
-                iterations: *iterations,
+                iterations: trace.pivots,
             });
         }
-        let use_bland = *iterations - start >= opts.bland_after;
+        let use_bland = trace.pivots - start >= opts.bland_after;
 
         // Entering column: positive reduced cost (maximization).
         let mut entering: Option<usize> = None;
@@ -617,10 +627,8 @@ fn run_phase<S: Scalar>(
             return Err(LpError::Unbounded);
         };
 
-        let pivot_span = dls_obs::trace_span!("tableau.pivot.seconds");
-        t.pivot(pr, pc);
-        pivot_span.finish();
-        *iterations += 1;
+        trace.time(PIVOT, || t.pivot(pr, pc));
+        trace.pivots += 1;
     }
 }
 

@@ -136,7 +136,6 @@ impl<S: Scalar> SparseLu<S> {
     /// is `O(sum of squared column lengths)` on these bases.
     pub(crate) fn factorize(cols: &Columns<S>, basis: &[usize]) -> Option<Self> {
         dls_obs::counter!("revised.refactorizations").incr();
-        let _span = dls_obs::trace_span!("revised.refactorize.seconds", "m" => cols.m);
         let m = cols.m;
         let threshold = S::from_f64(MARKOWITZ_THRESHOLD);
 
@@ -521,7 +520,6 @@ impl<S: Scalar> SparseLu<S> {
 
     /// `FTRAN`: solves `B x = v` for a dense `v` (indexed by row).
     pub(crate) fn ftran(&self, v: &[S]) -> Vec<S> {
-        let _span = dls_obs::trace_span!("revised.ftran.seconds");
         let mut work = vec![S::zero(); self.m];
         for (r, vv) in v.iter().enumerate() {
             if !vv.is_zero() {
@@ -537,7 +535,6 @@ impl<S: Scalar> SparseLu<S> {
     /// entry lists: only those entries are scattered, so a sparse
     /// right-hand side stays sparse through the triangular solves.
     pub(crate) fn ftran_sparse(&self, support: &[usize], vals: &[S]) -> Vec<S> {
-        let _span = dls_obs::trace_span!("revised.ftran.seconds");
         let mut work = vec![S::zero(); self.m];
         for (&r, vv) in support.iter().zip(vals) {
             if !vv.is_zero() {
@@ -552,7 +549,6 @@ impl<S: Scalar> SparseLu<S> {
     /// `BTRAN`: solves `B^T y = c` (`c` indexed by basis position, `y` by
     /// row) — `U^T` forward, transposed etas in reverse, `L^T` backward.
     pub(crate) fn btran(&self, c: &[S]) -> Vec<S> {
-        let _span = dls_obs::trace_span!("revised.btran.seconds");
         let m = self.m;
         let mut work = vec![S::zero(); m];
         for (t, out_slot) in work.iter_mut().enumerate() {

@@ -46,7 +46,7 @@ pub fn render_chrome(events: &[TraceEvent]) -> String {
             args.push_str(&format!(",\"parent_id\":{p}"));
         }
         for (k, v) in &e.attrs {
-            args.push_str(&format!(",{}:{}", json_str(k), json_str(v)));
+            args.push_str(&format!(",{}:{}", json_str(k), json_str(&v.to_string())));
         }
         let ts = json_num(e.start_ns as f64 / 1e3);
         let line = if e.instant {
@@ -165,6 +165,44 @@ mod tests {
         assert!(json.contains("\"parent_id\":1"));
         assert!(json.contains("\"pid\":1"));
         assert!(json.contains("\"dur\":2000"));
+    }
+
+    #[test]
+    fn typed_attrs_render_like_the_strings_they_replace() {
+        use crate::trace::AttrValue;
+        let typed: Vec<(&'static str, AttrValue)> = vec![
+            ("pivots", 9usize.into()),
+            ("delta", (-2i32).into()),
+            ("pricing_s", 1.25e-6.into()),
+            ("warm", false.into()),
+            ("figure", "fig08".into()),
+            ("reason", String::from("needs \"z\" = 1").into()),
+        ];
+        // The reference: each attribute as the string `format!("{}", v)`.
+        let strings = typed
+            .iter()
+            .map(|(k, v)| (*k, AttrValue::Text(format!("{v}"))))
+            .collect();
+        let with = |attrs| {
+            let mut mark = ev("mark", 1, 3, Some(2), 1_500, 0);
+            mark.instant = true;
+            mark.attrs = vec![("strategy", AttrValue::Text("lp".into()))];
+            let mut root = ev("root", 1, 2, None, 0, 5_000_000);
+            root.attrs = attrs;
+            vec![root, mark]
+        };
+        let (typed, strings) = (with(typed), with(strings));
+        assert_eq!(render_chrome(&typed), render_chrome(&strings));
+        assert_eq!(render_folded(&typed), render_folded(&strings));
+        let chrome = render_chrome(&typed);
+        assert!(
+            chrome.contains(
+                "\"args\":{\"span_id\":2,\"pivots\":\"9\",\"delta\":\"-2\",\
+                 \"pricing_s\":\"0.00000125\",\"warm\":\"false\",\"figure\":\"fig08\",\
+                 \"reason\":\"needs \\\"z\\\" = 1\"}"
+            ),
+            "{chrome}"
+        );
     }
 
     #[test]

@@ -32,7 +32,10 @@
 //! working with tracing disabled. *Timing* is gated on [`timing_enabled`]:
 //! with `DLS_TRACE` unset a span never calls `Instant::now`, so
 //! instrumented hot loops pay a single relaxed atomic load. Sinks only run
-//! when a mode is selected.
+//! when a mode is selected. With tracing on, a span costs about as much as
+//! a microsecond of work, so spans belong at layer boundaries: an inner
+//! loop (the LP engines' pivots) accumulates its time and attaches it to
+//! the enclosing span with [`TraceSpan::add_attrs`].
 //!
 //! ## Shape
 //!
@@ -71,6 +74,6 @@ pub use registry::{
 };
 pub use sink::{emit, render_jsonl, render_summary};
 pub use trace::{
-    current_context, reset_events, trace_events, trace_instant, ContextGuard, TraceContext,
-    TraceEvent, TraceSpan, MAX_EVENTS_PER_THREAD,
+    current_context, reset_events, trace_events, trace_instant, AttrValue, Attrs, ContextGuard,
+    TraceContext, TraceEvent, TraceSpan, MAX_EVENTS_PER_THREAD,
 };

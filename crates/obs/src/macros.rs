@@ -39,9 +39,12 @@ macro_rules! histogram {
 /// Starts a [`crate::TraceSpan`]: a causal trace-tree span that *also*
 /// records its elapsed seconds into the histogram of the same name (the
 /// workspace's one timing API). Optional
-/// `"key" => value` attributes are formatted with `Display` — and only
-/// when tracing is enabled, so disabled call sites pay one atomic load.
-/// Bind it (`let _span = ...`) so it drops at scope exit.
+/// `"key" => value` attributes are stored as typed [`crate::AttrValue`]s
+/// (any type with a `From` impl: integers, floats, bools, `&'static str`,
+/// `String`) and only evaluated when tracing is enabled, so disabled call
+/// sites pay one atomic load. Attributes known only at the end go through
+/// [`crate::TraceSpan::add_attrs`]. Bind it (`let _span = ...`) so it
+/// drops at scope exit.
 ///
 /// ```
 /// dls_obs::set_mode(Some(dls_obs::Mode::Summary));
@@ -56,7 +59,7 @@ macro_rules! trace_span {
             $crate::TraceSpan::start_enabled(
                 __hist,
                 $name,
-                ::std::vec![$(($k, ::std::format!("{}", $v))),*],
+                ::std::vec![$(($k, $crate::AttrValue::from($v))),*],
             )
         } else {
             $crate::TraceSpan::inert(__hist)
@@ -66,14 +69,14 @@ macro_rules! trace_span {
 
 /// Records a zero-duration instant event under the current trace span —
 /// an attribute carrier (e.g. which strategy was skipped and why). A no-op
-/// when tracing is disabled; attributes are only formatted when enabled.
+/// when tracing is disabled; attributes are only evaluated when enabled.
 #[macro_export]
 macro_rules! trace_event {
     ($name:expr $(, $k:expr => $v:expr)* $(,)?) => {
         if $crate::timing_enabled() {
             $crate::trace_instant(
                 $name,
-                ::std::vec![$(($k, ::std::format!("{}", $v))),*],
+                ::std::vec![$(($k, $crate::AttrValue::from($v))),*],
             );
         }
     };

@@ -26,6 +26,18 @@
 //! reader ([`trace_events`]) simply skips slots that are claimed but not
 //! yet written. Buffers are bounded ([`MAX_EVENTS_PER_THREAD`]); overflow
 //! increments the `trace.events.dropped` counter instead of growing.
+//!
+//! A buffer grows one chunk of 512 slots at a time, allocated by the
+//! owning thread when its first event lands in that chunk, and keeps its
+//! chunks for the life of the process (so events of exited threads stay
+//! readable). Chunks are small because `dls_report::par_map` spawns fresh
+//! worker threads on every call and most of them record a few hundred
+//! events at most: a thread that records one event holds one 512-slot
+//! chunk (~60 KB), not a buffer sized for the cap.
+//!
+//! Attributes are stored as typed [`AttrValue`]s — integers, floats,
+//! bools and static strings need no allocation; only dynamic text owns a
+//! `String`. They are formatted only by the exporters.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
@@ -38,8 +50,77 @@ use crate::registry::Histogram;
 /// (counted in `trace.events.dropped`).
 pub const MAX_EVENTS_PER_THREAD: usize = CHUNK * NUM_CHUNKS;
 
-const CHUNK: usize = 4096;
-const NUM_CHUNKS: usize = 16;
+/// Slots per lazily allocated buffer chunk.
+const CHUNK: usize = 512;
+const NUM_CHUNKS: usize = 128;
+
+/// A span or instant attribute value. Numbers, bools and static strings
+/// are stored as they are; only dynamic text owns a `String`. The
+/// exporters format a value with its `Display` impl, which prints exactly
+/// what `format!("{}", v)` prints for the wrapped value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AttrValue {
+    /// A signed integer.
+    Int(i64),
+    /// An unsigned integer (counts, sizes, indices).
+    UInt(u64),
+    /// A float (e.g. seconds).
+    Float(f64),
+    /// A bool.
+    Bool(bool),
+    /// A static string (an id or label known at compile time).
+    Str(&'static str),
+    /// Dynamic text.
+    Text(String),
+}
+
+impl std::fmt::Display for AttrValue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            AttrValue::Int(v) => v.fmt(f),
+            AttrValue::UInt(v) => v.fmt(f),
+            AttrValue::Float(v) => v.fmt(f),
+            AttrValue::Bool(v) => v.fmt(f),
+            AttrValue::Str(v) => v.fmt(f),
+            AttrValue::Text(v) => v.fmt(f),
+        }
+    }
+}
+
+macro_rules! attr_from {
+    ($variant:ident($wide:ty): $($t:ty),*) => {$(
+        impl From<$t> for AttrValue {
+            fn from(v: $t) -> Self {
+                AttrValue::$variant(<$wide>::from(v))
+            }
+        }
+    )*};
+}
+attr_from!(Int(i64): i32, i64);
+attr_from!(UInt(u64): u64);
+attr_from!(Float(f64): f64);
+attr_from!(Bool(bool): bool);
+
+impl From<usize> for AttrValue {
+    fn from(v: usize) -> Self {
+        AttrValue::UInt(v as u64)
+    }
+}
+
+impl From<&'static str> for AttrValue {
+    fn from(v: &'static str) -> Self {
+        AttrValue::Str(v)
+    }
+}
+
+impl From<String> for AttrValue {
+    fn from(v: String) -> Self {
+        AttrValue::Text(v)
+    }
+}
+
+/// Key=value attributes of one span or instant.
+pub type Attrs = Vec<(&'static str, AttrValue)>;
 
 /// One completed span (or instant event) in a trace tree.
 #[derive(Debug, Clone)]
@@ -60,8 +141,9 @@ pub struct TraceEvent {
     pub dur_ns: u64,
     /// `true` for point events recorded via [`trace_instant`].
     pub instant: bool,
-    /// Key=value attributes attached at the call site.
-    pub attrs: Vec<(&'static str, String)>,
+    /// Key=value attributes attached at the call site (and, for spans,
+    /// by [`TraceSpan::add_attrs`] before the span ends).
+    pub attrs: Attrs,
 }
 
 /// A handle to a span's identity, for explicit cross-thread propagation.
@@ -256,7 +338,7 @@ pub fn reset_events() {
 /// carrier for things like per-strategy skip marks). Call sites with a
 /// literal name should prefer the [`crate::trace_event!`] macro, which
 /// short-circuits when tracing is disabled.
-pub fn trace_instant(name: &'static str, attrs: Vec<(&'static str, String)>) {
+pub fn trace_instant(name: &'static str, attrs: Attrs) {
     if !crate::timing_enabled() {
         return;
     }
@@ -294,18 +376,14 @@ struct SpanState {
     span_id: u64,
     parent_id: Option<u64>,
     start: Instant,
-    attrs: Vec<(&'static str, String)>,
+    attrs: Attrs,
 }
 
 impl TraceSpan {
     /// Starts an enabled span: allocates ids, pushes the thread-local
     /// stack frame, reads the clock. Callers must have checked
     /// [`crate::timing_enabled`] (the macro does).
-    pub fn start_enabled(
-        hist: Histogram,
-        name: &'static str,
-        attrs: Vec<(&'static str, String)>,
-    ) -> TraceSpan {
+    pub fn start_enabled(hist: Histogram, name: &'static str, attrs: Attrs) -> TraceSpan {
         let (trace_id, parent_id) = match current_context() {
             Some(ctx) => (ctx.trace_id, Some(ctx.span_id)),
             None => (NEXT_TRACE_ID.fetch_add(1, Relaxed), None),
@@ -340,8 +418,13 @@ impl TraceSpan {
         })
     }
 
-    /// Ends the span now (equivalent to dropping it).
-    pub fn finish(self) {}
+    /// Appends attributes known only once the span's work is done (e.g.
+    /// a solve's pivot count and phase times). A no-op on an inert span.
+    pub fn add_attrs(&mut self, attrs: impl IntoIterator<Item = (&'static str, AttrValue)>) {
+        if let Some(st) = &mut self.state {
+            st.attrs.extend(attrs);
+        }
+    }
 }
 
 impl Drop for TraceSpan {
@@ -407,7 +490,7 @@ mod tests {
             assert_eq!(root.parent_id, None);
             assert_eq!(child.parent_id, Some(root.span_id));
             assert_eq!(child.trace_id, root.trace_id);
-            assert_eq!(child.attrs, vec![("k", "7".to_string())]);
+            assert_eq!(child.attrs, vec![("k", AttrValue::Int(7))]);
             // The histogram feed is intact.
             let snap = crate::snapshot();
             assert!(snap.histogram("trace.test.root.seconds").is_some());
@@ -467,7 +550,78 @@ mod tests {
             assert!(mark.instant);
             assert_eq!(mark.dur_ns, 0);
             assert!(mark.parent_id.is_some());
-            assert_eq!(mark.attrs[0], ("strategy", "lp".to_string()));
+            assert_eq!(mark.attrs[0], ("strategy", AttrValue::Str("lp")));
+        });
+    }
+
+    #[test]
+    fn attrs_added_at_the_end_land_on_the_span() {
+        with_mode(Mode::Summary, || {
+            {
+                let mut span = crate::trace_span!("trace.test.late.seconds", "rows" => 3usize);
+                span.add_attrs([("pivots", AttrValue::from(9usize)), ("s", 0.5.into())]);
+            }
+            let events = trace_events();
+            let span = events
+                .iter()
+                .find(|e| e.name == "trace.test.late.seconds")
+                .expect("span recorded");
+            assert_eq!(
+                span.attrs,
+                vec![
+                    ("rows", AttrValue::UInt(3)),
+                    ("pivots", AttrValue::UInt(9)),
+                    ("s", AttrValue::Float(0.5)),
+                ]
+            );
+        });
+        // An inert span takes attributes without recording anything.
+        with_mode(Mode::Disabled, || {
+            let mut span = crate::trace_span!("trace.test.late_inert.seconds");
+            span.add_attrs([("pivots", AttrValue::from(1usize))]);
+            drop(span);
+            assert!(trace_events().is_empty());
+        });
+    }
+
+    #[test]
+    fn attr_values_display_like_the_values_they_wrap() {
+        let cases: [(AttrValue, String); 8] = [
+            (7.into(), format!("{}", 7)),
+            ((-3i64).into(), format!("{}", -3i64)),
+            (u64::MAX.into(), format!("{}", u64::MAX)),
+            (usize::MAX.into(), format!("{}", usize::MAX)),
+            (1.5e-7f64.into(), format!("{}", 1.5e-7f64)),
+            (false.into(), format!("{}", false)),
+            ("fig08".into(), "fig08".to_string()),
+            (String::from("a \"b\"").into(), "a \"b\"".to_string()),
+        ];
+        for (value, text) in cases {
+            assert_eq!(value.to_string(), text, "{value:?}");
+        }
+    }
+
+    #[test]
+    fn a_thread_with_one_event_allocates_one_small_chunk() {
+        with_mode(Mode::Summary, || {
+            let chunks = std::thread::spawn(|| {
+                crate::trace_event!("trace.test.chunk");
+                with_buffer(|b| {
+                    b.chunks
+                        .iter()
+                        .filter_map(OnceLock::get)
+                        .map(|chunk| chunk.len())
+                        .collect::<Vec<_>>()
+                })
+            })
+            .join()
+            .expect("recording thread");
+            assert_eq!(chunks.len(), 1, "one chunk allocated: {chunks:?}");
+            assert!(chunks[0] <= 512, "chunk of {} slots", chunks[0]);
+            assert_eq!(
+                MAX_EVENTS_PER_THREAD, 65_536,
+                "the per-thread cap is unchanged"
+            );
         });
     }
 

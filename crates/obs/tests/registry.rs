@@ -152,7 +152,7 @@ fn enabled_spans_feed_their_histogram() {
         for _ in 0..3 {
             let _span = dls_obs::trace_span!("test.span.enabled");
         }
-        dls_obs::trace_span!("test.span.enabled").finish();
+        drop(dls_obs::trace_span!("test.span.enabled"));
         let snap = dls_obs::snapshot();
         let s = snap.histogram("test.span.enabled").expect("spans recorded");
         assert_eq!(s.count, 4);

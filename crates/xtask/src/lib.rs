@@ -843,7 +843,21 @@ pub struct TraceCheck {
     /// `core.solve_scenario.seconds` spans nesting (transitively, via the
     /// `args.span_id`/`args.parent_id` chain) under a `par_map` item.
     pub nested_solves: usize,
+    /// LP engine solve spans ([`ENGINE_SOLVE_SPANS`]).
+    pub engine_solves: usize,
 }
+
+impl TraceCheck {
+    /// Trace events per LP engine solve: the export's size relative to
+    /// the work it describes (`None` when no engine solve was traced).
+    pub fn events_per_engine_solve(&self) -> Option<f64> {
+        (self.engine_solves > 0).then(|| self.events as f64 / self.engine_solves as f64)
+    }
+}
+
+/// The only events the LP engines may record: one span per solve, which
+/// carries the pivot count and per-phase seconds as args.
+pub const ENGINE_SOLVE_SPANS: [&str; 2] = ["revised.solve.seconds", "tableau.solve.seconds"];
 
 /// Validates a `DLS_TRACE=chrome:<path>` export:
 ///
@@ -853,7 +867,12 @@ pub struct TraceCheck {
 ///   `args.span_id`;
 /// * at least one `par_map.item.seconds` span exists and at least one
 ///   `core.solve_scenario.seconds` span nests under one through the
-///   parent chain — the causal-propagation contract of the solve path.
+///   parent chain — the causal-propagation contract of the solve path;
+/// * the event budget: the only `revised.*` / `tableau.*` events are the
+///   [`ENGINE_SOLVE_SPANS`], each with a `pivots` arg. A paper-scale LP
+///   makes ~10 pivots of about a microsecond each, so per-pivot or
+///   per-phase engine events would outnumber every other event and cost
+///   as much as the work they time.
 pub fn check_chrome_trace(doc: &str) -> Result<TraceCheck, String> {
     let root = parse_json(doc)?;
     let events = root
@@ -867,6 +886,7 @@ pub fn check_chrome_trace(doc: &str) -> Result<TraceCheck, String> {
         instants: 0,
         par_map_items: 0,
         nested_solves: 0,
+        engine_solves: 0,
     };
     // span id -> (name, parent id) over all span events.
     let mut span_index: std::collections::HashMap<u64, (String, Option<u64>)> =
@@ -909,6 +929,19 @@ pub fn check_chrome_trace(doc: &str) -> Result<TraceCheck, String> {
             .get("parent_id")
             .and_then(Json::as_f64)
             .map(|p| p as u64);
+        if name.starts_with("revised.") || name.starts_with("tableau.") {
+            if ph != "X" || !ENGINE_SOLVE_SPANS.contains(&name) {
+                return Err(format!(
+                    "event {n} ({name}) is an engine event other than a solve span: each LP \
+                     solve records one span ({}) with its phases as args",
+                    ENGINE_SOLVE_SPANS.join(" or ")
+                ));
+            }
+            if args.get("pivots").is_none() {
+                return Err(format!("engine solve span {n} ({name}) has no pivots arg"));
+            }
+            check.engine_solves += 1;
+        }
         if ph == "X" {
             span_index.insert(span_id, (name.to_string(), parent_id));
             if name == "par_map.item.seconds" {
@@ -1157,13 +1190,34 @@ fn f() {
     }
 
     fn span_event(name: &str, span_id: u64, parent_id: Option<u64>) -> String {
+        span_event_with(name, span_id, parent_id, "")
+    }
+
+    /// A complete event whose `args` end with `extra` (`,"k":"v"...`).
+    fn span_event_with(name: &str, span_id: u64, parent_id: Option<u64>, extra: &str) -> String {
         let parent = parent_id
             .map(|p| format!(",\"parent_id\":{p}"))
             .unwrap_or_default();
         format!(
             "{{\"name\":\"{name}\",\"cat\":\"dls\",\"ph\":\"X\",\"ts\":1,\"dur\":2,\
-             \"pid\":1,\"tid\":0,\"args\":{{\"span_id\":{span_id}{parent}}}}}"
+             \"pid\":1,\"tid\":0,\"args\":{{\"span_id\":{span_id}{parent}{extra}}}}}"
         )
+    }
+
+    /// A trace that passes every rule, plus the extra `events`.
+    fn valid_trace_with(events: &[String]) -> String {
+        let mut all = vec![
+            span_event("par_map.item.seconds", 2, None),
+            span_event("core.solve_scenario.seconds", 3, Some(2)),
+            span_event_with(
+                "revised.solve.seconds",
+                4,
+                Some(3),
+                ",\"pivots\":\"9\",\"btran_s\":\"0.000001\"",
+            ),
+        ];
+        all.extend_from_slice(events);
+        format!("{{\"traceEvents\":[\n{}\n]}}", all.join(",\n"))
     }
 
     #[test]
@@ -1182,6 +1236,35 @@ fn f() {
         assert_eq!(check.complete, 3);
         assert_eq!(check.par_map_items, 1);
         assert_eq!(check.nested_solves, 1);
+        assert_eq!(check.engine_solves, 0);
+        assert_eq!(check.events_per_engine_solve(), None);
+
+        let tableau = span_event_with("tableau.solve.seconds", 5, Some(3), ",\"pivots\":\"3\"");
+        let check = check_chrome_trace(&valid_trace_with(&[tableau])).expect("valid trace");
+        assert_eq!(check.engine_solves, 2);
+        assert_eq!(check.events_per_engine_solve(), Some(2.0));
+    }
+
+    #[test]
+    fn check_trace_rejects_per_phase_engine_spans() {
+        for name in ["revised.btran.seconds", "tableau.pivot.seconds"] {
+            let doc = valid_trace_with(&[span_event(name, 5, Some(4))]);
+            let err = check_chrome_trace(&doc).unwrap_err();
+            assert!(err.contains(name) && err.contains("one span"), "{err}");
+        }
+        // An engine instant is over budget too.
+        let instant = "{\"name\":\"revised.pivot\",\"ph\":\"i\",\"s\":\"t\",\"ts\":1,\
+                       \"pid\":1,\"tid\":0,\"args\":{\"span_id\":6}}"
+            .to_string();
+        let err = check_chrome_trace(&valid_trace_with(&[instant])).unwrap_err();
+        assert!(err.contains("revised.pivot"), "{err}");
+    }
+
+    #[test]
+    fn check_trace_rejects_an_engine_solve_span_without_pivots() {
+        let bare = span_event_with("tableau.solve.seconds", 5, Some(3), ",\"rows\":\"4\"");
+        let err = check_chrome_trace(&valid_trace_with(&[bare])).unwrap_err();
+        assert!(err.contains("no pivots arg"), "{err}");
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! * `lint` — the source-level convention linter (see the library docs
 //!   for the rule list);
 //! * `check-trace <file>` — validate a `DLS_TRACE=chrome:<path>` export
-//!   (parses the JSON, checks the event schema, and requires the solve
-//!   spans to nest under their `par_map` item parents).
+//!   (parses the JSON, checks the event schema, requires the solve spans
+//!   to nest under their `par_map` item parents, and holds the LP engines
+//!   to one span per solve).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -78,14 +79,19 @@ fn main() -> ExitCode {
             };
             match xtask::check_chrome_trace(&doc) {
                 Ok(check) => {
+                    let per_solve = check
+                        .events_per_engine_solve()
+                        .map_or_else(|| "n/a".to_string(), |e| format!("{e:.2}"));
                     println!(
                         "xtask check-trace: OK — {} events ({} spans, {} instants), \
-                         {} par_map items, {} solve spans nested under them ({path})",
+                         {} par_map items, {} solve spans nested under them, \
+                         {} engine solves ({per_solve} events per engine solve) ({path})",
                         check.events,
                         check.complete,
                         check.instants,
                         check.par_map_items,
-                        check.nested_solves
+                        check.nested_solves,
+                        check.engine_solves,
                     );
                     ExitCode::SUCCESS
                 }

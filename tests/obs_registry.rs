@@ -67,6 +67,30 @@ fn solve_scenario_populates_the_advertised_metrics_on_both_engines() {
     let iters = snap.histogram("revised.iterations").unwrap();
     assert!(iters.max >= 1.0, "a 4-worker scenario LP takes iterations");
 
+    // Engine phase times: one observation per solve (the seconds that
+    // solve spent in the phase), not one per pivot or per call.
+    for (engine, phases) in [
+        (
+            "revised.solve",
+            &[
+                "revised.refactorize.seconds",
+                "revised.pricing.seconds",
+                "revised.ftran.seconds",
+                "revised.btran.seconds",
+            ][..],
+        ),
+        ("tableau.solve", &["tableau.pivot.seconds"][..]),
+    ] {
+        let solves = snap.counter(engine).unwrap_or(0);
+        for name in phases {
+            let h = snap
+                .histogram(name)
+                .unwrap_or_else(|| panic!("histogram '{name}' not populated"));
+            assert_eq!(h.count, solves, "'{name}' has one observation per {engine}");
+            assert!(h.min >= 0.0, "'{name}' negative observation");
+        }
+    }
+
     // Solve latency is one histogram, not one per scenario.
     assert!(
         !snap
@@ -77,8 +101,7 @@ fn solve_scenario_populates_the_advertised_metrics_on_both_engines() {
     );
 
     // The solve path emits a causal trace tree alongside the histograms:
-    // the scenario root must exist and the engine phases must nest (by
-    // parent id, transitively) under it.
+    // the scenario root must exist and the LP solve must join its trace.
     let events = dls::obs::trace_events();
     let root = events
         .iter()
