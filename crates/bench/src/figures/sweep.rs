@@ -19,7 +19,8 @@
 //! gap, draw platform `i` from seed `base_seed + i` through one sampler,
 //! and the sweeps turn each strategy column's per-platform outcomes into
 //! its mean and at most one [`SkippedStrategy`] through one step.
-//! [`par_map`] runs every platform under the caller's LP engine.
+//! [`par_map`] runs the platforms in parallel, each under the caller's
+//! trace context.
 //!
 //! The strategies compared are *data*, not code: a [`SweepVariant`] names
 //! registry ids (see [`dls_core::registry`]) and the first one is the

@@ -42,7 +42,8 @@ pub enum CoreError {
     /// error-severity diagnostics in a schedule model about to be lowered —
     /// a structural bug in the builder that produced it. Carries the
     /// rendered [`dls_lp::AnalysisReport`], which names each offending row
-    /// label and [`dls_lp::RowKind`]. Raised only in debug builds, where
+    /// by its kind and position (`one_port[0]`) and gives its
+    /// [`dls_lp::RowKind`]. Raised only in debug builds, where
     /// [`crate::lp_model::analyze_gate`] runs.
     InvalidModel(String),
     /// A pinned interleaved-master lead exceeds the platform's enrollment:

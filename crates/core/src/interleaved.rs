@@ -106,15 +106,9 @@ pub fn interleaved_model(
     let q = order.len();
     debug_assert_eq!(merge.len(), 2 * q, "merge must cover all 2q port ops");
     let mut ir = ScheduleModel::maximize();
-    let alphas = ir.group("alpha", order.iter().map(|id| (format!("alpha_{id}"), 1.0)));
-    let sends = ir.group(
-        "send_start",
-        order.iter().map(|id| (format!("s_{id}"), 0.0)),
-    );
-    let rets = ir.group(
-        "return_start",
-        order.iter().map(|id| (format!("r_{id}"), 0.0)),
-    );
+    let alphas = ir.group("alpha", std::iter::repeat_n(1.0, q));
+    let sends = ir.group("send_start", std::iter::repeat_n(0.0, q));
+    let rets = ir.group("return_start", std::iter::repeat_n(0.0, q));
 
     let start_of = |op: PortOp| -> MVar {
         match op {
@@ -128,42 +122,21 @@ pub fn interleaved_model(
             PortOp::Ret(k) => (alphas.var(k), platform.worker(order[k]).d),
         }
     };
-    let op_name = |op: PortOp| -> String {
-        match op {
-            PortOp::Send(k) => format!("S_{}", order[k]),
-            PortOp::Ret(k) => format!("R_{}", order[k]),
-        }
-    };
-
     // One-port chain: consecutive merge operations in order — the
     // disjunctions, resolved.
     for pair in merge.windows(2) {
-        ir.precedence(
-            format!("port_{}_{}", op_name(pair[0]), op_name(pair[1])),
-            start_of(pair[1]),
-            start_of(pair[0]),
-            [duration_of(pair[0])],
-        );
+        ir.precedence(start_of(pair[1]), start_of(pair[0]), [duration_of(pair[0])]);
     }
     // Results exist only after reception + computation.
     for (k, &id) in order.iter().enumerate() {
         let w = platform.worker(id);
-        ir.precedence(
-            format!("ready_{id}"),
-            rets.var(k),
-            sends.var(k),
-            [(alphas.var(k), w.c + w.w)],
-        );
+        ir.precedence(rets.var(k), sends.var(k), [(alphas.var(k), w.c + w.w)]);
     }
     // Horizon: the chain orders finishing times, so the last operation's
     // deadline bounds them all.
     let last = *merge.last().expect("merge is non-empty");
     let (dur_var, dur_coeff) = duration_of(last);
-    ir.deadline(
-        "horizon",
-        [(start_of(last), 1.0), (dur_var, dur_coeff)],
-        1.0,
-    );
+    ir.deadline([(start_of(last), 1.0), (dur_var, dur_coeff)], 1.0);
     (ir, alphas)
 }
 

@@ -43,7 +43,8 @@ use crate::schedule::{check_orders, PortModel, Schedule};
 /// The pre-solve gate: in debug builds, runs [`dls_lp::analyze`] over
 /// `model` and rejects error-severity findings as
 /// [`CoreError::InvalidModel`] (the rendered report names each offending
-/// row label and `RowKind`). Warnings — redundant-but-legal rows,
+/// row by its kind and position, such as `one_port[0]`, and gives its
+/// `RowKind`). Warnings — redundant-but-legal rows,
 /// conditioning hazards — are tolerated. [`solve_model`] calls this before
 /// every solve, so every floating-point LP in the workspace passes it:
 /// [`solve_scenario`], the affine builder
@@ -147,11 +148,8 @@ pub fn scenario_model_with_rhs(
     );
     let mut ir = ScheduleModel::maximize();
 
-    let alpha_group = ir.group(
-        "alpha",
-        send_order.iter().map(|id| (format!("alpha_{id}"), 1.0)),
-    );
-    let idle_group = ir.group("idle", send_order.iter().map(|id| (format!("x_{id}"), 0.0)));
+    let alpha_group = ir.group("alpha", std::iter::repeat_n(1.0, q));
+    let idle_group = ir.group("idle", std::iter::repeat_n(0.0, q));
 
     // Enrolled position maps.
     let mut send_pos = vec![usize::MAX; platform.num_workers()];
@@ -182,7 +180,7 @@ pub fn scenario_model_with_rhs(
             let enrolled = send_pos[jd.index()];
             coeffs.push((alpha_group.var(enrolled), platform.worker(jd).d));
         }
-        ir.deadline(format!("deadline_{id}"), coeffs, deadline_rhs[k]);
+        ir.deadline(coeffs, deadline_rhs[k]);
     }
 
     // (2b) one-port: total master communication time within the budget.
@@ -195,7 +193,7 @@ pub fn scenario_model_with_rhs(
                 (alpha_group.var(k), w.c + w.d)
             })
             .collect();
-        ir.one_port("one_port", coeffs, one_port_rhs);
+        ir.one_port(coeffs, one_port_rhs);
     }
 
     let vars = LpVars {
@@ -217,7 +215,6 @@ pub fn scenario_model_with_rhs(
 pub fn solve_model(model: &ScheduleModel) -> Result<Solution<f64>, CoreError> {
     analyze_gate(model)?;
     let lp = model.problem();
-    let _span = dls_obs::trace_span!("lp_model.solve.seconds");
     let opts = SolverOptions::for_size(lp.num_vars(), lp.num_constraints());
     let sol = match dls_lp::solve_revised_with::<f64>(lp, &opts, None) {
         Ok(r) => r.solution,
@@ -627,10 +624,10 @@ mod tests {
         assert!(solves() >= before + 2);
     }
 
-    /// The pre-IR hand-rolled builder, kept verbatim as a golden: the IR
-    /// lowering must reproduce its output *byte for byte* (names, labels,
-    /// objective, row order, coefficient order), so the refactor changed
-    /// no LP.
+    /// The pre-IR hand-rolled builder, kept as a golden: the IR lowering
+    /// must reproduce its output *byte for byte* (objective, row order,
+    /// relations, right-hand sides, coefficient order), so the refactor
+    /// changed no LP.
     fn golden_build_problem(
         platform: &Platform,
         send_order: &[WorkerId],
@@ -640,14 +637,8 @@ mod tests {
         use dls_lp::Relation;
         let q = send_order.len();
         let mut lp = Problem::maximize();
-        let alphas: Vec<VarId> = send_order
-            .iter()
-            .map(|id| lp.add_var(format!("alpha_{id}"), 1.0))
-            .collect();
-        let idles: Vec<VarId> = send_order
-            .iter()
-            .map(|id| lp.add_var(format!("x_{id}"), 0.0))
-            .collect();
+        let alphas: Vec<VarId> = (0..q).map(|_| lp.add_var(1.0)).collect();
+        let idles: Vec<VarId> = (0..q).map(|_| lp.add_var(0.0)).collect();
         let mut send_pos = vec![usize::MAX; platform.num_workers()];
         for (k, id) in send_order.iter().enumerate() {
             send_pos[id.index()] = k;
@@ -669,7 +660,7 @@ mod tests {
                 let enrolled = send_pos[jd.index()];
                 coeffs.push((alphas[enrolled], platform.worker(jd).d));
             }
-            lp.add_constraint(format!("deadline_{id}"), coeffs, Relation::Le, 1.0);
+            lp.add_constraint(coeffs, Relation::Le, 1.0);
         }
         if model == PortModel::OnePort {
             let coeffs: Vec<(VarId, f64)> = send_order
@@ -680,7 +671,7 @@ mod tests {
                     (alphas[k], w.c + w.d)
                 })
                 .collect();
-            lp.add_constraint("one_port", coeffs, Relation::Le, 1.0);
+            lp.add_constraint(coeffs, Relation::Le, 1.0);
         }
         lp
     }
@@ -697,6 +688,18 @@ mod tests {
                 let golden = golden_build_problem(&p, &send, &ret, model);
                 let (ir, vars) = scenario_model(&p, &send, &ret, model).unwrap();
                 assert_eq!(ir.problem(), &golden);
+                // Which column and row is which: `alpha` then `idle`, one
+                // member per enrolled worker; one deadline row per worker,
+                // then the one-port row.
+                let q = send.len();
+                let layout: Vec<(&str, usize)> =
+                    ir.groups().iter().map(|g| (g.name(), g.len())).collect();
+                assert_eq!(layout, [("alpha", q), ("idle", q)]);
+                let mut kinds = vec![dls_lp::RowKind::Deadline; q];
+                if model == PortModel::OnePort {
+                    kinds.push(dls_lp::RowKind::OnePort);
+                }
+                assert_eq!(ir.row_kinds().collect::<Vec<_>>(), kinds);
                 // Variable handles line up with the golden declaration order.
                 assert_eq!(vars.alphas.len(), send.len());
                 assert_eq!(vars.idles[0].index(), send.len());
@@ -743,19 +746,15 @@ mod tests {
     #[test]
     fn analyzer_gate_rejects_corrupt_models_in_debug_builds() {
         let mut ir = ScheduleModel::maximize();
-        let alphas = ir.group("alpha", (1..=2).map(|i| (format!("alpha_P{i}"), 1.0)));
-        ir.deadline("deadline_P1", [(alphas.var(0), 3.0)], 1.0);
-        ir.deadline("deadline_P2", [(alphas.var(1), 4.0)], 1.0);
+        let alphas = ir.group("alpha", [1.0; 2]);
+        ir.deadline([(alphas.var(0), 3.0)], 1.0);
+        ir.deadline([(alphas.var(1), 4.0)], 1.0);
         // Sign-flipped one-port row: the class of builder bug the gate is
         // for. The error must name the row and its kind.
-        ir.one_port(
-            "one_port",
-            [(alphas.var(0), -1.5), (alphas.var(1), 3.0)],
-            1.0,
-        );
+        ir.one_port([(alphas.var(0), -1.5), (alphas.var(1), 3.0)], 1.0);
         match solve_model(&ir) {
             Err(CoreError::InvalidModel(report)) => {
-                assert!(report.contains("one_port"), "{report}");
+                assert!(report.contains("one_port[0]"), "{report}");
                 assert!(report.contains("OnePort"), "{report}");
             }
             other => panic!("expected InvalidModel, got {other:?}"),

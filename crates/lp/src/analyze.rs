@@ -11,7 +11,10 @@
 //! pre-solve diagnostics.
 //!
 //! Three layers of checks, each finding carried as a [`Diagnostic`] with
-//! the offending row's label and [`RowKind`]:
+//! the offending row's name and [`RowKind`]. A row is named by its kind and
+//! its position among the rows of that kind (`one_port[0]`, `deadline[3]`),
+//! a variable by its group and member (`alpha[2]`): the model's structure
+//! locates the builder loop that emitted it.
 //!
 //! * **per-kind row signatures** — [`RowKind::Deadline`] rows are `≤` with
 //!   a strictly positive budget and nonnegative coefficients (the paper's
@@ -44,22 +47,22 @@
 //! use dls_lp::{analyze, ScheduleModel, RowKind, Severity};
 //!
 //! let mut m = ScheduleModel::maximize();
-//! let a = m.group("alpha", [("alpha_P1".to_string(), 1.0)]);
+//! let a = m.group("alpha", [1.0]);
 //! // Sign-flipped one-port row: a structural bug, caught pre-solve.
-//! m.one_port("one_port", [(a.var(0), -1.5)], 1.0);
+//! m.one_port([(a.var(0), -1.5)], 1.0);
 //! let report = analyze(&m);
 //! assert!(report.has_errors());
 //! let d = report.errors().next().unwrap();
 //! assert_eq!(d.kind, Some(RowKind::OnePort));
-//! assert_eq!(d.row.as_deref(), Some("one_port"));
+//! assert_eq!(d.row.as_deref(), Some("one_port[0]"));
 //! assert_eq!(d.severity, Severity::Error);
 //! ```
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
-use crate::model::ScheduleModel;
-use crate::problem::{Constraint, Problem, Relation, VarId};
+use crate::model::{Item, ScheduleModel};
+use crate::problem::{Constraint, Relation};
 use crate::RowKind;
 
 /// Per-row coefficient-magnitude spread (max |c| / min |c| over nonzero
@@ -93,13 +96,14 @@ impl fmt::Display for Severity {
 }
 
 /// One analyzer finding, carrying enough context to locate the bug in the
-/// *builder* that emitted the row (label + kind), not just in the
-/// constraint matrix.
+/// *builder* that emitted the row (its kind and position among the rows of
+/// that kind), not just in the constraint matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Diagnostic {
     /// Error or warning.
     pub severity: Severity,
-    /// Label of the offending row, when the finding is row-scoped.
+    /// Name of the offending row (`deadline[3]`), when the finding is
+    /// row-scoped.
     pub row: Option<String>,
     /// [`RowKind`] of the offending row, when row-scoped.
     pub kind: Option<RowKind>,
@@ -154,7 +158,7 @@ impl AnalysisReport {
     fn error(&mut self, row: &Row, message: String) {
         self.diagnostics.push(Diagnostic {
             severity: Severity::Error,
-            row: Some(row.con.label.clone()),
+            row: Some(row.name()),
             kind: Some(row.kind),
             message,
         });
@@ -163,7 +167,7 @@ impl AnalysisReport {
     fn warn(&mut self, row: &Row, message: String) {
         self.diagnostics.push(Diagnostic {
             severity: Severity::Warning,
-            row: Some(row.con.label.clone()),
+            row: Some(row.name()),
             kind: Some(row.kind),
             message,
         });
@@ -197,11 +201,20 @@ impl fmt::Display for AnalysisReport {
     }
 }
 
-/// One model row as the analyzer reads it: the problem's constraint plus
-/// the scheduling role the model tagged it with.
+/// One model row as the analyzer reads it: the problem's constraint, the
+/// scheduling role the model tagged it with, and its position, which
+/// names it in findings.
 struct Row<'a> {
+    model: &'a ScheduleModel,
+    index: usize,
     con: &'a Constraint,
     kind: RowKind,
+}
+
+impl Row<'_> {
+    fn name(&self) -> String {
+        self.model.name(Item::Row(self.index))
+    }
 }
 
 /// A row reduced to its mathematical content: duplicate variable entries
@@ -218,18 +231,13 @@ fn normalize(con: &Constraint) -> BTreeMap<usize, f64> {
 
 fn fmt_coeff_list(
     terms: &BTreeMap<usize, f64>,
-    problem: &Problem,
+    model: &ScheduleModel,
     pred: impl Fn(f64) -> bool,
 ) -> String {
     let mut out = Vec::new();
-    for (&i, &c) in terms {
+    for (&j, &c) in terms {
         if pred(c) {
-            let name = if i < problem.num_vars() {
-                problem.var_name(VarId(i))
-            } else {
-                "<undeclared>"
-            };
-            out.push(format!("{name}={c}"));
+            out.push(format!("{}={c}", model.name(Item::Column(j))));
         }
     }
     out.join(", ")
@@ -246,7 +254,13 @@ pub fn analyze(model: &ScheduleModel) -> AnalysisReport {
         .constraints()
         .iter()
         .zip(model.row_kinds())
-        .map(|(con, kind)| Row { con, kind })
+        .enumerate()
+        .map(|(index, (con, kind))| Row {
+            model,
+            index,
+            con,
+            kind,
+        })
         .collect();
 
     // ---- whole-model: declarations ------------------------------------
@@ -328,7 +342,7 @@ pub fn analyze(model: &ScheduleModel) -> AnalysisReport {
                         row,
                         format!(
                             "deadline rows take nonnegative coefficients; negative: {}",
-                            fmt_coeff_list(&terms, problem, |c| c < 0.0)
+                            fmt_coeff_list(&terms, model, |c| c < 0.0)
                         ),
                     );
                 }
@@ -343,7 +357,7 @@ pub fn analyze(model: &ScheduleModel) -> AnalysisReport {
                         format!(
                             "capacity rows take nonnegative coefficients (sign-flipped \
                              builder?); negative: {}",
-                            fmt_coeff_list(&terms, problem, |c| c < 0.0)
+                            fmt_coeff_list(&terms, model, |c| c < 0.0)
                         ),
                     );
                 }
@@ -374,7 +388,7 @@ pub fn analyze(model: &ScheduleModel) -> AnalysisReport {
                         format!(
                             "precedence rows carry exactly one +1 event term and \
                              nonpositive duration terms; positive terms: [{}]",
-                            fmt_coeff_list(&terms, problem, |c| c > 0.0)
+                            fmt_coeff_list(&terms, model, |c| c > 0.0)
                         ),
                     );
                 }
@@ -431,7 +445,7 @@ pub fn analyze(model: &ScheduleModel) -> AnalysisReport {
         if !used {
             report.model_error(format!(
                 "variable '{}' appears in no row (unbounded or dead column)",
-                problem.var_name(VarId(i))
+                model.name(Item::Column(i))
             ));
         }
     }
@@ -453,7 +467,7 @@ pub fn analyze(model: &ScheduleModel) -> AnalysisReport {
         if let Some(&first) = seen.get(&sig) {
             report.error(
                 row,
-                format!("duplicates row '{}' exactly", rows[first].con.label),
+                format!("duplicates row '{}' exactly", rows[first].name()),
             );
         } else {
             seen.insert(sig, r);
@@ -488,7 +502,7 @@ pub fn analyze(model: &ScheduleModel) -> AnalysisReport {
                     &rows[b],
                     format!(
                         "coefficient-wise dominated by row '{}' (redundant)",
-                        con_a.label
+                        rows[a].name()
                     ),
                 );
                 break;
@@ -523,10 +537,9 @@ mod tests {
     /// builds), including the duplicate-variable term idiom.
     fn canonical() -> ScheduleModel {
         let mut m = ScheduleModel::maximize();
-        let a = m.group("alpha", (1..=2).map(|i| (format!("alpha_P{i}"), 1.0)));
-        let x = m.group("idle", (1..=2).map(|i| (format!("x_P{i}"), 0.0)));
+        let a = m.group("alpha", [1.0; 2]);
+        let x = m.group("idle", [0.0; 2]);
         m.deadline(
-            "deadline_P1",
             [
                 (a.var(0), 1.0),
                 (a.var(0), 2.0),
@@ -537,7 +550,6 @@ mod tests {
             1.0,
         );
         m.deadline(
-            "deadline_P2",
             [
                 (a.var(0), 1.0),
                 (a.var(1), 3.0),
@@ -546,7 +558,7 @@ mod tests {
             ],
             1.0,
         );
-        m.one_port("one_port", [(a.var(0), 1.5), (a.var(1), 3.0)], 1.0);
+        m.one_port([(a.var(0), 1.5), (a.var(1), 3.0)], 1.0);
         m
     }
 
@@ -559,11 +571,11 @@ mod tests {
     #[test]
     fn precedence_and_release_rows_pass() {
         let mut m = ScheduleModel::maximize();
-        let a = m.group("alpha", [("alpha".to_string(), 1.0)]);
-        let s = m.group("start", [("s".to_string(), 0.0), ("r".to_string(), 0.0)]);
-        m.release("rel", s.var(0), [(a.var(0), 2.0)]);
-        m.precedence("prec", s.var(1), s.var(0), [(a.var(0), 1.0)]);
-        m.deadline("horizon", [(s.var(1), 1.0), (a.var(0), 1.0)], 1.0);
+        let a = m.group("alpha", [1.0]);
+        let s = m.group("start", [0.0; 2]);
+        m.release(s.var(0), [(a.var(0), 2.0)]);
+        m.precedence(s.var(1), s.var(0), [(a.var(0), 1.0)]);
+        m.deadline([(s.var(1), 1.0), (a.var(0), 1.0)], 1.0);
         let report = analyze(&m);
         assert!(!report.has_errors(), "{report}");
     }
@@ -571,55 +583,55 @@ mod tests {
     #[test]
     fn sign_flipped_one_port_is_caught_with_kind() {
         let mut m = ScheduleModel::maximize();
-        let a = m.group("alpha", (1..=2).map(|i| (format!("alpha_P{i}"), 1.0)));
-        m.deadline("deadline_P1", [(a.var(0), 3.0)], 1.0);
-        m.deadline("deadline_P2", [(a.var(1), 4.0)], 1.0);
-        m.one_port("one_port", [(a.var(0), -1.5), (a.var(1), 3.0)], 1.0);
+        let a = m.group("alpha", [1.0; 2]);
+        m.deadline([(a.var(0), 3.0)], 1.0);
+        m.deadline([(a.var(1), 4.0)], 1.0);
+        m.one_port([(a.var(0), -1.5), (a.var(1), 3.0)], 1.0);
         let report = analyze(&m);
         assert!(report.has_errors());
         let d = report.errors().next().unwrap();
         assert_eq!(d.kind, Some(RowKind::OnePort));
-        assert_eq!(d.row.as_deref(), Some("one_port"));
-        assert!(d.message.contains("alpha_P1"), "{}", d.message);
+        assert_eq!(d.row.as_deref(), Some("one_port[0]"));
+        assert!(d.message.contains("alpha[0]=-1.5"), "{}", d.message);
     }
 
     #[test]
-    fn duplicate_rows_are_errors_naming_both_labels() {
+    fn duplicate_rows_are_errors_naming_both_rows() {
         let mut m = ScheduleModel::maximize();
-        let a = m.group("alpha", (1..=2).map(|i| (format!("alpha_P{i}"), 1.0)));
-        m.deadline("deadline_P1", [(a.var(0), 3.0), (a.var(1), 1.0)], 1.0);
-        m.deadline("deadline_P1_again", [(a.var(1), 1.0), (a.var(0), 3.0)], 1.0);
+        let a = m.group("alpha", [1.0; 2]);
+        m.deadline([(a.var(0), 3.0), (a.var(1), 1.0)], 1.0);
+        m.deadline([(a.var(1), 1.0), (a.var(0), 3.0)], 1.0);
         let report = analyze(&m);
         let dup: Vec<_> = report
             .errors()
             .filter(|d| d.message.contains("duplicates"))
             .collect();
         assert_eq!(dup.len(), 1, "{report}");
-        assert_eq!(dup[0].row.as_deref(), Some("deadline_P1_again"));
-        assert!(dup[0].message.contains("deadline_P1"));
+        assert_eq!(dup[0].row.as_deref(), Some("deadline[1]"));
+        assert!(dup[0].message.contains("deadline[0]"), "{}", dup[0].message);
     }
 
     #[test]
     fn empty_group_and_unused_variable_are_errors() {
         let mut m = ScheduleModel::maximize();
-        let a = m.group("alpha", [("alpha".to_string(), 1.0)]);
-        let _ghost = m.group("ghost", std::iter::empty::<(String, f64)>());
-        let _dead = m.group("dead", [("unused".to_string(), 0.0)]);
-        m.deadline("deadline", [(a.var(0), 2.0)], 1.0);
+        let a = m.group("alpha", [1.0]);
+        let _ghost = m.group("ghost", []);
+        let _dead = m.group("dead", [0.0]);
+        m.deadline([(a.var(0), 2.0)], 1.0);
         let report = analyze(&m);
         assert!(report
             .errors()
             .any(|d| d.row.is_none() && d.message.contains("ghost")));
         assert!(report
             .errors()
-            .any(|d| d.row.is_none() && d.message.contains("unused")));
+            .any(|d| d.row.is_none() && d.message.contains("'dead[0]'")));
     }
 
     #[test]
     fn zero_objective_is_an_error() {
         let mut m = ScheduleModel::maximize();
-        let a = m.group("alpha", [("alpha".to_string(), 0.0)]);
-        m.deadline("deadline", [(a.var(0), 2.0)], 1.0);
+        let a = m.group("alpha", [0.0]);
+        m.deadline([(a.var(0), 2.0)], 1.0);
         let report = analyze(&m);
         assert!(report
             .errors()
@@ -629,13 +641,13 @@ mod tests {
     #[test]
     fn trivially_infeasible_rows_are_errors() {
         let mut m = ScheduleModel::maximize();
-        let a = m.group("alpha", [("alpha".to_string(), 1.0)]);
-        m.deadline("ok", [(a.var(0), 2.0)], 1.0);
-        m.constraint("neg_budget", [(a.var(0), 2.0)], Relation::Le, -1.0);
+        let a = m.group("alpha", [1.0]);
+        m.deadline([(a.var(0), 2.0)], 1.0);
+        m.constraint([(a.var(0), 2.0)], Relation::Le, -1.0);
         let report = analyze(&m);
         let d = report
             .errors()
-            .find(|d| d.row.as_deref() == Some("neg_budget"))
+            .find(|d| d.row.as_deref() == Some("custom[0]"))
             .expect("trivially infeasible row reported");
         assert_eq!(d.kind, Some(RowKind::Custom));
         assert!(d.message.contains("trivially infeasible"));
@@ -644,58 +656,60 @@ mod tests {
     #[test]
     fn wrong_sense_deadline_and_bad_precedence_shapes() {
         let mut m = ScheduleModel::maximize();
-        let a = m.group("alpha", [("alpha".to_string(), 1.0)]);
-        let s = m.group("start", [("s".to_string(), 0.0)]);
-        m.deadline("zero_budget", [(a.var(0), 2.0)], 0.0);
+        let a = m.group("alpha", [1.0]);
+        let s = m.group("start", [0.0]);
+        m.deadline([(a.var(0), 2.0)], 0.0);
         // A precedence row whose event coefficient cancels itself.
-        m.precedence("self_loop", s.var(0), s.var(0), [(a.var(0), 1.0)]);
+        m.precedence(s.var(0), s.var(0), [(a.var(0), 1.0)]);
         let report = analyze(&m);
         assert!(report
             .errors()
-            .any(|d| d.row.as_deref() == Some("zero_budget") && d.kind == Some(RowKind::Deadline)));
+            .any(|d| d.row.as_deref() == Some("deadline[0]") && d.kind == Some(RowKind::Deadline)));
         assert!(report
             .errors()
-            .any(|d| d.row.as_deref() == Some("self_loop") && d.kind == Some(RowKind::Precedence)));
+            .any(|d| d.row.as_deref() == Some("precedence[0]")
+                && d.kind == Some(RowKind::Precedence)));
     }
 
     #[test]
     fn dominated_row_is_a_warning_not_an_error() {
         let mut m = ScheduleModel::maximize();
-        let a = m.group("alpha", (1..=2).map(|i| (format!("alpha_P{i}"), 1.0)));
-        // cap_tight dominates cap_loose: larger coefficients, same budget.
-        m.capacity("cap_tight", [(a.var(0), 3.0), (a.var(1), 2.0)], 1.0);
-        m.capacity("cap_loose", [(a.var(0), 1.0), (a.var(1), 2.0)], 1.0);
+        let a = m.group("alpha", [1.0; 2]);
+        // capacity[0] dominates capacity[1]: larger coefficients, same
+        // budget.
+        m.capacity([(a.var(0), 3.0), (a.var(1), 2.0)], 1.0);
+        m.capacity([(a.var(0), 1.0), (a.var(1), 2.0)], 1.0);
         let report = analyze(&m);
         assert!(!report.has_errors(), "{report}");
         let w = report
             .warnings()
-            .find(|d| d.row.as_deref() == Some("cap_loose"))
+            .find(|d| d.row.as_deref() == Some("capacity[1]"))
             .expect("dominated row warned");
-        assert!(w.message.contains("cap_tight"));
+        assert!(w.message.contains("capacity[0]"), "{}", w.message);
     }
 
     #[test]
     fn conditioning_spread_is_a_warning() {
         let mut m = ScheduleModel::maximize();
-        let a = m.group("alpha", (1..=2).map(|i| (format!("alpha_P{i}"), 1.0)));
-        m.deadline("spread", [(a.var(0), 1e-6), (a.var(1), 1e6)], 1.0);
-        m.deadline("d2", [(a.var(0), 1.0), (a.var(1), 1.0)], 1.0);
+        let a = m.group("alpha", [1.0; 2]);
+        m.deadline([(a.var(0), 1e-6), (a.var(1), 1e6)], 1.0);
+        m.deadline([(a.var(0), 1.0), (a.var(1), 1.0)], 1.0);
         let report = analyze(&m);
         assert!(!report.has_errors(), "{report}");
         assert!(report
             .warnings()
-            .any(|d| d.row.as_deref() == Some("spread") && d.message.contains("tolerances")));
+            .any(|d| d.row.as_deref() == Some("deadline[0]") && d.message.contains("tolerances")));
     }
 
     #[test]
     fn report_display_counts_and_lists() {
         let mut m = ScheduleModel::maximize();
-        let a = m.group("alpha", [("alpha".to_string(), 1.0)]);
-        m.one_port("one_port", [(a.var(0), -1.0)], 1.0);
+        let a = m.group("alpha", [1.0]);
+        m.one_port([(a.var(0), -1.0)], 1.0);
         let report = analyze(&m);
         let text = report.to_string();
         assert!(text.contains("error"), "{text}");
-        assert!(text.contains("one_port"), "{text}");
+        assert!(text.contains("row 'one_port[0]'"), "{text}");
         let clean = analyze(&canonical());
         assert!(!clean.has_errors());
         assert!(clean.to_string().contains("analysis"));

@@ -27,13 +27,15 @@
 //! into one deterministic [`Problem`] — the shared vocabulary every
 //! divisible-load LP variant in the workspace is built from. The engines
 //! solve [`ScheduleModel::problem`] in place; [`ScheduleModel::lower`]
-//! returns an owned copy. A [`Problem`] has no text form: it compares
-//! structurally (`==` on sense, names, objective and rows), which is how
-//! tests pin a model build. The [`analyze`](fn@analyze) pass statically checks a model's
+//! returns an owned copy. A [`Problem`] has no text form and no names: a
+//! variable is its index and a row its position. It compares structurally
+//! (`==` on sense, objective and rows), which is how tests pin a model
+//! build. The [`analyze`](fn@analyze) pass statically checks a model's
 //! structural invariants (row-kind signatures, duplicate/dominated rows,
 //! conditioning) from the problem's rows and their kinds *before* the
-//! solve, turning builder bugs into named diagnostics instead of garbage
-//! optima.
+//! solve, turning builder bugs into diagnostics that name the row by its
+//! kind and position (`one_port[0]`) and the variable by its group and
+//! member (`alpha[2]`) instead of garbage optima.
 //!
 //! Both are generic over the [`Scalar`] backend:
 //!
@@ -50,10 +52,10 @@
 //!
 //! // maximize x + y  s.t.  2x + y <= 4,  x + 3y <= 6
 //! let mut p = Problem::maximize();
-//! let x = p.add_var("x", 1.0);
-//! let y = p.add_var("y", 1.0);
-//! p.add_constraint("c1", [(x, 2.0), (y, 1.0)], Relation::Le, 4.0);
-//! p.add_constraint("c2", [(x, 1.0), (y, 3.0)], Relation::Le, 6.0);
+//! let x = p.add_var(1.0);
+//! let y = p.add_var(1.0);
+//! p.add_constraint([(x, 2.0), (y, 1.0)], Relation::Le, 4.0);
+//! p.add_constraint([(x, 1.0), (y, 3.0)], Relation::Le, 6.0);
 //! let sol = solve(&p).unwrap();
 //! assert!((sol.objective - 2.8).abs() < 1e-9);
 //! ```

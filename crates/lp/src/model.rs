@@ -8,7 +8,7 @@
 //! row-emission code. A [`ScheduleModel`] names the *structure* instead:
 //!
 //! * **variable groups** ([`ScheduleModel::group`]) — `alpha` loads,
-//!   `x` idle gaps, per-message start times — declared in a deterministic
+//!   `idle` gaps, per-message start times — declared in a deterministic
 //!   group-major order, so the column order (and therefore the
 //!   standardized [`column layout`](crate::simplex) both solver engines
 //!   share) is a function of the model alone;
@@ -27,19 +27,20 @@
 //!   [`ScheduleModel::lower`] returns an owned copy for callers that keep
 //!   it past the model.
 //!
+//! A model stores no variable or row names. Diagnostics name a column by
+//! its group and member (`alpha[2]`) and a row by its kind and its
+//! position among the rows of that kind (`deadline[3]`, `one_port[0]`),
+//! and render those names only when they report something.
+//!
 //! ```
 //! use dls_lp::{ScheduleModel, solve};
 //!
 //! // One worker, canonical shape: alpha (c + w + d) <= 1.
 //! let mut m = ScheduleModel::maximize();
-//! let alpha = m.group("alpha", [("alpha_P1".to_string(), 1.0)]);
-//! let idle = m.group("idle", [("x_P1".to_string(), 0.0)]);
-//! m.deadline(
-//!     "deadline_P1",
-//!     [(alpha.var(0), 2.0 + 3.0 + 1.0), (idle.var(0), 1.0)],
-//!     1.0,
-//! );
-//! m.one_port("one_port", [(alpha.var(0), 3.0)], 1.0);
+//! let alpha = m.group("alpha", [1.0]);
+//! let idle = m.group("idle", [0.0]);
+//! m.deadline([(alpha.var(0), 2.0 + 3.0 + 1.0), (idle.var(0), 1.0)], 1.0);
+//! m.one_port([(alpha.var(0), 3.0)], 1.0);
 //! let sol = solve(m.problem()).unwrap();
 //! assert!((sol.objective - 1.0 / 6.0).abs() < 1e-9);
 //! ```
@@ -72,14 +73,14 @@ impl MVar {
 /// members in member order.
 #[derive(Debug, Clone)]
 pub struct VarGroup {
-    name: String,
+    name: &'static str,
     range: Range<usize>,
 }
 
 impl VarGroup {
     /// The group's name.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     /// Number of member variables.
@@ -119,6 +120,8 @@ impl VarGroup {
 
 /// Scheduling role of a model row — recorded for debuggability and checked
 /// per kind by the static analyzer ([`crate::analyze`](fn@crate::analyze)).
+/// Diagnostics name a row by its kind and its position among the rows of
+/// that kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RowKind {
     /// A per-worker horizon constraint (the paper's (2a) rows).
@@ -132,6 +135,29 @@ pub enum RowKind {
     Precedence,
     /// Anything else (caller-shaped rows added via the raw relations).
     Custom,
+}
+
+impl RowKind {
+    /// The kind's name in rendered row names (`deadline[3]`).
+    fn name(self) -> &'static str {
+        match self {
+            RowKind::Deadline => "deadline",
+            RowKind::OnePort => "one_port",
+            RowKind::Capacity => "capacity",
+            RowKind::Precedence => "precedence",
+            RowKind::Custom => "custom",
+        }
+    }
+}
+
+/// A column or a row of a [`ScheduleModel`], by index, for
+/// [`ScheduleModel::name`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Item {
+    /// Column `j` of the model's problem.
+    Column(usize),
+    /// Row `i` of the model's problem.
+    Row(usize),
 }
 
 /// The schedule-model IR: named variable groups plus tagged constraint
@@ -164,20 +190,20 @@ impl ScheduleModel {
         Self::new(Sense::Minimize)
     }
 
-    /// Declares a named group of non-negative variables; `members` yields
-    /// `(variable name, objective coefficient)` pairs. Returns the group
-    /// handle whose [`VarGroup::var`]s feed the constraint combinators.
+    /// Declares a group of non-negative variables, one member per
+    /// `objective` coefficient. Returns the group handle whose
+    /// [`VarGroup::var`]s feed the constraint combinators.
     pub fn group(
         &mut self,
-        name: impl Into<String>,
-        members: impl IntoIterator<Item = (String, f64)>,
+        name: &'static str,
+        objective: impl IntoIterator<Item = f64>,
     ) -> VarGroup {
         let start = self.problem.num_vars();
-        for (member, obj) in members {
-            self.problem.add_var(member, obj);
+        for obj in objective {
+            self.problem.add_var(obj);
         }
         let group = VarGroup {
-            name: name.into(),
+            name,
             range: start..self.problem.num_vars(),
         };
         self.groups.push(group.clone());
@@ -189,58 +215,67 @@ impl ScheduleModel {
     /// index-panicking deep inside the solver's standardization.
     fn add_row(
         &mut self,
-        label: impl Into<String>,
         kind: RowKind,
         terms: impl IntoIterator<Item = (MVar, f64)>,
         relation: Relation,
         rhs: f64,
     ) {
         self.problem.add_constraint(
-            label,
             terms.into_iter().map(|(v, c)| (v.var_id(), c)),
             relation,
             rhs,
         );
         self.kinds.push(kind);
         let declared = self.problem.num_vars();
-        let row = &self.problem.constraints()[self.kinds.len() - 1];
+        let row = self.kinds.len() - 1;
         debug_assert!(
-            row.coeffs.iter().all(|&(i, _)| i < declared),
-            "row '{}' ({kind:?}) references an undeclared variable (the model declares {declared})",
-            row.label
+            self.problem.constraints()[row]
+                .coeffs
+                .iter()
+                .all(|&(j, _)| j < declared),
+            "row {} references an undeclared variable (the model declares {declared})",
+            self.name(Item::Row(row))
         );
     }
 
+    /// Names a column as `<group>[<member>]` (`alpha[2]`) and a row as
+    /// `<kind>[<ordinal among rows of that kind>]` (`deadline[3]`), from
+    /// the groups and row kinds the model records; `item` must be declared.
+    /// The one renderer of model names: the analyzer and this module's
+    /// assertions call it only when they report a finding.
+    pub(crate) fn name(&self, item: Item) -> String {
+        match item {
+            Item::Column(j) => {
+                let g = self
+                    .groups
+                    .iter()
+                    .find(|g| g.range.contains(&j))
+                    .expect("columns are declared only through groups");
+                format!("{}[{}]", g.name, j - g.range.start)
+            }
+            Item::Row(i) => {
+                let kind = self.kinds[i];
+                let ordinal = self.kinds[..i].iter().filter(|&&k| k == kind).count();
+                format!("{}[{ordinal}]", kind.name())
+            }
+        }
+    }
+
     /// A per-worker horizon row: `Σ terms ≤ rhs` (the paper's (2a) shape).
-    pub fn deadline(
-        &mut self,
-        label: impl Into<String>,
-        terms: impl IntoIterator<Item = (MVar, f64)>,
-        rhs: f64,
-    ) {
-        self.add_row(label, RowKind::Deadline, terms, Relation::Le, rhs);
+    pub fn deadline(&mut self, terms: impl IntoIterator<Item = (MVar, f64)>, rhs: f64) {
+        self.add_row(RowKind::Deadline, terms, Relation::Le, rhs);
     }
 
     /// The master's one-port capacity row: `Σ terms ≤ rhs` (the paper's
     /// (2b) shape).
-    pub fn one_port(
-        &mut self,
-        label: impl Into<String>,
-        terms: impl IntoIterator<Item = (MVar, f64)>,
-        rhs: f64,
-    ) {
-        self.add_row(label, RowKind::OnePort, terms, Relation::Le, rhs);
+    pub fn one_port(&mut self, terms: impl IntoIterator<Item = (MVar, f64)>, rhs: f64) {
+        self.add_row(RowKind::OnePort, terms, Relation::Le, rhs);
     }
 
     /// A per-resource capacity row (`Σ terms ≤ rhs`): a tree link, a relay
     /// port, any shared medium that serializes traffic.
-    pub fn capacity(
-        &mut self,
-        label: impl Into<String>,
-        terms: impl IntoIterator<Item = (MVar, f64)>,
-        rhs: f64,
-    ) {
-        self.add_row(label, RowKind::Capacity, terms, Relation::Le, rhs);
+    pub fn capacity(&mut self, terms: impl IntoIterator<Item = (MVar, f64)>, rhs: f64) {
+        self.add_row(RowKind::Capacity, terms, Relation::Le, rhs);
     }
 
     /// An ordering row between event variables: `later ≥ earlier +
@@ -250,38 +285,31 @@ impl ScheduleModel {
     /// of these rows.
     pub fn precedence(
         &mut self,
-        label: impl Into<String>,
         later: MVar,
         earlier: MVar,
         durations: impl IntoIterator<Item = (MVar, f64)>,
     ) {
         let mut terms: Vec<(MVar, f64)> = vec![(later, 1.0), (earlier, -1.0)];
         terms.extend(durations.into_iter().map(|(v, c)| (v, -c)));
-        self.add_row(label, RowKind::Precedence, terms, Relation::Ge, 0.0);
+        self.add_row(RowKind::Precedence, terms, Relation::Ge, 0.0);
     }
 
     /// An ordering row against the start of time: `event ≥ Σ durations`.
-    pub fn release(
-        &mut self,
-        label: impl Into<String>,
-        event: MVar,
-        durations: impl IntoIterator<Item = (MVar, f64)>,
-    ) {
+    pub fn release(&mut self, event: MVar, durations: impl IntoIterator<Item = (MVar, f64)>) {
         let mut terms: Vec<(MVar, f64)> = vec![(event, 1.0)];
         terms.extend(durations.into_iter().map(|(v, c)| (v, -c)));
-        self.add_row(label, RowKind::Precedence, terms, Relation::Ge, 0.0);
+        self.add_row(RowKind::Precedence, terms, Relation::Ge, 0.0);
     }
 
     /// A caller-shaped row with an explicit relation (tagged
     /// [`RowKind::Custom`]).
     pub fn constraint(
         &mut self,
-        label: impl Into<String>,
         terms: impl IntoIterator<Item = (MVar, f64)>,
         relation: Relation,
         rhs: f64,
     ) {
-        self.add_row(label, RowKind::Custom, terms, relation, rhs);
+        self.add_row(RowKind::Custom, terms, relation, rhs);
     }
 
     /// Number of declared variables.
@@ -328,10 +356,9 @@ mod tests {
     fn two_worker_model() -> (ScheduleModel, VarGroup, VarGroup) {
         // P1 = (c=1, w=2, d=0.5), P2 = (c=2, w=1, d=1), FIFO.
         let mut m = ScheduleModel::maximize();
-        let alphas = m.group("alpha", (1..=2).map(|i| (format!("alpha_P{i}"), 1.0)));
-        let idles = m.group("idle", (1..=2).map(|i| (format!("x_P{i}"), 0.0)));
+        let alphas = m.group("alpha", [1.0; 2]);
+        let idles = m.group("idle", [0.0; 2]);
         m.deadline(
-            "deadline_P1",
             [
                 (alphas.var(0), 1.0 + 2.0), // own send + compute
                 (idles.var(0), 1.0),
@@ -341,7 +368,6 @@ mod tests {
             1.0,
         );
         m.deadline(
-            "deadline_P2",
             [
                 (alphas.var(0), 1.0),
                 (alphas.var(1), 2.0 + 1.0),
@@ -350,26 +376,36 @@ mod tests {
             ],
             1.0,
         );
-        m.one_port(
-            "one_port",
-            [(alphas.var(0), 1.5), (alphas.var(1), 3.0)],
-            1.0,
-        );
+        m.one_port([(alphas.var(0), 1.5), (alphas.var(1), 3.0)], 1.0);
         (m, alphas, idles)
     }
 
     #[test]
     fn groups_lower_in_declaration_order() {
         let (m, alphas, idles) = two_worker_model();
+        let columns: Vec<usize> = alphas.vars().chain(idles.vars()).map(MVar::index).collect();
+        assert_eq!(columns, [0, 1, 2, 3]);
         let p = m.lower();
         assert_eq!(p.num_vars(), 4);
-        assert_eq!(p.var_name(alphas.var(0).var_id()), "alpha_P1");
-        assert_eq!(p.var_name(alphas.var(1).var_id()), "alpha_P2");
-        assert_eq!(p.var_name(idles.var(0).var_id()), "x_P1");
-        assert_eq!(p.var_name(idles.var(1).var_id()), "x_P2");
         assert_eq!(p.objective(), &[1.0, 1.0, 0.0, 0.0]);
         assert_eq!(p.num_constraints(), 3);
-        assert_eq!(p.constraints()[2].label, "one_port");
+        let kinds: Vec<RowKind> = m.row_kinds().collect();
+        assert_eq!(
+            kinds,
+            [RowKind::Deadline, RowKind::Deadline, RowKind::OnePort]
+        );
+    }
+
+    #[test]
+    fn names_render_from_groups_and_row_kinds() {
+        let (mut m, alphas, _) = two_worker_model();
+        m.constraint([(alphas.var(0), 1.0)], Relation::Ge, 0.0);
+        let name = |item| m.name(item);
+        assert_eq!(name(Item::Column(0)), "alpha[0]");
+        assert_eq!(name(Item::Column(3)), "idle[1]");
+        assert_eq!(name(Item::Row(1)), "deadline[1]");
+        assert_eq!(name(Item::Row(2)), "one_port[0]");
+        assert_eq!(name(Item::Row(3)), "custom[0]");
     }
 
     #[test]
@@ -385,11 +421,11 @@ mod tests {
     #[test]
     fn precedence_encodes_later_minus_earlier() {
         let mut m = ScheduleModel::maximize();
-        let alpha = m.group("alpha", [("alpha".to_string(), 1.0)]);
-        let starts = m.group("start", [("s".to_string(), 0.0), ("r".to_string(), 0.0)]);
+        let alpha = m.group("alpha", [1.0]);
+        let starts = m.group("start", [0.0; 2]);
         // r >= s + 2 alpha; r + alpha <= 1; maximize alpha -> alpha = 1/3.
-        m.precedence("chain", starts.var(1), starts.var(0), [(alpha.var(0), 2.0)]);
-        m.deadline("horizon", [(starts.var(1), 1.0), (alpha.var(0), 1.0)], 1.0);
+        m.precedence(starts.var(1), starts.var(0), [(alpha.var(0), 2.0)]);
+        m.deadline([(starts.var(1), 1.0), (alpha.var(0), 1.0)], 1.0);
         let sol = solve(&m.lower()).unwrap();
         assert!((sol.objective - 1.0 / 3.0).abs() < 1e-9);
     }
@@ -397,11 +433,11 @@ mod tests {
     #[test]
     fn release_pins_events_after_durations() {
         let mut m = ScheduleModel::maximize();
-        let alpha = m.group("alpha", [("alpha".to_string(), 1.0)]);
-        let start = m.group("start", [("s".to_string(), 0.0)]);
+        let alpha = m.group("alpha", [1.0]);
+        let start = m.group("start", [0.0]);
         // s >= 3 alpha, s + alpha <= 1 -> alpha = 1/4.
-        m.release("release", start.var(0), [(alpha.var(0), 3.0)]);
-        m.deadline("horizon", [(start.var(0), 1.0), (alpha.var(0), 1.0)], 1.0);
+        m.release(start.var(0), [(alpha.var(0), 3.0)]);
+        m.deadline([(start.var(0), 1.0), (alpha.var(0), 1.0)], 1.0);
         let sol = solve(&m.lower()).unwrap();
         assert!((sol.objective - 0.25).abs() < 1e-9);
     }
@@ -413,19 +449,20 @@ mod tests {
         let (m, _, _) = two_worker_model();
         let p = m.problem();
         assert_eq!(p.sense(), Sense::Maximize);
-        let rows: Vec<(&str, Vec<f64>, Relation, f64)> = p
-            .constraints()
-            .iter()
+        let rows: Vec<(RowKind, Vec<f64>, Relation, f64)> = m
+            .row_kinds()
             .zip(p.dense_rows())
-            .map(|(con, (row, rel, rhs))| (con.label.as_str(), row, rel, rhs))
+            .map(|(kind, (row, rel, rhs))| (kind, row, rel, rhs))
             .collect();
-        // Columns: alpha_P1, alpha_P2, x_P1, x_P2.
+        // Columns: alpha[0], alpha[1], idle[0], idle[1].
+        use Relation::Le;
+        use RowKind::{Deadline, OnePort};
         assert_eq!(
             rows,
             [
-                ("deadline_P1", vec![3.5, 1.0, 1.0, 0.0], Relation::Le, 1.0),
-                ("deadline_P2", vec![1.0, 4.0, 0.0, 1.0], Relation::Le, 1.0),
-                ("one_port", vec![1.5, 3.0, 0.0, 0.0], Relation::Le, 1.0),
+                (Deadline, vec![3.5, 1.0, 1.0, 0.0], Le, 1.0),
+                (Deadline, vec![1.0, 4.0, 0.0, 1.0], Le, 1.0),
+                (OnePort, vec![1.5, 3.0, 0.0, 0.0], Le, 1.0),
             ]
         );
     }
@@ -433,7 +470,7 @@ mod tests {
     #[test]
     fn var_group_accessors() {
         let mut m = ScheduleModel::minimize();
-        let g = m.group("g", (0..3).map(|i| (format!("v{i}"), 1.0)));
+        let g = m.group("g", [1.0; 3]);
         assert_eq!(g.name(), "g");
         assert_eq!(g.len(), 3);
         assert!(!g.is_empty());
@@ -448,7 +485,7 @@ mod tests {
     #[should_panic(expected = "has 3 members")]
     fn out_of_range_member_panics() {
         let mut m = ScheduleModel::maximize();
-        let g = m.group("g", (0..3).map(|i| (format!("v{i}"), 1.0)));
+        let g = m.group("g", [1.0; 3]);
         let _ = g.var(3);
     }
 }

@@ -49,20 +49,18 @@ pub struct Constraint {
     pub relation: Relation,
     /// Right-hand side.
     pub rhs: f64,
-    /// Diagnostic label (also used in error messages).
-    pub label: String,
 }
 
 /// A linear program over non-negative variables.
 ///
-/// Equality is structural: same sense, variable names, objective, and rows
-/// with the same labels, relations, right-hand sides and coefficient lists
-/// in the same order. Coefficients compare as `f64` values, so a model
-/// build is pinned bit for bit (up to the sign of zero).
+/// Variables and rows have no names: a variable is its index, a row its
+/// position. Equality is structural: same sense, objective, and rows with
+/// the same relations, right-hand sides and coefficient lists in the same
+/// order. Coefficients compare as `f64` values, so a model build is pinned
+/// bit for bit (up to the sign of zero).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Problem {
     sense: Sense,
-    names: Vec<String>,
     objective: Vec<f64>,
     constraints: Vec<Constraint>,
 }
@@ -72,7 +70,6 @@ impl Problem {
     pub fn new(sense: Sense) -> Self {
         Problem {
             sense,
-            names: Vec::new(),
             objective: Vec::new(),
             constraints: Vec::new(),
         }
@@ -90,16 +87,14 @@ impl Problem {
 
     /// Declares a non-negative variable with objective coefficient
     /// `obj_coeff` and returns its handle.
-    pub fn add_var(&mut self, name: impl Into<String>, obj_coeff: f64) -> VarId {
-        self.names.push(name.into());
+    pub fn add_var(&mut self, obj_coeff: f64) -> VarId {
         self.objective.push(obj_coeff);
-        VarId(self.names.len() - 1)
+        VarId(self.objective.len() - 1)
     }
 
     /// Adds the constraint `sum coeffs . vars  relation  rhs`.
     pub fn add_constraint(
         &mut self,
-        label: impl Into<String>,
         coeffs: impl IntoIterator<Item = (VarId, f64)>,
         relation: Relation,
         rhs: f64,
@@ -108,7 +103,6 @@ impl Problem {
             coeffs: coeffs.into_iter().map(|(v, c)| (v.0, c)).collect(),
             relation,
             rhs,
-            label: label.into(),
         });
     }
 
@@ -119,17 +113,12 @@ impl Problem {
 
     /// Number of declared variables.
     pub fn num_vars(&self) -> usize {
-        self.names.len()
+        self.objective.len()
     }
 
     /// Number of constraints.
     pub fn num_constraints(&self) -> usize {
         self.constraints.len()
-    }
-
-    /// Name of variable `v`.
-    pub fn var_name(&self, v: VarId) -> &str {
-        &self.names[v.0]
     }
 
     /// Objective coefficients (one per variable, in declaration order).
@@ -142,40 +131,38 @@ impl Problem {
         &self.constraints
     }
 
-    /// Validates indices and finiteness of all coefficients.
+    /// Validates indices and finiteness of all coefficients. Errors name
+    /// a variable and a row by index: `variable j`, `row i`.
     ///
     /// Called automatically by the solver; exposed for early error surfacing
     /// in model-building code.
     pub fn validate(&self) -> Result<(), LpError> {
-        if self.names.is_empty() {
+        if self.objective.is_empty() {
             return Err(LpError::Empty);
         }
-        for (i, &c) in self.objective.iter().enumerate() {
+        for (j, &c) in self.objective.iter().enumerate() {
             if !c.is_finite() {
                 return Err(LpError::NonFiniteCoefficient {
-                    location: format!("objective coefficient of {}", self.names[i]),
+                    location: format!("objective coefficient of variable {j}"),
                 });
             }
         }
-        for con in &self.constraints {
+        for (i, con) in self.constraints.iter().enumerate() {
             if !con.rhs.is_finite() {
                 return Err(LpError::NonFiniteCoefficient {
-                    location: format!("rhs of constraint '{}'", con.label),
+                    location: format!("rhs of row {i}"),
                 });
             }
-            for &(idx, c) in &con.coeffs {
-                if idx >= self.names.len() {
+            for &(j, c) in &con.coeffs {
+                if j >= self.num_vars() {
                     return Err(LpError::UnknownVariable {
-                        index: idx,
-                        declared: self.names.len(),
+                        index: j,
+                        declared: self.num_vars(),
                     });
                 }
                 if !c.is_finite() {
                     return Err(LpError::NonFiniteCoefficient {
-                        location: format!(
-                            "coefficient of {} in constraint '{}'",
-                            self.names[idx], con.label
-                        ),
+                        location: format!("coefficient of variable {j} in row {i}"),
                     });
                 }
             }
@@ -189,7 +176,7 @@ impl Problem {
         self.constraints
             .iter()
             .map(|con| {
-                let mut row = vec![0.0; self.names.len()];
+                let mut row = vec![0.0; self.num_vars()];
                 for &(idx, c) in &con.coeffs {
                     row[idx] += c;
                 }
@@ -228,12 +215,13 @@ impl Problem {
 
     /// Checks primal feasibility of `x` within tolerance `tol`.
     ///
-    /// Returns the first violated constraint label, or `None` if feasible.
+    /// Returns the first violation — `variable j` for a negative entry,
+    /// `row i` for a violated constraint — or `None` if feasible.
     pub fn check_feasible(&self, x: &[f64], tol: f64) -> Option<String> {
-        if x.iter().any(|&v| v < -tol) {
-            return Some("non-negativity".to_string());
+        if let Some(j) = x.iter().position(|&v| v < -tol) {
+            return Some(format!("variable {j}"));
         }
-        for (k, (row, rel, rhs)) in self.dense_rows().into_iter().enumerate() {
+        for (i, (row, rel, rhs)) in self.dense_rows().into_iter().enumerate() {
             let lhs: f64 = row.iter().zip(x).map(|(c, v)| c * v).sum();
             let ok = match rel {
                 Relation::Le => lhs <= rhs + tol,
@@ -241,8 +229,7 @@ impl Problem {
                 Relation::Eq => (lhs - rhs).abs() <= tol,
             };
             if !ok {
-                // dense_rows() is index-aligned with `constraints`.
-                return Some(self.constraints[k].label.clone());
+                return Some(format!("row {i}"));
             }
         }
         None
@@ -258,13 +245,12 @@ mod tests {
     #[test]
     fn builder_tracks_vars_and_constraints() {
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 1.0);
-        let y = p.add_var("y", 2.0);
-        p.add_constraint("cap", [(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
+        let x = p.add_var(1.0);
+        let y = p.add_var(2.0);
+        p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
         assert_eq!(p.num_vars(), 2);
         assert_eq!(p.num_constraints(), 1);
-        assert_eq!(p.var_name(x), "x");
-        assert_eq!(p.var_name(y), "y");
+        assert_eq!((x.index(), y.index()), (0, 1));
         assert_eq!(p.sense(), Sense::Maximize);
         assert!(p.validate().is_ok());
     }
@@ -278,12 +264,11 @@ mod tests {
     #[test]
     fn validate_rejects_unknown_variable() {
         let mut p = Problem::maximize();
-        let _x = p.add_var("x", 1.0);
+        let _x = p.add_var(1.0);
         p.constraints.push(Constraint {
             coeffs: vec![(5, 1.0)],
             relation: Relation::Le,
             rhs: 1.0,
-            label: "bad".into(),
         });
         assert!(matches!(
             p.validate(),
@@ -294,19 +279,31 @@ mod tests {
     #[test]
     fn validate_rejects_nan() {
         let mut p = Problem::maximize();
-        let x = p.add_var("x", f64::NAN);
-        p.add_constraint("c", [(x, 1.0)], Relation::Le, 1.0);
-        assert!(matches!(
+        let x = p.add_var(f64::NAN);
+        p.add_constraint([(x, 1.0)], Relation::Le, 1.0);
+        assert_eq!(
             p.validate(),
-            Err(LpError::NonFiniteCoefficient { .. })
-        ));
+            Err(LpError::NonFiniteCoefficient {
+                location: "objective coefficient of variable 0".into()
+            })
+        );
+        let mut q = Problem::maximize();
+        let x = q.add_var(1.0);
+        q.add_constraint([(x, 1.0)], Relation::Le, 1.0);
+        q.add_constraint([(x, f64::INFINITY)], Relation::Le, 1.0);
+        assert_eq!(
+            q.validate(),
+            Err(LpError::NonFiniteCoefficient {
+                location: "coefficient of variable 0 in row 1".into()
+            })
+        );
     }
 
     #[test]
     fn dense_rows_sum_duplicates() {
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 1.0);
-        p.add_constraint("dup", [(x, 1.0), (x, 2.0)], Relation::Le, 3.0);
+        let x = p.add_var(1.0);
+        p.add_constraint([(x, 1.0), (x, 2.0)], Relation::Le, 3.0);
         let rows = p.dense_rows();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].0, vec![3.0]);
@@ -315,28 +312,31 @@ mod tests {
     #[test]
     fn coefficient_scale_tracks_largest_magnitude() {
         let mut p = Problem::maximize();
-        let x = p.add_var("x", -3.0);
-        p.add_constraint("c", [(x, 2.0e6)], Relation::Le, 7.0);
+        let x = p.add_var(-3.0);
+        p.add_constraint([(x, 2.0e6)], Relation::Le, 7.0);
         assert_eq!(p.coefficient_scale(), 2.0e6);
         // Floored at 1 for small instances.
         let mut q = Problem::maximize();
-        let y = q.add_var("y", 0.25);
-        q.add_constraint("c", [(y, 0.5)], Relation::Le, 0.125);
+        let y = q.add_var(0.25);
+        q.add_constraint([(y, 0.5)], Relation::Le, 0.125);
         assert_eq!(q.coefficient_scale(), 1.0);
     }
 
     #[test]
     fn eval_and_feasibility() {
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 3.0);
-        let y = p.add_var("y", 1.0);
-        p.add_constraint("sum", [(x, 1.0), (y, 1.0)], Relation::Le, 2.0);
+        let x = p.add_var(3.0);
+        let y = p.add_var(1.0);
+        p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Le, 2.0);
         assert_eq!(p.eval_objective(&[1.0, 1.0]), 4.0);
         assert_eq!(p.check_feasible(&[1.0, 1.0], 1e-9), None);
-        assert!(p.check_feasible(&[3.0, 0.0], 1e-9).is_some());
         assert_eq!(
-            p.check_feasible(&[-1.0, 0.0], 1e-9).as_deref(),
-            Some("non-negativity")
+            p.check_feasible(&[3.0, 0.0], 1e-9).as_deref(),
+            Some("row 0")
+        );
+        assert_eq!(
+            p.check_feasible(&[1.0, -1.0], 1e-9).as_deref(),
+            Some("variable 1")
         );
     }
 }

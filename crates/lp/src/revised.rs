@@ -708,11 +708,11 @@ mod tests {
     fn textbook() -> Problem {
         // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 -> z = 36 at (2,6)
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 3.0);
-        let y = p.add_var("y", 5.0);
-        p.add_constraint("c1", [(x, 1.0)], Relation::Le, 4.0);
-        p.add_constraint("c2", [(y, 2.0)], Relation::Le, 12.0);
-        p.add_constraint("c3", [(x, 3.0), (y, 2.0)], Relation::Le, 18.0);
+        let x = p.add_var(3.0);
+        let y = p.add_var(5.0);
+        p.add_constraint([(x, 1.0)], Relation::Le, 4.0);
+        p.add_constraint([(y, 2.0)], Relation::Le, 12.0);
+        p.add_constraint([(x, 3.0), (y, 2.0)], Relation::Le, 18.0);
         p
     }
 
@@ -743,20 +743,20 @@ mod tests {
     fn two_phase_with_ge_and_eq_rows() {
         // min 2x + 3y s.t. x + y >= 10, x >= 2 -> z = 20 at (10, 0).
         let mut p = Problem::minimize();
-        let x = p.add_var("x", 2.0);
-        let y = p.add_var("y", 3.0);
-        p.add_constraint("demand", [(x, 1.0), (y, 1.0)], Relation::Ge, 10.0);
-        p.add_constraint("xmin", [(x, 1.0)], Relation::Ge, 2.0);
+        let x = p.add_var(2.0);
+        let y = p.add_var(3.0);
+        p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Ge, 10.0);
+        p.add_constraint([(x, 1.0)], Relation::Ge, 2.0);
         let s = solve_revised(&p).unwrap();
         assert_close(s.objective, 20.0);
         assert_close(s.x[0], 10.0);
 
         // max x + y s.t. x + y == 5, x - y == 1 -> (3, 2).
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 1.0);
-        let y = p.add_var("y", 1.0);
-        p.add_constraint("sum", [(x, 1.0), (y, 1.0)], Relation::Eq, 5.0);
-        p.add_constraint("diff", [(x, 1.0), (y, -1.0)], Relation::Eq, 1.0);
+        let x = p.add_var(1.0);
+        let y = p.add_var(1.0);
+        p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Eq, 5.0);
+        p.add_constraint([(x, 1.0), (y, -1.0)], Relation::Eq, 1.0);
         let s = solve_revised(&p).unwrap();
         assert_close(s.objective, 5.0);
         assert_close(s.x[0], 3.0);
@@ -766,25 +766,25 @@ mod tests {
     #[test]
     fn infeasible_and_unbounded_detected() {
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 1.0);
-        p.add_constraint("lo", [(x, 1.0)], Relation::Ge, 5.0);
-        p.add_constraint("hi", [(x, 1.0)], Relation::Le, 3.0);
+        let x = p.add_var(1.0);
+        p.add_constraint([(x, 1.0)], Relation::Ge, 5.0);
+        p.add_constraint([(x, 1.0)], Relation::Le, 3.0);
         assert_eq!(solve_revised(&p).unwrap_err(), LpError::Infeasible);
 
         let mut p = Problem::maximize();
-        let _x = p.add_var("x", 1.0);
-        let y = p.add_var("y", 0.0);
-        p.add_constraint("only-y", [(y, 1.0)], Relation::Le, 3.0);
+        let _x = p.add_var(1.0);
+        let y = p.add_var(0.0);
+        p.add_constraint([(y, 1.0)], Relation::Le, 3.0);
         assert_eq!(solve_revised(&p).unwrap_err(), LpError::Unbounded);
     }
 
     #[test]
     fn redundant_equalities_are_tolerated() {
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 1.0);
-        let y = p.add_var("y", 1.0);
-        p.add_constraint("e1", [(x, 1.0), (y, 1.0)], Relation::Eq, 4.0);
-        p.add_constraint("e2", [(x, 2.0), (y, 2.0)], Relation::Eq, 8.0);
+        let x = p.add_var(1.0);
+        let y = p.add_var(1.0);
+        p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Eq, 4.0);
+        p.add_constraint([(x, 2.0), (y, 2.0)], Relation::Eq, 8.0);
         let s = solve_revised(&p).unwrap();
         assert_close(s.objective, 4.0);
     }
@@ -793,23 +793,21 @@ mod tests {
     fn beale_cycling_example_terminates() {
         // Beale (1955): cycles under pure Dantzig without anti-cycling.
         let mut p = Problem::minimize();
-        let a = p.add_var("a", -0.75);
-        let b = p.add_var("b", 150.0);
-        let c = p.add_var("c", -0.02);
-        let d = p.add_var("d", 6.0);
+        let a = p.add_var(-0.75);
+        let b = p.add_var(150.0);
+        let c = p.add_var(-0.02);
+        let d = p.add_var(6.0);
         p.add_constraint(
-            "r1",
             [(a, 0.25), (b, -60.0), (c, -0.04), (d, 9.0)],
             Relation::Le,
             0.0,
         );
         p.add_constraint(
-            "r2",
             [(a, 0.5), (b, -90.0), (c, -0.02), (d, 3.0)],
             Relation::Le,
             0.0,
         );
-        p.add_constraint("r3", [(c, 1.0)], Relation::Le, 1.0);
+        p.add_constraint([(c, 1.0)], Relation::Le, 1.0);
         let s = solve_revised(&p).unwrap();
         assert_close(s.objective, -0.05);
     }
@@ -848,11 +846,11 @@ mod tests {
         let cold = solve_revised_with::<f64>(&p, &opts, None).unwrap();
 
         let mut q = Problem::maximize();
-        let x = q.add_var("x", 3.0);
-        let y = q.add_var("y", 5.0);
-        q.add_constraint("c1", [(x, 1.0)], Relation::Le, 4.5);
-        q.add_constraint("c2", [(y, 2.0)], Relation::Le, 12.5);
-        q.add_constraint("c3", [(x, 3.0), (y, 2.0)], Relation::Le, 18.5);
+        let x = q.add_var(3.0);
+        let y = q.add_var(5.0);
+        q.add_constraint([(x, 1.0)], Relation::Le, 4.5);
+        q.add_constraint([(y, 2.0)], Relation::Le, 12.5);
+        q.add_constraint([(x, 3.0), (y, 2.0)], Relation::Le, 18.5);
         let warm = solve_revised_with::<f64>(&q, &opts, Some(&cold.basis)).unwrap();
         let fresh = solve_revised_with::<f64>(&q, &opts, None).unwrap();
         assert_close(warm.solution.objective, fresh.solution.objective);
@@ -891,10 +889,10 @@ mod tests {
         // infeasible point (0, 4) as optimal. The artificial must be driven
         // out before phase 2 instead.
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 0.0);
-        let y = p.add_var("y", 1.0);
-        p.add_constraint("r0", [(x, 1.0), (y, 1.0)], Relation::Eq, 4.0);
-        p.add_constraint("r1", [(x, 1.0), (y, -1.0)], Relation::Eq, 4.0);
+        let x = p.add_var(0.0);
+        let y = p.add_var(1.0);
+        p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Eq, 4.0);
+        p.add_constraint([(x, 1.0), (y, -1.0)], Relation::Eq, 4.0);
         let opts = opts_for(&p);
         let cold = solve_revised_with::<f64>(&p, &opts, None).unwrap();
         assert_close(cold.solution.objective, 0.0);
@@ -918,7 +916,7 @@ mod tests {
         let n = 60;
         let mut p = Problem::maximize();
         let vars: Vec<_> = (0..n)
-            .map(|j| p.add_var(format!("x{j}"), 1.0 + ((j * 7) % 13) as f64 * 0.25))
+            .map(|j| p.add_var(1.0 + ((j * 7) % 13) as f64 * 0.25))
             .collect();
         for i in 0..n / 2 {
             let coeffs: Vec<_> = vars
@@ -927,7 +925,7 @@ mod tests {
                 .filter(|(j, _)| (i + j) % 3 != 0)
                 .map(|(j, &v)| (v, 1.0 + ((i * 5 + j * 11) % 7) as f64 * 0.5))
                 .collect();
-            p.add_constraint(format!("c{i}"), coeffs, Relation::Le, 10.0 + (i % 4) as f64);
+            p.add_constraint(coeffs, Relation::Le, 10.0 + (i % 4) as f64);
         }
         let full = SolverOptions {
             candidate_list: 0,
@@ -975,10 +973,10 @@ mod tests {
         // x's only pivot entry (1e-4) sits below the scaled tolerance but
         // must still be eligible in the (basis-frame) ratio test.
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 1.0);
-        let y = p.add_var("y", 1.0);
-        p.add_constraint("small", [(x, 1.0e-4)], Relation::Le, 1.0);
-        p.add_constraint("big", [(y, 1.0e6)], Relation::Le, 1.0e6);
+        let x = p.add_var(1.0);
+        let y = p.add_var(1.0);
+        p.add_constraint([(x, 1.0e-4)], Relation::Le, 1.0);
+        p.add_constraint([(y, 1.0e6)], Relation::Le, 1.0e6);
         let s = solve_revised(&p).unwrap();
         assert!(
             (s.objective - 10_001.0).abs() < 1e-6,
@@ -992,11 +990,11 @@ mod tests {
         // Mirror of the tableau regression: 1e6-range coefficients must not
         // trip the scaled tolerance.
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 3.0e6);
-        let y = p.add_var("y", 5.0e6);
-        p.add_constraint("c1", [(x, 1.0e6)], Relation::Le, 4.0e6);
-        p.add_constraint("c2", [(y, 2.0e6)], Relation::Le, 12.0e6);
-        p.add_constraint("c3", [(x, 3.0e6), (y, 2.0e6)], Relation::Le, 18.0e6);
+        let x = p.add_var(3.0e6);
+        let y = p.add_var(5.0e6);
+        p.add_constraint([(x, 1.0e6)], Relation::Le, 4.0e6);
+        p.add_constraint([(y, 2.0e6)], Relation::Le, 12.0e6);
+        p.add_constraint([(x, 3.0e6), (y, 2.0e6)], Relation::Le, 18.0e6);
         let s = solve_revised(&p).unwrap();
         assert!((s.objective - 36.0e6).abs() < 36.0 * 1e-3);
     }

@@ -648,11 +648,11 @@ mod tests {
     fn textbook_2d_max() {
         // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18  -> z = 36 at (2, 6)
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 3.0);
-        let y = p.add_var("y", 5.0);
-        p.add_constraint("c1", [(x, 1.0)], Relation::Le, 4.0);
-        p.add_constraint("c2", [(y, 2.0)], Relation::Le, 12.0);
-        p.add_constraint("c3", [(x, 3.0), (y, 2.0)], Relation::Le, 18.0);
+        let x = p.add_var(3.0);
+        let y = p.add_var(5.0);
+        p.add_constraint([(x, 1.0)], Relation::Le, 4.0);
+        p.add_constraint([(y, 2.0)], Relation::Le, 12.0);
+        p.add_constraint([(x, 3.0), (y, 2.0)], Relation::Le, 18.0);
         let s = solve(&p).unwrap();
         assert_close(s.objective, 36.0);
         assert_close(s.value(x), 2.0);
@@ -662,11 +662,11 @@ mod tests {
     #[test]
     fn textbook_2d_max_exact() {
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 3.0);
-        let y = p.add_var("y", 5.0);
-        p.add_constraint("c1", [(x, 1.0)], Relation::Le, 4.0);
-        p.add_constraint("c2", [(y, 2.0)], Relation::Le, 12.0);
-        p.add_constraint("c3", [(x, 3.0), (y, 2.0)], Relation::Le, 18.0);
+        let x = p.add_var(3.0);
+        let y = p.add_var(5.0);
+        p.add_constraint([(x, 1.0)], Relation::Le, 4.0);
+        p.add_constraint([(y, 2.0)], Relation::Le, 12.0);
+        p.add_constraint([(x, 3.0), (y, 2.0)], Relation::Le, 18.0);
         let s = solve_exact::<Rational>(&p).unwrap();
         assert_eq!(s.objective, Rational::from_int(36));
         assert_eq!(s.value(x), Rational::from_int(2));
@@ -678,10 +678,10 @@ mod tests {
         // min 2x + 3y s.t. x + y >= 10, x >= 2  -> x=10?? check: put all on x:
         // cost 2 < 3, so x = 10, y = 0, z = 20.
         let mut p = Problem::minimize();
-        let x = p.add_var("x", 2.0);
-        let y = p.add_var("y", 3.0);
-        p.add_constraint("demand", [(x, 1.0), (y, 1.0)], Relation::Ge, 10.0);
-        p.add_constraint("xmin", [(x, 1.0)], Relation::Ge, 2.0);
+        let x = p.add_var(2.0);
+        let y = p.add_var(3.0);
+        p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Ge, 10.0);
+        p.add_constraint([(x, 1.0)], Relation::Ge, 2.0);
         let s = solve(&p).unwrap();
         assert_close(s.objective, 20.0);
         assert_close(s.value(x), 10.0);
@@ -692,10 +692,10 @@ mod tests {
     fn equality_constraints() {
         // max x + y s.t. x + y == 5, x - y == 1 -> (3, 2), z = 5.
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 1.0);
-        let y = p.add_var("y", 1.0);
-        p.add_constraint("sum", [(x, 1.0), (y, 1.0)], Relation::Eq, 5.0);
-        p.add_constraint("diff", [(x, 1.0), (y, -1.0)], Relation::Eq, 1.0);
+        let x = p.add_var(1.0);
+        let y = p.add_var(1.0);
+        p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Eq, 5.0);
+        p.add_constraint([(x, 1.0), (y, -1.0)], Relation::Eq, 1.0);
         let s = solve(&p).unwrap();
         assert_close(s.objective, 5.0);
         assert_close(s.value(x), 3.0);
@@ -707,10 +707,10 @@ mod tests {
         // x - y <= -2 with x,y >= 0 means y >= x + 2.
         // max x + y s.t. x - y <= -2, x + y <= 10 -> best x: x=4,y=6, z=10.
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 1.0);
-        let y = p.add_var("y", 1.0);
-        p.add_constraint("gap", [(x, 1.0), (y, -1.0)], Relation::Le, -2.0);
-        p.add_constraint("cap", [(x, 1.0), (y, 1.0)], Relation::Le, 10.0);
+        let x = p.add_var(1.0);
+        let y = p.add_var(1.0);
+        p.add_constraint([(x, 1.0), (y, -1.0)], Relation::Le, -2.0);
+        p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Le, 10.0);
         let s = solve(&p).unwrap();
         assert_close(s.objective, 10.0);
         assert!(s.value(y) >= s.value(x) + 2.0 - 1e-7);
@@ -719,9 +719,9 @@ mod tests {
     #[test]
     fn infeasible_detected() {
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 1.0);
-        p.add_constraint("lo", [(x, 1.0)], Relation::Ge, 5.0);
-        p.add_constraint("hi", [(x, 1.0)], Relation::Le, 3.0);
+        let x = p.add_var(1.0);
+        p.add_constraint([(x, 1.0)], Relation::Ge, 5.0);
+        p.add_constraint([(x, 1.0)], Relation::Le, 3.0);
         assert_eq!(solve(&p).unwrap_err(), LpError::Infeasible);
     }
 
@@ -729,9 +729,9 @@ mod tests {
     fn unbounded_detected() {
         let mut p = Problem::maximize();
         // x has positive cost and no constraint touches it: unbounded ray.
-        let _x = p.add_var("x", 1.0);
-        let y = p.add_var("y", 0.0);
-        p.add_constraint("only-y", [(y, 1.0)], Relation::Le, 3.0);
+        let _x = p.add_var(1.0);
+        let y = p.add_var(0.0);
+        p.add_constraint([(y, 1.0)], Relation::Le, 3.0);
         assert_eq!(solve(&p).unwrap_err(), LpError::Unbounded);
     }
 
@@ -740,10 +740,10 @@ mod tests {
         // Same equality twice: the second row's artificial cannot always be
         // pivoted out and must be left inert.
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 1.0);
-        let y = p.add_var("y", 1.0);
-        p.add_constraint("e1", [(x, 1.0), (y, 1.0)], Relation::Eq, 4.0);
-        p.add_constraint("e2", [(x, 2.0), (y, 2.0)], Relation::Eq, 8.0);
+        let x = p.add_var(1.0);
+        let y = p.add_var(1.0);
+        p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Eq, 4.0);
+        p.add_constraint([(x, 2.0), (y, 2.0)], Relation::Eq, 8.0);
         let s = solve(&p).unwrap();
         assert_close(s.objective, 4.0);
     }
@@ -753,11 +753,11 @@ mod tests {
         // max 3x + 5y, x <= 4 (slack at opt -> dual 0), 2y <= 12 (dual 3/2),
         // 3x + 2y <= 18 (dual 1). Classic Dantzig example.
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 3.0);
-        let y = p.add_var("y", 5.0);
-        p.add_constraint("c1", [(x, 1.0)], Relation::Le, 4.0);
-        p.add_constraint("c2", [(y, 2.0)], Relation::Le, 12.0);
-        p.add_constraint("c3", [(x, 3.0), (y, 2.0)], Relation::Le, 18.0);
+        let x = p.add_var(3.0);
+        let y = p.add_var(5.0);
+        p.add_constraint([(x, 1.0)], Relation::Le, 4.0);
+        p.add_constraint([(y, 2.0)], Relation::Le, 12.0);
+        p.add_constraint([(x, 3.0), (y, 2.0)], Relation::Le, 18.0);
         let s = solve(&p).unwrap();
         assert_close(s.duals[0], 0.0);
         assert_close(s.duals[1], 1.5);
@@ -777,23 +777,21 @@ mod tests {
         // Optimum: z = -0.05 at a = 0.04/0.8... (c=1, a=0.04, b=0, d=0) ->
         // check: -0.75*0.04 - 0.02*1 = -0.05.
         let mut p = Problem::minimize();
-        let a = p.add_var("a", -0.75);
-        let b = p.add_var("b", 150.0);
-        let c = p.add_var("c", -0.02);
-        let d = p.add_var("d", 6.0);
+        let a = p.add_var(-0.75);
+        let b = p.add_var(150.0);
+        let c = p.add_var(-0.02);
+        let d = p.add_var(6.0);
         p.add_constraint(
-            "r1",
             [(a, 0.25), (b, -60.0), (c, -0.04), (d, 9.0)],
             Relation::Le,
             0.0,
         );
         p.add_constraint(
-            "r2",
             [(a, 0.5), (b, -90.0), (c, -0.02), (d, 3.0)],
             Relation::Le,
             0.0,
         );
-        p.add_constraint("r3", [(c, 1.0)], Relation::Le, 1.0);
+        p.add_constraint([(c, 1.0)], Relation::Le, 1.0);
         let s = solve(&p).unwrap();
         assert_close(s.objective, -0.05);
     }
@@ -801,12 +799,12 @@ mod tests {
     #[test]
     fn exact_and_float_agree_on_mixed_relations() {
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 2.0);
-        let y = p.add_var("y", 3.0);
-        let z = p.add_var("z", 1.0);
-        p.add_constraint("a", [(x, 1.0), (y, 2.0), (z, 1.0)], Relation::Le, 10.0);
-        p.add_constraint("b", [(x, 1.0), (y, 1.0)], Relation::Ge, 2.0);
-        p.add_constraint("c", [(z, 1.0), (y, -1.0)], Relation::Eq, 0.0);
+        let x = p.add_var(2.0);
+        let y = p.add_var(3.0);
+        let z = p.add_var(1.0);
+        p.add_constraint([(x, 1.0), (y, 2.0), (z, 1.0)], Relation::Le, 10.0);
+        p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Ge, 2.0);
+        p.add_constraint([(z, 1.0), (y, -1.0)], Relation::Eq, 0.0);
         let sf = solve(&p).unwrap();
         let sr = solve_exact::<Rational>(&p).unwrap().to_f64();
         assert_close(sf.objective, sr.objective);
@@ -818,9 +816,9 @@ mod tests {
     #[test]
     fn iteration_limit_is_enforced() {
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 1.0);
-        let y = p.add_var("y", 1.0);
-        p.add_constraint("c", [(x, 1.0), (y, 1.0)], Relation::Le, 1.0);
+        let x = p.add_var(1.0);
+        let y = p.add_var(1.0);
+        p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Le, 1.0);
         let opts = SolverOptions {
             max_iterations: 0,
             ..SolverOptions::for_size(p.num_vars(), p.num_constraints())
@@ -835,11 +833,11 @@ mod tests {
     fn zero_rhs_degenerate_start() {
         // All rhs zero: heavily degenerate but feasible with optimum 0.
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 1.0);
-        let y = p.add_var("y", 1.0);
-        p.add_constraint("c1", [(x, 1.0), (y, -1.0)], Relation::Le, 0.0);
-        p.add_constraint("c2", [(y, 1.0), (x, -1.0)], Relation::Le, 0.0);
-        p.add_constraint("c3", [(x, 1.0), (y, 1.0)], Relation::Le, 0.0);
+        let x = p.add_var(1.0);
+        let y = p.add_var(1.0);
+        p.add_constraint([(x, 1.0), (y, -1.0)], Relation::Le, 0.0);
+        p.add_constraint([(y, 1.0), (x, -1.0)], Relation::Le, 0.0);
+        p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Le, 0.0);
         let s = solve(&p).unwrap();
         assert_close(s.objective, 0.0);
     }
@@ -852,11 +850,11 @@ mod tests {
         // relative tolerance keeps the solve exact. Regression for the
         // hard-coded-epsilon bug.
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 3.0e6);
-        let y = p.add_var("y", 5.0e6);
-        p.add_constraint("c1", [(x, 1.0e6)], Relation::Le, 4.0e6);
-        p.add_constraint("c2", [(y, 2.0e6)], Relation::Le, 12.0e6);
-        p.add_constraint("c3", [(x, 3.0e6), (y, 2.0e6)], Relation::Le, 18.0e6);
+        let x = p.add_var(3.0e6);
+        let y = p.add_var(5.0e6);
+        p.add_constraint([(x, 1.0e6)], Relation::Le, 4.0e6);
+        p.add_constraint([(y, 2.0e6)], Relation::Le, 12.0e6);
+        p.add_constraint([(x, 3.0e6), (y, 2.0e6)], Relation::Le, 18.0e6);
         assert_eq!(p.coefficient_scale(), 18.0e6);
         let s = solve(&p).unwrap();
         assert!(
@@ -874,10 +872,10 @@ mod tests {
         // rounding noise (relative to the coefficient scale) instead of
         // declaring the instance infeasible.
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 1.0);
-        let y = p.add_var("y", 1.0);
-        p.add_constraint("sum", [(x, 1.0e6), (y, 1.0e6)], Relation::Eq, 5.0e6);
-        p.add_constraint("diff", [(x, 3.0e6), (y, -1.0e6)], Relation::Eq, 3.0e6);
+        let x = p.add_var(1.0);
+        let y = p.add_var(1.0);
+        p.add_constraint([(x, 1.0e6), (y, 1.0e6)], Relation::Eq, 5.0e6);
+        p.add_constraint([(x, 3.0e6), (y, -1.0e6)], Relation::Eq, 3.0e6);
         let s = solve(&p).unwrap();
         assert_close(s.objective, 5.0);
         assert_close(s.value(x), 2.0);
@@ -891,21 +889,11 @@ mod tests {
         // maximize a1 + a2 with w = 2e6, c = 1, d = 0.5 (so the optimum is
         // tiny but must not be declared one pivot early).
         let mut p = Problem::maximize();
-        let a1 = p.add_var("a1", 1.0);
-        let a2 = p.add_var("a2", 1.0);
-        p.add_constraint(
-            "d1",
-            [(a1, 1.0 + 2.0e6 + 0.5), (a2, 0.5)],
-            Relation::Le,
-            1.0,
-        );
-        p.add_constraint(
-            "d2",
-            [(a1, 1.0), (a2, 1.0 + 2.0e6 + 0.5)],
-            Relation::Le,
-            1.0,
-        );
-        p.add_constraint("port", [(a1, 1.5), (a2, 1.5)], Relation::Le, 1.0);
+        let a1 = p.add_var(1.0);
+        let a2 = p.add_var(1.0);
+        p.add_constraint([(a1, 1.0 + 2.0e6 + 0.5), (a2, 0.5)], Relation::Le, 1.0);
+        p.add_constraint([(a1, 1.0), (a2, 1.0 + 2.0e6 + 0.5)], Relation::Le, 1.0);
+        p.add_constraint([(a1, 1.5), (a2, 1.5)], Relation::Le, 1.0);
         let s = solve(&p).unwrap();
         // Both workers saturate their compute deadline: a_i ~= 1/(w + c + d).
         let sr = solve_exact::<Rational>(&p).unwrap().to_f64();
@@ -926,11 +914,11 @@ mod tests {
         // or the tableau drifts at ~1e-3 relative error. Certified against
         // the exact backend.
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 1.0);
-        let y = p.add_var("y", 1.0);
-        p.add_constraint("big", [(x, 1.0e6), (y, 1.0e6)], Relation::Le, 2.0e6);
-        p.add_constraint("tiny", [(x, 5.0e-4), (y, 1.0)], Relation::Le, 1.0);
-        p.add_constraint("cap", [(x, 1.0)], Relation::Le, 1.2);
+        let x = p.add_var(1.0);
+        let y = p.add_var(1.0);
+        p.add_constraint([(x, 1.0e6), (y, 1.0e6)], Relation::Le, 2.0e6);
+        p.add_constraint([(x, 5.0e-4), (y, 1.0)], Relation::Le, 1.0);
+        p.add_constraint([(x, 1.0)], Relation::Le, 1.2);
         let sf = solve(&p).unwrap();
         let sr = solve_exact::<Rational>(&p).unwrap().to_f64();
         assert!(
@@ -951,10 +939,10 @@ mod tests {
         // still accept that entry (tableau entries are normalized-frame):
         // the LP is bounded with optimum 1e4 + 1 = 10001.
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 1.0);
-        let y = p.add_var("y", 1.0);
-        p.add_constraint("small", [(x, 1.0e-4)], Relation::Le, 1.0);
-        p.add_constraint("big", [(y, 1.0e6)], Relation::Le, 1.0e6);
+        let x = p.add_var(1.0);
+        let y = p.add_var(1.0);
+        p.add_constraint([(x, 1.0e-4)], Relation::Le, 1.0);
+        p.add_constraint([(y, 1.0e6)], Relation::Le, 1.0e6);
         let s = solve(&p).unwrap();
         assert!(
             (s.objective - 10_001.0).abs() < 1e-6,
@@ -966,8 +954,8 @@ mod tests {
     #[test]
     fn solution_accessors() {
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 1.0);
-        p.add_constraint("c", [(x, 1.0)], Relation::Le, 7.0);
+        let x = p.add_var(1.0);
+        p.add_constraint([(x, 1.0)], Relation::Le, 7.0);
         let s = solve(&p).unwrap();
         assert_close(s.value(x), 7.0);
         assert!(s.iterations >= 1);

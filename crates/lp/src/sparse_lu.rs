@@ -1058,7 +1058,7 @@ mod tests {
         )
             .prop_map(|(p, comm, comp, obj, with_ge)| {
                 let mut m = ScheduleModel::maximize();
-                let alpha = m.group("alpha", (0..p).map(|j| (format!("a{j}"), obj[j] as f64)));
+                let alpha = m.group("alpha", obj[..p].iter().map(|&o| o as f64));
                 for (i, &cw) in comp.iter().enumerate().take(p) {
                     // Prefix of communications plus this worker's compute
                     // (the alpha_i term appears twice on purpose: duplicate
@@ -1066,11 +1066,11 @@ mod tests {
                     let mut terms: Vec<_> =
                         (0..=i).map(|j| (alpha.var(j), comm[j] as f64)).collect();
                     terms.push((alpha.var(i), cw as f64));
-                    m.deadline(format!("d{i}"), terms, 10.0);
+                    m.deadline(terms, 10.0);
                 }
-                m.one_port("port", (0..p).map(|j| (alpha.var(j), comm[j] as f64)), 10.0);
+                m.one_port((0..p).map(|j| (alpha.var(j), comm[j] as f64)), 10.0);
                 if with_ge {
-                    m.constraint("floor", [(alpha.var(0), 1.0)], Relation::Ge, 0.0);
+                    m.constraint([(alpha.var(0), 1.0)], Relation::Ge, 0.0);
                 }
                 m.lower()
             })
@@ -1207,11 +1207,10 @@ mod tests {
     #[test]
     fn exact_rational_ft_updates_are_exact() {
         let mut model = ScheduleModel::maximize();
-        let alpha = model.group("alpha", (0..3).map(|j| (format!("a{j}"), 1.0 + j as f64)));
-        model.deadline("d0", [(alpha.var(0), 2.0)], 8.0);
-        model.deadline("d1", [(alpha.var(0), 2.0), (alpha.var(1), 3.0)], 8.0);
+        let alpha = model.group("alpha", [1.0, 2.0, 3.0]);
+        model.deadline([(alpha.var(0), 2.0)], 8.0);
+        model.deadline([(alpha.var(0), 2.0), (alpha.var(1), 3.0)], 8.0);
         model.deadline(
-            "d2",
             [
                 (alpha.var(0), 2.0),
                 (alpha.var(1), 3.0),
@@ -1220,7 +1219,6 @@ mod tests {
             8.0,
         );
         model.one_port(
-            "port",
             [
                 (alpha.var(0), 2.0),
                 (alpha.var(1), 3.0),
@@ -1261,10 +1259,10 @@ mod tests {
     #[test]
     fn singular_bases_rejected_like_the_dense_oracle() {
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 1.0);
-        let y = p.add_var("y", 1.0);
-        p.add_constraint("c0", [(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
-        p.add_constraint("c1", [(x, 2.0), (y, 1.0)], Relation::Le, 6.0);
+        let x = p.add_var(1.0);
+        let y = p.add_var(1.0);
+        p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
+        p.add_constraint([(x, 2.0), (y, 1.0)], Relation::Le, 6.0);
         let (cols, _, _) = setup::<f64>(&p);
         // Column 0 twice: structurally singular.
         assert!(Factor::refactorize(&cols, &[0, 0]).is_none());
@@ -1279,8 +1277,8 @@ mod tests {
     #[test]
     fn fill_exceeded_stays_quiet_on_small_updates() {
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 1.0);
-        p.add_constraint("c0", [(x, 1.0)], Relation::Le, 4.0);
+        let x = p.add_var(1.0);
+        p.add_constraint([(x, 1.0)], Relation::Le, 4.0);
         let (cols, layout, relations) = setup::<f64>(&p);
         let basis = cold_basis(&layout, &relations);
         let f = SparseLu::factorize(&cols, &basis).unwrap();

@@ -3,7 +3,8 @@
 //! Two directions: every *valid* randomly-generated schedule model must
 //! come back clean (no error-severity findings) and solve to a positive
 //! throughput; every *seeded corruption* of a valid model must be caught,
-//! with the diagnostic naming the right row label and [`RowKind`].
+//! with the diagnostic naming the right row (its kind and position among
+//! the rows of that kind) and [`RowKind`].
 
 use dls_lp::{analyze, solve, RowKind, ScheduleModel, Severity};
 use proptest::prelude::*;
@@ -52,18 +53,17 @@ fn corruption() -> impl Strategy<Value = Corruption> {
 fn build(c: &[f64], w: &[f64], d: &[f64], corrupt: Option<Corruption>) -> ScheduleModel {
     let n = c.len();
     let mut m = ScheduleModel::maximize();
-    let alpha = m.group("alpha", (0..n).map(|i| (format!("a{i}"), 1.0)));
+    let alpha = m.group("alpha", vec![1.0; n]);
     for i in 0..n {
         // FIFO timing chain: sends up to me, my compute, returns from me
         // onward (the paper's (2a) shape).
         let mut terms: Vec<_> = (0..=i).map(|j| (alpha.var(j), c[j])).collect();
         terms.push((alpha.var(i), w[i]));
         terms.extend((i..n).map(|j| (alpha.var(j), d[j])));
-        m.deadline(format!("worker{i}"), terms, 1.0);
+        m.deadline(terms, 1.0);
     }
     let flip = matches!(corrupt, Some(Corruption::SignFlippedOnePort));
     m.one_port(
-        "one_port",
         (0..n).map(|i| {
             let coeff = c[i] + d[i];
             // The sign flip lands on the last coefficient.
@@ -75,27 +75,19 @@ fn build(c: &[f64], w: &[f64], d: &[f64], corrupt: Option<Corruption>) -> Schedu
         1.0,
     );
     if n >= 2 {
-        let send = m.group("send_start", (0..n).map(|i| (format!("s{i}"), 0.0)));
-        m.release("release0", send.var(0), []);
+        let send = m.group("send_start", vec![0.0; n]);
+        m.release(send.var(0), []);
         for i in 0..n - 1 {
-            m.precedence(
-                format!("chain{i}"),
-                send.var(i + 1),
-                send.var(i),
-                [(alpha.var(i), c[i])],
-            );
+            m.precedence(send.var(i + 1), send.var(i), [(alpha.var(i), c[i])]);
         }
         // Bound the event variables so the chain stays bounded-feasible.
-        m.capacity("horizon", (0..n).map(|i| (send.var(i), 1.0)), n as f64);
+        m.capacity((0..n).map(|i| (send.var(i), 1.0)), n as f64);
     }
     match corrupt {
         Some(Corruption::DuplicateRow) => {
-            // Exact duplicate of the one-port row under a different label.
-            m.one_port(
-                "one_port_dup",
-                (0..n).map(|i| (alpha.var(i), c[i] + d[i])),
-                1.0,
-            );
+            // Exact duplicate of the one-port row, appended as the second
+            // one-port row.
+            m.one_port((0..n).map(|i| (alpha.var(i), c[i] + d[i])), 1.0);
         }
         Some(Corruption::EmptyGroup) => {
             m.group("ghost", []);
@@ -120,7 +112,7 @@ proptest! {
     }
 
     /// Every seeded corruption is caught as an error, and row-scoped
-    /// corruptions carry the right label and kind.
+    /// corruptions carry the right row name and kind.
     #[test]
     fn seeded_corruptions_are_caught((c, w, d) in parts(), which in corruption()) {
         let m = build(&c, &w, &d, Some(which));
@@ -130,10 +122,10 @@ proptest! {
             Corruption::DuplicateRow => {
                 let hit = report
                     .errors()
-                    .find(|diag| diag.row.as_deref() == Some("one_port_dup"))
-                    .expect("duplicate row must be reported by label");
+                    .find(|diag| diag.row.as_deref() == Some("one_port[1]"))
+                    .expect("duplicate row must be reported by name");
                 prop_assert_eq!(hit.kind, Some(RowKind::OnePort));
-                prop_assert!(hit.message.contains("one_port"), "{}", hit.message);
+                prop_assert!(hit.message.contains("'one_port[0]'"), "{}", hit.message);
             }
             Corruption::EmptyGroup => {
                 prop_assert!(
@@ -144,7 +136,7 @@ proptest! {
             Corruption::SignFlippedOnePort => {
                 let hit = report
                     .errors()
-                    .find(|diag| diag.row.as_deref() == Some("one_port"))
+                    .find(|diag| diag.row.as_deref() == Some("one_port[0]"))
                     .expect("sign-flipped one-port row must be reported");
                 prop_assert_eq!(hit.kind, Some(RowKind::OnePort));
                 prop_assert_eq!(hit.severity, Severity::Error);

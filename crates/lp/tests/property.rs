@@ -66,25 +66,15 @@ fn bounded_lp() -> impl Strategy<Value = Problem> {
         )
             .prop_map(move |(obj, rows, rhs, bbox)| {
                 let mut p = Problem::maximize();
-                let vars: Vec<_> = obj
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &c)| p.add_var(format!("x{i}"), c))
-                    .collect();
-                for (k, (row, b)) in rows.iter().zip(&rhs).enumerate() {
+                let vars: Vec<_> = obj.iter().map(|&c| p.add_var(c)).collect();
+                for (row, b) in rows.iter().zip(&rhs) {
                     p.add_constraint(
-                        format!("c{k}"),
                         vars.iter().copied().zip(row.iter().copied()),
                         Relation::Le,
                         *b,
                     );
                 }
-                p.add_constraint(
-                    "box",
-                    vars.iter().map(|&v| (v, 1.0)),
-                    Relation::Le,
-                    bbox * 10.0,
-                );
+                p.add_constraint(vars.iter().map(|&v| (v, 1.0)), Relation::Le, bbox * 10.0);
                 p
             })
     })
@@ -147,14 +137,10 @@ proptest! {
     fn objective_homogeneity(p in bounded_lp(), k in 2u32..=4) {
         let mut p2 = Problem::maximize();
         for i in 0..p.num_vars() {
-            p2.add_var(
-                format!("x{i}"),
-                p.objective()[i] * k as f64,
-            );
+            p2.add_var(p.objective()[i] * k as f64);
         }
         for c in p.constraints() {
             p2.add_constraint(
-                c.label.clone(),
                 c.coeffs.iter().map(|&(i, v)| (dls_lp_varid(i), v)),
                 c.relation,
                 c.rhs,
@@ -205,23 +191,22 @@ fn star_lp() -> impl Strategy<Value = Problem> {
     )
         .prop_map(|(p, comm, comp, obj, horizon, (twist, floor))| {
             let mut m = ScheduleModel::maximize();
-            let alpha = m.group("alpha", (0..p).map(|j| (format!("a{j}"), obj[j] as f64)));
+            let alpha = m.group("alpha", obj[..p].iter().map(|&o| o as f64));
             for (i, &cw) in comp.iter().enumerate().take(p) {
                 let mut terms: Vec<_> = (0..=i).map(|j| (alpha.var(j), comm[j] as f64)).collect();
                 terms.push((alpha.var(i), cw as f64));
-                m.deadline(format!("d{i}"), terms, horizon as f64);
+                m.deadline(terms, horizon as f64);
             }
             m.one_port(
-                "port",
                 (0..p).map(|j| (alpha.var(j), comm[j] as f64)),
                 horizon as f64,
             );
             match twist {
                 5 | 6 => {
-                    m.constraint("floor", [(alpha.var(0), 1.0)], Relation::Ge, floor as f64);
+                    m.constraint([(alpha.var(0), 1.0)], Relation::Ge, floor as f64);
                 }
                 7 => {
-                    m.group("spare", [("s".to_string(), 1.0)]);
+                    m.group("spare", [1.0]);
                 }
                 _ => {}
             }
@@ -235,9 +220,9 @@ fn dls_lp_varid(index: usize) -> dls_lp::VarId {
     // Declaration order is the only identity, so re-declaring the same count
     // of variables on a throwaway problem yields matching ids.
     let mut scratch = Problem::maximize();
-    let mut last = scratch.add_var("v0", 0.0);
-    for i in 1..=index {
-        last = scratch.add_var(format!("v{i}"), 0.0);
+    let mut last = scratch.add_var(0.0);
+    for _ in 1..=index {
+        last = scratch.add_var(0.0);
     }
     last
 }
@@ -245,9 +230,9 @@ fn dls_lp_varid(index: usize) -> dls_lp::VarId {
 #[test]
 fn infeasible_stays_infeasible_under_tightening() {
     let mut p = Problem::maximize();
-    let x = p.add_var("x", 1.0);
-    p.add_constraint("lo", [(x, 1.0)], Relation::Ge, 10.0);
-    p.add_constraint("hi", [(x, 1.0)], Relation::Le, 1.0);
+    let x = p.add_var(1.0);
+    p.add_constraint([(x, 1.0)], Relation::Ge, 10.0);
+    p.add_constraint([(x, 1.0)], Relation::Le, 1.0);
     for e in &ENGINES {
         assert_eq!((e.f64)(&p).unwrap_err(), LpError::Infeasible, "{}", e.name);
         let exact = (e.exact)(&p).unwrap_err();

@@ -25,12 +25,12 @@ fn with_mode<R>(mode: Mode, f: impl FnOnce() -> R) -> R {
 /// A small LP with a `>=` row, so both engines run phase 1 and pivot.
 fn lp() -> Problem {
     let mut p = Problem::maximize();
-    let x = p.add_var("x", 3.0);
-    let y = p.add_var("y", 2.0);
-    let z = p.add_var("z", 4.0);
-    p.add_constraint("cap", [(x, 1.0), (y, 1.0), (z, 2.0)], Relation::Le, 4.0);
-    p.add_constraint("port", [(x, 2.0), (z, 1.0)], Relation::Le, 5.0);
-    p.add_constraint("floor", [(x, 1.0), (y, 3.0)], Relation::Ge, 2.0);
+    let x = p.add_var(3.0);
+    let y = p.add_var(2.0);
+    let z = p.add_var(4.0);
+    p.add_constraint([(x, 1.0), (y, 1.0), (z, 2.0)], Relation::Le, 4.0);
+    p.add_constraint([(x, 2.0), (z, 1.0)], Relation::Le, 5.0);
+    p.add_constraint([(x, 1.0), (y, 3.0)], Relation::Ge, 2.0);
     p
 }
 

@@ -16,8 +16,7 @@
 //!   time.
 //!
 //! A depth-1 tree (every node a child of the master) *is* a star, and
-//! [`TreePlatform::star`] / [`TreePlatform::to_star`] convert losslessly.
-//! The scheduling machinery for trees — the bandwidth-equivalent
+//! [`TreePlatform::star`] builds it from a [`Platform`]. The scheduling machinery for trees — the bandwidth-equivalent
 //! star-collapse reduction and the `tree_fifo`/`tree_lifo` strategies —
 //! lives in the `dls-tree` crate; the store-and-forward simulator lives in
 //! `dls-sim`.
@@ -208,21 +207,6 @@ impl TreePlatform {
             .fold((0.0, 0.0), |(c, d), (ec, ed)| (c + ec, d + ed))
     }
 
-    /// `true` when every node is a child of the master (depth 1).
-    pub fn is_star(&self) -> bool {
-        self.parents.iter().all(|p| p.is_none())
-    }
-
-    /// The equivalent [`Platform`] when the tree is depth-1 (`None`
-    /// otherwise).
-    pub fn to_star(&self) -> Option<Platform> {
-        if self.is_star() {
-            Some(Platform::new(self.workers.clone()).expect("validated at construction"))
-        } else {
-            None
-        }
-    }
-
     /// Returns the application constant `z = d/c` when it is common to all
     /// nodes, `None` otherwise. A `z`-tied tree collapses into a `z`-tied
     /// star (path sums preserve the ratio), so the Theorem 1 machinery
@@ -289,9 +273,7 @@ mod tests {
         assert_eq!(binary.children(WorkerId(0)), vec![WorkerId(2), WorkerId(3)]);
 
         let flat = TreePlatform::balanced(&p, 10);
-        assert!(flat.is_star());
         assert_eq!(flat.depth(), 1);
-        assert_eq!(flat.to_star().unwrap(), p);
         assert_eq!(TreePlatform::star(&p), flat);
     }
 
@@ -329,8 +311,6 @@ mod tests {
         // A valid explicit two-level tree.
         let t = TreePlatform::new(w, vec![None, Some(WorkerId(0))]).unwrap();
         assert_eq!(t.depth(), 2);
-        assert!(!t.is_star());
-        assert!(t.to_star().is_none());
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl Worker {
             d: self.c,
         }
     }
-
-    /// Round-trip communication cost per load unit (`c + d`).
-    pub fn comm_total(&self) -> f64 {
-        self.c + self.d
-    }
 }
 
 #[cfg(test)]
@@ -95,7 +90,6 @@ mod tests {
         let w = Worker::with_z(2.0, 5.0, 0.5);
         assert_eq!(w.d, 1.0);
         assert_eq!(w.ratio(), 0.5);
-        assert_eq!(w.comm_total(), 3.0);
     }
 
     #[test]

@@ -39,12 +39,6 @@ impl Table {
         self
     }
 
-    /// Appends a row of mixed display values.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
     /// Number of data rows.
     pub fn num_rows(&self) -> usize {
         self.rows.len()
@@ -319,14 +313,6 @@ mod tests {
     fn num_formatting() {
         assert_eq!(num(1.23456, 2), "1.23");
         assert_eq!(num(2.0, 0), "2");
-    }
-
-    #[test]
-    fn row_display_and_count() {
-        let mut t = Table::new(&["x", "y"]);
-        t.row_display(&[&1, &2.5]);
-        assert_eq!(t.num_rows(), 1);
-        assert!(t.render().contains("2.5"));
     }
 
     #[test]

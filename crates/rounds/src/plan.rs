@@ -183,11 +183,6 @@ impl RoundPlan {
         self.fractions[round][worker.index()]
     }
 
-    /// Total fraction a physical worker processes across all rounds.
-    pub fn worker_total(&self, worker: WorkerId) -> f64 {
-        self.fractions.iter().map(|row| row[worker.index()]).sum()
-    }
-
     /// Makespan of the lowered schedule for a unit total load — exactly
     /// what `Timeline::build` and an ideal `dls_sim::simulate` replay
     /// produce on the lowered pair.
@@ -330,7 +325,6 @@ mod tests {
         assert_eq!(plan.rounds(), 2);
         let total: f64 = plan.fractions().iter().flatten().sum();
         assert!((total - 1.0).abs() < 1e-12);
-        assert!((plan.worker_total(WorkerId(0)) - 0.5).abs() < 1e-12);
         assert!(plan.predicted_makespan() > 0.0);
     }
 

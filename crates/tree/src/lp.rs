@@ -53,13 +53,12 @@ use crate::scheduler::TreeOrder;
 pub fn tree_lp_model(tree: &TreePlatform) -> (ScheduleModel, VarGroup) {
     let n = tree.num_nodes();
     let mut ir = ScheduleModel::maximize();
-    let alphas = ir.group("alpha", tree.ids().map(|id| (format!("alpha_{id}"), 1.0)));
+    let alphas = ir.group("alpha", std::iter::repeat_n(1.0, n));
 
     // Per-node serialized-path deadlines.
     for id in tree.ids() {
         let (c_path, d_path) = tree.path_costs(id);
         ir.deadline(
-            format!("deadline_{id}"),
             [(alphas.var(id.index()), c_path + tree.node(id).w + d_path)],
             1.0,
         );
@@ -78,20 +77,15 @@ pub fn tree_lp_model(tree: &TreePlatform) -> (ScheduleModel, VarGroup) {
             port_coeff[e.index()][u.index()] += traffic;
         }
     }
-    let mut ports: Vec<(String, usize)> = vec![("port_master".to_string(), n)];
-    ports.extend(
-        tree.ids()
-            .filter(|id| !tree.is_leaf(*id))
-            .map(|id| (format!("port_{id}"), id.index())),
-    );
-    for (label, x) in ports {
+    let relays = tree.ids().filter(|id| !tree.is_leaf(*id));
+    for x in std::iter::once(n).chain(relays.map(|id| id.index())) {
         let terms: Vec<(dls_lp::MVar, f64)> = port_coeff[x]
             .iter()
             .enumerate()
             .filter(|(_, &c)| c != 0.0)
             .map(|(u, &c)| (alphas.var(u), c))
             .collect();
-        ir.capacity(label, terms, 1.0);
+        ir.capacity(terms, 1.0);
     }
     (ir, alphas)
 }

@@ -859,6 +859,13 @@ impl TraceCheck {
 /// carries the pivot count and per-phase seconds as args.
 pub const ENGINE_SOLVE_SPANS: [&str; 2] = ["revised.solve.seconds", "tableau.solve.seconds"];
 
+/// Most trace events an export may hold per LP engine solve. A scenario
+/// solve records its `core.solve_scenario.seconds` span and one engine
+/// span, and the rest of the program adds a few spans per hundred solves
+/// (2.15 per solve on a quick `repro_all`, 2.31 at paper scale), so one
+/// more span per solve breaks the budget.
+pub const MAX_EVENTS_PER_ENGINE_SOLVE: f64 = 2.5;
+
 /// Validates a `DLS_TRACE=chrome:<path>` export:
 ///
 /// * the document parses and has a `traceEvents` array;
@@ -869,10 +876,12 @@ pub const ENGINE_SOLVE_SPANS: [&str; 2] = ["revised.solve.seconds", "tableau.sol
 ///   `core.solve_scenario.seconds` span nests under one through the
 ///   parent chain — the causal-propagation contract of the solve path;
 /// * the event budget: the only `revised.*` / `tableau.*` events are the
-///   [`ENGINE_SOLVE_SPANS`], each with a `pivots` arg. A paper-scale LP
-///   makes ~10 pivots of about a microsecond each, so per-pivot or
-///   per-phase engine events would outnumber every other event and cost
-///   as much as the work they time.
+///   [`ENGINE_SOLVE_SPANS`], each with a `pivots` arg, and an export with
+///   engine solves holds at most [`MAX_EVENTS_PER_ENGINE_SOLVE`] events
+///   per solve. A paper-scale LP makes ~10 pivots of about a microsecond
+///   each and solves in tens of microseconds, so per-pivot or per-phase
+///   engine events, or a wrapper span around every solve, would cost as
+///   much as the work they time.
 pub fn check_chrome_trace(doc: &str) -> Result<TraceCheck, String> {
     let root = parse_json(doc)?;
     let events = root
@@ -979,6 +988,15 @@ pub fn check_chrome_trace(doc: &str) -> Result<TraceCheck, String> {
              (TraceContext propagation broken?)"
                 .into(),
         );
+    }
+    if let Some(per_solve) = check.events_per_engine_solve() {
+        if per_solve > MAX_EVENTS_PER_ENGINE_SOLVE {
+            return Err(format!(
+                "{} events for {} engine solves is {per_solve:.2} per solve, over the budget \
+                 of {MAX_EVENTS_PER_ENGINE_SOLVE}: a span recorded around every LP solve?",
+                check.events, check.engine_solves
+            ));
+        }
     }
     Ok(check)
 }
@@ -1204,20 +1222,39 @@ fn f() {
         )
     }
 
-    /// A trace that passes every rule, plus the extra `events`.
-    fn valid_trace_with(events: &[String]) -> String {
-        let mut all = vec![
-            span_event("par_map.item.seconds", 2, None),
-            span_event("core.solve_scenario.seconds", 3, Some(2)),
-            span_event_with(
+    /// One `par_map` item (span id 1) running `solves` scenario solves:
+    /// each a `core.solve_scenario.seconds` span whose child is a revised
+    /// solve span, with an extra span between the two when `wrapped`.
+    fn solve_trees(solves: u64, wrapped: bool) -> Vec<String> {
+        let mut events = vec![span_event("par_map.item.seconds", 1, None)];
+        for k in 0..solves {
+            let root = 10 * k + 2;
+            let mut parent = root;
+            events.push(span_event("core.solve_scenario.seconds", root, Some(1)));
+            if wrapped {
+                parent = root + 1;
+                events.push(span_event("lp_model.solve.seconds", parent, Some(root)));
+            }
+            events.push(span_event_with(
                 "revised.solve.seconds",
-                4,
-                Some(3),
+                root + 2,
+                Some(parent),
                 ",\"pivots\":\"9\",\"btran_s\":\"0.000001\"",
-            ),
-        ];
+            ));
+        }
+        events
+    }
+
+    fn trace_doc(events: &[String]) -> String {
+        format!("{{\"traceEvents\":[\n{}\n]}}", events.join(",\n"))
+    }
+
+    /// A trace that passes every rule (two solves, 2.5 events per engine
+    /// solve), plus the extra `events`.
+    fn valid_trace_with(events: &[String]) -> String {
+        let mut all = solve_trees(2, false);
         all.extend_from_slice(events);
-        format!("{{\"traceEvents\":[\n{}\n]}}", all.join(",\n"))
+        trace_doc(&all)
     }
 
     #[test]
@@ -1239,10 +1276,26 @@ fn f() {
         assert_eq!(check.engine_solves, 0);
         assert_eq!(check.events_per_engine_solve(), None);
 
-        let tableau = span_event_with("tableau.solve.seconds", 5, Some(3), ",\"pivots\":\"3\"");
-        let check = check_chrome_trace(&valid_trace_with(&[tableau])).expect("valid trace");
+        let check = check_chrome_trace(&valid_trace_with(&[])).expect("valid trace");
         assert_eq!(check.engine_solves, 2);
+        assert_eq!(check.events_per_engine_solve(), Some(2.5));
+        let tableau = span_event_with("tableau.solve.seconds", 5, Some(2), ",\"pivots\":\"3\"");
+        let check = check_chrome_trace(&valid_trace_with(&[tableau])).expect("valid trace");
+        assert_eq!(check.engine_solves, 3);
         assert_eq!(check.events_per_engine_solve(), Some(2.0));
+    }
+
+    #[test]
+    fn check_trace_rejects_one_extra_span_per_engine_solve() {
+        let check = check_chrome_trace(&trace_doc(&solve_trees(4, false))).expect("in budget");
+        assert_eq!(check.events_per_engine_solve(), Some(2.25));
+        // The same four solves, each with a span between the scenario
+        // span and the engine span: 3.25 events per solve.
+        let err = check_chrome_trace(&trace_doc(&solve_trees(4, true))).unwrap_err();
+        assert!(
+            err.contains("3.25 per solve") && err.contains("budget"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1262,7 +1315,7 @@ fn f() {
 
     #[test]
     fn check_trace_rejects_an_engine_solve_span_without_pivots() {
-        let bare = span_event_with("tableau.solve.seconds", 5, Some(3), ",\"rows\":\"4\"");
+        let bare = span_event_with("tableau.solve.seconds", 5, Some(2), ",\"rows\":\"4\"");
         let err = check_chrome_trace(&valid_trace_with(&[bare])).unwrap_err();
         assert!(err.contains("no pivots arg"), "{err}");
     }

@@ -21,23 +21,21 @@ use dls::tree::{TreeOrder, TreeScheduler};
 /// instance on which Dantzig's rule cycles forever.
 fn beale() -> Problem {
     let mut p = Problem::minimize();
-    let a = p.add_var("a", -0.75);
-    let b = p.add_var("b", 150.0);
-    let c = p.add_var("c", -0.02);
-    let d = p.add_var("d", 6.0);
+    let a = p.add_var(-0.75);
+    let b = p.add_var(150.0);
+    let c = p.add_var(-0.02);
+    let d = p.add_var(6.0);
     p.add_constraint(
-        "r1",
         [(a, 0.25), (b, -60.0), (c, -0.04), (d, 9.0)],
         Relation::Le,
         0.0,
     );
     p.add_constraint(
-        "r2",
         [(a, 0.5), (b, -90.0), (c, -0.02), (d, 3.0)],
         Relation::Le,
         0.0,
     );
-    p.add_constraint("r3", [(c, 1.0)], Relation::Le, 1.0);
+    p.add_constraint([(c, 1.0)], Relation::Le, 1.0);
     p
 }
 

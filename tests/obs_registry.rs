@@ -56,7 +56,6 @@ fn solve_scenario_populates_the_advertised_metrics_on_both_engines() {
         "tableau.iterations",
         "revised.solve.seconds",
         "tableau.solve.seconds",
-        "lp_model.solve.seconds",
     ] {
         let h = snap
             .histogram(name)
@@ -101,19 +100,22 @@ fn solve_scenario_populates_the_advertised_metrics_on_both_engines() {
     );
 
     // The solve path emits a causal trace tree alongside the histograms:
-    // the scenario root must exist and the LP solve must join its trace.
+    // the scenario root must exist and the engine's solve span must nest
+    // directly under it.
     let events = dls::obs::trace_events();
     let root = events
         .iter()
         .find(|e| e.name == "core.solve_scenario.seconds")
         .expect("solve_scenario records a root trace span");
     assert!(root.parent_id.is_none(), "scenario span is a trace root");
-    assert!(
-        events
-            .iter()
-            .filter(|e| e.name == "lp_model.solve.seconds")
-            .any(|e| e.trace_id == root.trace_id),
-        "lp_model.solve spans join the scenario's trace"
+    let engine = events
+        .iter()
+        .find(|e| e.name == "revised.solve.seconds" && e.trace_id == root.trace_id)
+        .expect("the engine solve span joins the scenario's trace");
+    assert_eq!(
+        engine.parent_id,
+        Some(root.span_id),
+        "the engine solve span's parent is the scenario root"
     );
 
     // The registry never silently drops registrations in a normal run: a
