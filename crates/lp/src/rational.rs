@@ -63,21 +63,6 @@ impl Rational {
         }
     }
 
-    /// Numerator (sign-carrying).
-    pub fn numer(&self) -> i128 {
-        self.num
-    }
-
-    /// Denominator (always positive).
-    pub fn denom(&self) -> i128 {
-        self.den
-    }
-
-    /// `true` iff the value is an integer.
-    pub fn is_integer(&self) -> bool {
-        self.den == 1
-    }
-
     /// Multiplicative inverse.
     ///
     /// # Panics
@@ -277,10 +262,8 @@ mod tests {
     }
 
     #[test]
-    fn recip_and_integrality() {
+    fn recip_inverts() {
         assert_eq!(r(3, 4).recip(), r(4, 3));
-        assert!(r(8, 4).is_integer());
-        assert!(!r(1, 3).is_integer());
     }
 
     #[test]

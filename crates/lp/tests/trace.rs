@@ -3,24 +3,8 @@
 //! per-phase events (the scheduling LPs make ~10 pivots of about a
 //! microsecond each, so a span per pivot would cost as much as the work).
 
-use std::sync::Mutex;
-
 use dls_lp::{solve_revised_with, solve_with, Problem, Relation, SolverOptions};
-use dls_obs::{AttrValue, Mode, TraceEvent};
-
-/// Serializes the tests of this file: each one sets the process-global
-/// trace mode.
-static MODE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs `f` in `mode`, holding [`MODE_LOCK`], and restores
-/// `Mode::Disabled` afterwards.
-fn with_mode<R>(mode: Mode, f: impl FnOnce() -> R) -> R {
-    let _guard = MODE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    dls_obs::set_mode(Some(mode));
-    let out = f();
-    dls_obs::set_mode(Some(Mode::Disabled));
-    out
-}
+use dls_obs::{with_mode, AttrValue, Mode, TraceEvent};
 
 /// A small LP with a `>=` row, so both engines run phase 1 and pivot.
 fn lp() -> Problem {

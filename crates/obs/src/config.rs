@@ -1,10 +1,11 @@
-//! Tracing mode selection: `DLS_TRACE` parsing plus a programmatic override
-//! used by tests and benches (environment variables are process-global and
-//! racy to mutate from a multi-threaded test harness).
+//! Tracing mode selection: `DLS_TRACE` parsing, read once, plus the scoped
+//! [`with_mode`] that tests use instead of mutating the environment
+//! (environment variables are process-global and racy to mutate from a
+//! multi-threaded test harness).
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{OnceLock, RwLock};
+use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// What the observability layer does with recorded metrics.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,20 +26,18 @@ pub enum Mode {
     Folded(PathBuf),
 }
 
-const CODE_UNSET: u8 = u8::MAX;
-const CODE_DISABLED: u8 = 0;
-const CODE_SUMMARY: u8 = 1;
-const CODE_JSONL: u8 = 2;
-const CODE_CHROME: u8 = 3;
-const CODE_FOLDED: u8 = 4;
+/// [`TIMING`] before the first read of the mode.
+const UNREAD: u8 = u8::MAX;
 
-/// Current mode as a small code, so `timing_enabled` is one atomic load.
-static MODE_CODE: AtomicU8 = AtomicU8::new(CODE_UNSET);
-/// Sink path from the environment (parsed once; shared by the jsonl,
-/// chrome and folded modes — only one mode is ever active).
-static ENV_SINK_PATH: OnceLock<Option<PathBuf>> = OnceLock::new();
-/// Sink path from a programmatic override, if any.
-static OVERRIDE_SINK_PATH: RwLock<Option<Option<PathBuf>>> = RwLock::new(None);
+/// Whether the active mode reads the clock (0 or 1, or [`UNREAD`]), kept
+/// apart from the mode itself so `timing_enabled` is one atomic load.
+static TIMING: AtomicU8 = AtomicU8::new(UNREAD);
+
+/// The mode [`with_mode`] installed, while its closure runs.
+static SCOPED: Mutex<Option<Mode>> = Mutex::new(None);
+
+/// Serializes [`with_mode`] callers for the whole of their closures.
+static MODE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Parses a `DLS_TRACE` value (surrounding whitespace ignored); `None`
 /// means the spelling is not recognized. Sink paths must be non-empty, and
@@ -63,84 +62,75 @@ fn parse_trace(raw: &str) -> Option<Mode> {
     }
 }
 
-/// Splits a mode into its code and sink path.
-fn encode(mode: Mode) -> (u8, Option<PathBuf>) {
-    match mode {
-        Mode::Disabled => (CODE_DISABLED, None),
-        Mode::Summary => (CODE_SUMMARY, None),
-        Mode::Jsonl(path) => (CODE_JSONL, path),
-        Mode::Chrome(path) => (CODE_CHROME, Some(path)),
-        Mode::Folded(path) => (CODE_FOLDED, Some(path)),
-    }
+/// The mode `DLS_TRACE` selects, parsed on first use.
+fn env_mode() -> &'static Mode {
+    static ENV_MODE: OnceLock<Mode> = OnceLock::new();
+    ENV_MODE.get_or_init(|| {
+        let Ok(raw) = std::env::var("DLS_TRACE") else {
+            return Mode::Disabled;
+        };
+        parse_trace(&raw).unwrap_or_else(|| {
+            eprintln!(
+                "dls-obs: unrecognized DLS_TRACE={:?} \
+                 (expected summary|jsonl[:path]|chrome:path|folded:path); disabled",
+                raw.trim()
+            );
+            Mode::Disabled
+        })
+    })
 }
 
-fn parse_env() -> (u8, Option<PathBuf>) {
-    let Ok(raw) = std::env::var("DLS_TRACE") else {
-        return (CODE_DISABLED, None);
-    };
-    let mode = parse_trace(&raw).unwrap_or_else(|| {
-        eprintln!(
-            "dls-obs: unrecognized DLS_TRACE={:?} \
-             (expected summary|jsonl[:path]|chrome:path|folded:path); disabled",
-            raw.trim()
-        );
-        Mode::Disabled
-    });
-    encode(mode)
+/// [`SCOPED`], whole even after a panic: every update is one assignment.
+fn scoped() -> MutexGuard<'static, Option<Mode>> {
+    SCOPED.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn code() -> u8 {
-    let c = MODE_CODE.load(Ordering::Relaxed);
-    if c != CODE_UNSET {
-        return c;
-    }
-    // First touch: parse the environment. A concurrent first touch parses
-    // the same stable environment, so the race is benign.
-    let (parsed, path) = parse_env();
-    let _ = ENV_SINK_PATH.set(path);
-    // Don't clobber an override installed between the load above and here.
-    let _ = MODE_CODE.compare_exchange(CODE_UNSET, parsed, Ordering::Relaxed, Ordering::Relaxed);
-    MODE_CODE.load(Ordering::Relaxed)
+/// Makes `mode` (or `DLS_TRACE`'s, for `None`) the active mode.
+fn install(mode: Option<Mode>) {
+    let timing = mode.as_ref().unwrap_or_else(|| env_mode()) != &Mode::Disabled;
+    *scoped() = mode;
+    TIMING.store(u8::from(timing), Relaxed);
 }
 
-fn env_sink_path() -> Option<PathBuf> {
-    ENV_SINK_PATH.get_or_init(|| parse_env().1).clone()
-}
-
-fn sink_path() -> Option<PathBuf> {
-    let over = OVERRIDE_SINK_PATH.read().expect("obs config lock").clone();
-    over.unwrap_or_else(env_sink_path)
-}
-
-/// The active tracing [`Mode`] (override if set, else `DLS_TRACE`).
+/// The active tracing [`Mode`]: the one [`with_mode`] installed while its
+/// closure runs, else `DLS_TRACE`'s.
 pub fn mode() -> Mode {
-    match code() {
-        CODE_SUMMARY => Mode::Summary,
-        CODE_JSONL => Mode::Jsonl(sink_path()),
-        CODE_CHROME => sink_path().map(Mode::Chrome).unwrap_or(Mode::Disabled),
-        CODE_FOLDED => sink_path().map(Mode::Folded).unwrap_or(Mode::Disabled),
-        _ => Mode::Disabled,
-    }
+    scoped().clone().unwrap_or_else(|| env_mode().clone())
 }
 
-/// Overrides the mode (pass `None` to fall back to `DLS_TRACE`). Meant for
-/// tests and benches; takes effect process-wide.
-pub fn set_mode(mode: Option<Mode>) {
-    let (code, path_override) = match mode {
-        None => (parse_env().0, None),
-        Some(mode) => {
-            let (c, path) = encode(mode);
-            (c, Some(path))
+/// Runs `f` with `mode` as the active mode, then restores `DLS_TRACE`'s
+/// mode on every exit, a panic in `f` included. Takes effect process-wide,
+/// so callers are serialized: a second caller waits until the first
+/// returns, and parallel tests never see each other's mode. It does not
+/// nest: a call from inside `f` blocks forever or panics.
+pub fn with_mode<R>(mode: Mode, f: impl FnOnce() -> R) -> R {
+    /// Restores `DLS_TRACE`'s mode when dropped, unwinding included.
+    struct Restore;
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            install(None);
         }
-    };
-    *OVERRIDE_SINK_PATH.write().expect("obs config lock") = path_override;
-    MODE_CODE.store(code, Ordering::Relaxed);
+    }
+    // A panic in `f` poisons the lock, which guards no data: the next
+    // caller takes it as it is.
+    let _serial = MODE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let _restore = Restore;
+    install(Some(mode));
+    f()
 }
 
 /// Whether span instrumentation should read the clock. One relaxed
 /// atomic load — cheap enough for per-pivot call sites.
 pub fn timing_enabled() -> bool {
-    code() != CODE_DISABLED
+    match TIMING.load(Relaxed) {
+        UNREAD => {
+            let timing = u8::from(env_mode() != &Mode::Disabled);
+            // Keep a mode `with_mode` installed since the load above.
+            let _ = TIMING.compare_exchange(UNREAD, timing, Relaxed, Relaxed);
+            TIMING.load(Relaxed) == 1
+        }
+        timing => timing == 1,
+    }
 }
 
 #[cfg(test)]
@@ -190,5 +180,27 @@ mod tests {
         ] {
             assert_eq!(parse_trace(bad), None, "{bad:?} must be rejected");
         }
+    }
+
+    #[test]
+    fn with_mode_restores_the_previous_mode_after_a_panic() {
+        // Read the mode between `with_mode` calls of parallel tests.
+        let outside = || {
+            let _serial = MODE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+            (mode(), timing_enabled())
+        };
+        let before = outside();
+        let scoped = Mode::Folded(PathBuf::from("with_mode.panic.folded"));
+        let caught = std::panic::catch_unwind(|| {
+            with_mode(scoped.clone(), || {
+                assert_eq!(mode(), scoped);
+                assert!(timing_enabled());
+                panic!("inside with_mode");
+            })
+        });
+        assert!(caught.is_err(), "the closure's panic propagates");
+        assert_eq!(outside(), before);
+        // The poisoned lock does not block the next caller.
+        assert!(!with_mode(Mode::Disabled, timing_enabled));
     }
 }

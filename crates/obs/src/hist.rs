@@ -37,7 +37,7 @@ pub(crate) fn bucket_midpoint(idx: usize) -> f64 {
     2f64.powf((idx as f64 + 0.5) / BUCKETS_PER_OCTAVE as f64 + MIN_EXP as f64)
 }
 
-/// Merged view of one histogram across all thread shards.
+/// Merged view of one histogram across all stores.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSummary {
     /// Number of recorded values.

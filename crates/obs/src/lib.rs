@@ -1,6 +1,6 @@
 //! # dls-obs — workspace-wide metrics and tracing
 //!
-//! A process-global, thread-sharded metrics registry for the RR-5738
+//! A process-global metrics registry with per-thread stores for the RR-5738
 //! reproduction: named [counters](counter!), [gauges](gauge!) and fixed-bucket
 //! [histograms](histogram!) with p50/p90/p99 readout, one timing API (the
 //! [`trace_span!`] macro) and pluggable sinks — a human-readable summary
@@ -20,17 +20,21 @@
 //! When tracing is on, a [`trace_span!`] times a section into the histogram
 //! of the same name and records it as a node of a causal **trace tree**: a
 //! trace id, a parent id (the innermost active span on the thread) and
-//! key=value attributes, kept in bounded lock-free per-thread event
-//! buffers. Thread boundaries are crossed explicitly with
+//! key=value attributes, kept in the bounded lock-free event buffer of the
+//! recording thread's store. Thread boundaries are crossed explicitly with
 //! [`current_context`] / [`TraceContext::attach`].
 //!
 //! ## Cost model
 //!
 //! Counter / gauge / histogram *value* recording is always on: the hot path
-//! is one thread-local lookup plus a relaxed atomic add into a per-thread
-//! shard (no locks, no allocation after first touch), so counters keep
-//! working with tracing disabled. *Timing* is gated on [`timing_enabled`]:
-//! with `DLS_TRACE` unset a span never calls `Instant::now`, so
+//! is one thread-local lookup plus relaxed atomics on the thread's store
+//! (no locks, no compare-and-swap loops since a store has one writer at a
+//! time, and no allocation after first touch), so counters keep working
+//! with tracing disabled. Memory grows with the number of threads
+//! recording at the same time, not with the number of threads spawned:
+//! each holds one store, which passes to the next thread when it exits.
+//! *Timing* is gated on [`timing_enabled`]: with `DLS_TRACE` unset a span
+//! never calls `Instant::now`, so
 //! instrumented hot loops pay a single relaxed atomic load. Sinks only run
 //! when a mode is selected. With tracing on, a span costs about as much as
 //! a microsecond of work, so spans belong at layer boundaries: an inner
@@ -42,8 +46,13 @@
 //! Metric names are interned once (capacity-bounded; see
 //! [`Snapshot::dropped`]) and call sites cache the handle in a static via
 //! the [`counter!`]/[`gauge!`]/[`histogram!`]/[`trace_span!`] macros. Each
-//! thread writes to its own shard; [`snapshot`] merges all shards. Handles
-//! are `Copy` and remain valid for the life of the process.
+//! thread records into a store it leases on its first record and returns
+//! when it exits, for the next thread to take, so the store count is the
+//! peak number of threads recording at once; [`snapshot`] and
+//! [`trace_events`] merge all stores. Nothing is ever reset: tests read
+//! counts as differences of two snapshots and find their events by name
+//! or trace id, and [`with_mode`] scopes a tracing mode to a closure.
+//! Handles are `Copy` and remain valid for the life of the process.
 //!
 //! ```
 //! let solves = dls_obs::counter!("doc.solves");
@@ -64,16 +73,15 @@ mod hist;
 mod macros;
 mod registry;
 mod sink;
+mod store;
 mod trace;
 
-pub use config::{mode, set_mode, timing_enabled, Mode};
+pub use config::{mode, timing_enabled, with_mode, Mode};
 pub use export::{render_chrome, render_folded};
 pub use hist::HistogramSummary;
-pub use registry::{
-    counter, gauge, histogram, reset_all, snapshot, Counter, Gauge, Histogram, Snapshot,
-};
+pub use registry::{counter, gauge, histogram, snapshot, Counter, Gauge, Histogram, Snapshot};
 pub use sink::{emit, render_jsonl, render_summary};
 pub use trace::{
-    current_context, reset_events, trace_events, trace_instant, AttrValue, Attrs, ContextGuard,
-    TraceContext, TraceEvent, TraceSpan, MAX_EVENTS_PER_THREAD,
+    current_context, trace_events, trace_instant, AttrValue, Attrs, ContextGuard, TraceContext,
+    TraceEvent, TraceSpan, MAX_EVENTS_PER_STORE,
 };

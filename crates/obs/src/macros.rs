@@ -1,6 +1,6 @@
 //! Handle-caching macros. Each expansion interns the metric name once per
 //! call site (in a function-local static) so the steady-state hot path is a
-//! static load plus one sharded atomic op.
+//! static load plus one atomic op on the thread's store.
 
 /// A [`crate::Counter`] handle for a literal name, interned once per call
 /// site.
@@ -47,9 +47,10 @@ macro_rules! histogram {
 /// drops at scope exit.
 ///
 /// ```
-/// dls_obs::set_mode(Some(dls_obs::Mode::Summary));
-/// let _outer = dls_obs::trace_span!("doc.outer.seconds");
-/// let _inner = dls_obs::trace_span!("doc.inner.seconds", "n" => 42);
+/// dls_obs::with_mode(dls_obs::Mode::Summary, || {
+///     let _outer = dls_obs::trace_span!("doc.outer.seconds");
+///     let _inner = dls_obs::trace_span!("doc.inner.seconds", "n" => 42);
+/// });
 /// ```
 #[macro_export]
 macro_rules! trace_span {

@@ -1,12 +1,13 @@
-//! The process-global registry: interned metric names, per-thread shards
-//! for counters and histograms, global slots for gauges, and the merged
-//! [`Snapshot`].
+//! The process-global registry: interned metric names, the per-thread
+//! [stores](crate::store) counters and histograms record into, global
+//! slots for gauges, and the merged [`Snapshot`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{OnceLock, RwLock};
 
 use crate::hist::{self, HistogramSummary, NUM_BUCKETS};
+use crate::store::{every_store, with_store};
 
 /// Interned names per metric kind (counters, gauges and histograms each
 /// have an independent id space).
@@ -17,36 +18,16 @@ pub(crate) const MAX_HISTS: usize = 256;
 /// Sentinel id for names registered past capacity: all operations no-op.
 const DROPPED: u16 = u16::MAX;
 
-/// Per-thread storage. Only the owning thread writes (relaxed stores /
-/// fetch-adds); the snapshot reader observes whatever has landed.
-struct Shard {
-    counters: Vec<AtomicU64>,
-    hists: Vec<OnceLock<HistSlot>>,
-}
-
-/// One histogram's per-thread state, allocated on first record.
-struct HistSlot {
+/// One histogram's state in one store, allocated on its first record.
+pub(crate) struct HistSlot {
     buckets: Vec<AtomicU64>,
     count: AtomicU64,
-    /// `f64::to_bits` of the running sum, updated by CAS.
+    /// `f64::to_bits` of the running sum.
     sum_bits: AtomicU64,
     /// `f64::to_bits` of the running min (starts at +inf).
     min_bits: AtomicU64,
     /// `f64::to_bits` of the running max (starts at -inf).
     max_bits: AtomicU64,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            counters: std::iter::repeat_with(|| AtomicU64::new(0))
-                .take(MAX_COUNTERS)
-                .collect(),
-            hists: std::iter::repeat_with(OnceLock::new)
-                .take(MAX_HISTS)
-                .collect(),
-        }
-    }
 }
 
 impl HistSlot {
@@ -62,27 +43,17 @@ impl HistSlot {
         }
     }
 
+    /// Records a finite `v`. Only the store's leasing thread calls this,
+    /// so a load followed by a store loses no update.
     fn record(&self, v: f64) {
         self.buckets[hist::bucket_index(v)].fetch_add(1, Relaxed);
         self.count.fetch_add(1, Relaxed);
-        fetch_update_f64(&self.sum_bits, |cur| Some(cur + v));
-        fetch_update_f64(&self.min_bits, |cur| (v < cur).then_some(v));
-        fetch_update_f64(&self.max_bits, |cur| (v > cur).then_some(v));
-    }
-}
-
-/// CAS loop over an `AtomicU64` holding `f64` bits. `f` returns `None` to
-/// leave the value unchanged.
-fn fetch_update_f64(bits: &AtomicU64, f: impl Fn(f64) -> Option<f64>) {
-    let mut cur = bits.load(Relaxed);
-    loop {
-        let Some(next) = f(f64::from_bits(cur)) else {
-            return;
+        let update = |bits: &AtomicU64, f: fn(f64, f64) -> f64| {
+            bits.store(f(f64::from_bits(bits.load(Relaxed)), v).to_bits(), Relaxed);
         };
-        match bits.compare_exchange_weak(cur, next.to_bits(), Relaxed, Relaxed) {
-            Ok(_) => return,
-            Err(seen) => cur = seen,
-        }
+        update(&self.sum_bits, |sum, x| sum + x);
+        update(&self.min_bits, f64::min);
+        update(&self.max_bits, f64::max);
     }
 }
 
@@ -98,7 +69,6 @@ struct Registry {
     hists: RwLock<Names>,
     /// Global gauge slots (`f64` bits; NaN bits mean "never set").
     gauge_bits: Vec<AtomicU64>,
-    shards: Mutex<Vec<Arc<Shard>>>,
     /// Registrations refused because a name table was full.
     dropped: AtomicU64,
 }
@@ -112,34 +82,8 @@ fn registry() -> &'static Registry {
         gauge_bits: std::iter::repeat_with(|| AtomicU64::new(f64::NAN.to_bits()))
             .take(MAX_GAUGES)
             .collect(),
-        shards: Mutex::new(Vec::new()),
         dropped: AtomicU64::new(0),
     })
-}
-
-thread_local! {
-    static SHARD: OnceLock<Arc<Shard>> = const { OnceLock::new() };
-}
-
-/// This thread's shard, registering it globally on first use. The `Arc`
-/// outlives the thread, so metrics survive worker-thread exit.
-fn with_shard<R>(f: impl FnOnce(&Shard) -> R) -> R {
-    SHARD.with(|cell| {
-        let shard = cell.get_or_init(|| {
-            let shard = Arc::new(Shard::new());
-            registry()
-                .shards
-                .lock()
-                .expect("obs shard list")
-                .push(shard.clone());
-            shard
-        });
-        f(shard)
-    })
-}
-
-fn all_shards() -> Vec<Arc<Shard>> {
-    registry().shards.lock().expect("obs shard list").clone()
 }
 
 fn intern(table: &RwLock<Names>, max: usize, name: &str) -> u16 {
@@ -193,10 +137,10 @@ pub fn histogram(name: &str) -> Histogram {
 }
 
 impl Counter {
-    /// Adds `n` to the counter (relaxed add into this thread's shard).
+    /// Adds `n` to the counter (relaxed add into this thread's store).
     pub fn add(self, n: u64) {
         if self.0 != DROPPED {
-            with_shard(|s| s.counters[self.0 as usize].fetch_add(n, Relaxed));
+            with_store(|s| s.counters[self.0 as usize].fetch_add(n, Relaxed));
         }
     }
 
@@ -205,24 +149,15 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current process-wide value (sum over all shards).
+    /// Current process-wide value (sum over all stores).
     pub fn value(self) -> u64 {
         if self.0 == DROPPED {
             return 0;
         }
-        all_shards()
+        every_store()
             .iter()
             .map(|s| s.counters[self.0 as usize].load(Relaxed))
             .sum()
-    }
-
-    /// Zeroes this counter in every shard.
-    pub fn reset(self) {
-        if self.0 != DROPPED {
-            for s in all_shards() {
-                s.counters[self.0 as usize].store(0, Relaxed);
-            }
-        }
     }
 }
 
@@ -248,7 +183,7 @@ impl Histogram {
     /// Records one observation (non-finite values are ignored).
     pub fn record(self, v: f64) {
         if self.0 != DROPPED && v.is_finite() {
-            with_shard(|s| {
+            with_store(|s| {
                 s.hists[self.0 as usize]
                     .get_or_init(HistSlot::new)
                     .record(v);
@@ -293,16 +228,16 @@ impl Snapshot {
     }
 }
 
-/// Merges every thread shard into a [`Snapshot`].
+/// Merges every store into a [`Snapshot`].
 pub fn snapshot() -> Snapshot {
     let reg = registry();
-    let shards = all_shards();
+    let stores = every_store();
 
     let mut counters: Vec<(String, u64)> = names_of(&reg.counters)
         .into_iter()
         .enumerate()
         .map(|(i, name)| {
-            let total = shards.iter().map(|s| s.counters[i].load(Relaxed)).sum();
+            let total = stores.iter().map(|s| s.counters[i].load(Relaxed)).sum();
             (name, total)
         })
         .collect();
@@ -327,7 +262,7 @@ pub fn snapshot() -> Snapshot {
             let mut sum = 0.0f64;
             let mut min = f64::INFINITY;
             let mut max = f64::NEG_INFINITY;
-            for s in &shards {
+            for s in &stores {
                 let Some(slot) = s.hists[i].get() else {
                     continue;
                 };
@@ -350,31 +285,4 @@ pub fn snapshot() -> Snapshot {
         histograms,
         dropped: reg.dropped.load(Relaxed),
     }
-}
-
-/// Zeroes every counter, gauge and histogram in every shard and discards
-/// buffered trace events (names stay interned, so cached handles remain
-/// valid). Meant for tests and for delimiting measurement windows in
-/// harnesses.
-pub fn reset_all() {
-    crate::trace::reset_events();
-    let reg = registry();
-    for s in all_shards() {
-        for c in &s.counters {
-            c.store(0, Relaxed);
-        }
-        for slot in s.hists.iter().filter_map(|h| h.get()) {
-            for b in &slot.buckets {
-                b.store(0, Relaxed);
-            }
-            slot.count.store(0, Relaxed);
-            slot.sum_bits.store(0f64.to_bits(), Relaxed);
-            slot.min_bits.store(f64::INFINITY.to_bits(), Relaxed);
-            slot.max_bits.store(f64::NEG_INFINITY.to_bits(), Relaxed);
-        }
-    }
-    for g in &reg.gauge_bits {
-        g.store(f64::NAN.to_bits(), Relaxed);
-    }
-    reg.dropped.store(0, Relaxed);
 }

@@ -1,6 +1,6 @@
 //! Causal trace trees: completed spans and instant events with trace id /
-//! parent id / key=value attributes, recorded into bounded lock-free
-//! per-thread event buffers.
+//! parent id / key=value attributes, recorded into the bounded lock-free
+//! event buffer of the recording thread's [store](crate::store).
 //!
 //! Every [`TraceSpan`] *also* records its elapsed seconds into the
 //! histogram of the same name, so one `trace_span!` call site feeds both
@@ -20,20 +20,17 @@
 //!
 //! ## Storage
 //!
-//! Events land in a per-thread buffer of chunked `OnceLock` slots: the
-//! owning thread claims a slot with one relaxed `fetch_add` and writes it
+//! Events land in the store's buffer of chunked `OnceLock` slots: the
+//! leasing thread claims a slot with one relaxed `fetch_add` and writes it
 //! with `OnceLock::set` — no locks on the record path, and a concurrent
 //! reader ([`trace_events`]) simply skips slots that are claimed but not
-//! yet written. Buffers are bounded ([`MAX_EVENTS_PER_THREAD`]); overflow
-//! increments the `trace.events.dropped` counter instead of growing.
+//! yet written. A buffer holds at most [`MAX_EVENTS_PER_STORE`] events,
+//! whichever threads leased the store; overflow increments the
+//! `trace.events.dropped` counter instead of growing.
 //!
-//! A buffer grows one chunk of 512 slots at a time, allocated by the
-//! owning thread when its first event lands in that chunk, and keeps its
-//! chunks for the life of the process (so events of exited threads stay
-//! readable). Chunks are small because `dls_report::par_map` spawns fresh
-//! worker threads on every call and most of them record a few hundred
-//! events at most: a thread that records one event holds one 512-slot
-//! chunk (~60 KB), not a buffer sized for the cap.
+//! A buffer grows one chunk of 512 slots at a time, allocated when the
+//! first event lands in that chunk, so a store that records a few events
+//! holds one small chunk, not a buffer sized for the cap.
 //!
 //! Attributes are stored as typed [`AttrValue`]s — integers, floats,
 //! bools and static strings need no allocation; only dynamic text owns a
@@ -41,14 +38,15 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::registry::Histogram;
+use crate::store::{every_store, with_store};
 
-/// Capacity of one thread's event buffer; events past this are dropped
+/// Capacity of one store's event buffer; events past this are dropped
 /// (counted in `trace.events.dropped`).
-pub const MAX_EVENTS_PER_THREAD: usize = CHUNK * NUM_CHUNKS;
+pub const MAX_EVENTS_PER_STORE: usize = CHUNK * NUM_CHUNKS;
 
 /// Slots per lazily allocated buffer chunk.
 const CHUNK: usize = 512;
@@ -223,31 +221,28 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// One lazily allocated chunk of event slots; each slot stores the event
-/// alongside the generation it was recorded under.
-type EventChunk = Box<[OnceLock<(u64, TraceEvent)>]>;
+/// One lazily allocated chunk of event slots.
+type EventChunk = Box<[OnceLock<TraceEvent>]>;
 
-/// Per-thread event buffer: chunks of `OnceLock` slots allocated lazily by
-/// the owning thread; `len` counts claimed slots (may exceed capacity, the
-/// excess is the drop count).
-struct EventBuffer {
+/// A store's event buffer: chunks of `OnceLock` slots allocated as events
+/// arrive; `len` counts claimed slots (may exceed capacity, the excess is
+/// the drop count).
+pub(crate) struct EventBuffer {
     len: AtomicUsize,
-    /// Trace generation this buffer's *reader* filter compares against is
-    /// global; each event stores the generation it was recorded under.
     chunks: [OnceLock<EventChunk>; NUM_CHUNKS],
 }
 
 impl EventBuffer {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventBuffer {
             len: AtomicUsize::new(0),
             chunks: [const { OnceLock::new() }; NUM_CHUNKS],
         }
     }
 
-    fn push(&self, generation: u64, ev: TraceEvent) -> bool {
+    fn push(&self, ev: TraceEvent) -> bool {
         let idx = self.len.fetch_add(1, Relaxed);
-        if idx >= MAX_EVENTS_PER_THREAD {
+        if idx >= MAX_EVENTS_PER_STORE {
             return false;
         }
         let chunk = self.chunks[idx / CHUNK].get_or_init(|| {
@@ -257,81 +252,40 @@ impl EventBuffer {
                 .into_boxed_slice()
         });
         // The slot index was claimed exclusively by the fetch_add above.
-        let _ = chunk[idx % CHUNK].set((generation, ev));
+        let _ = chunk[idx % CHUNK].set(ev);
         true
     }
 
-    fn read_into(&self, generation: u64, out: &mut Vec<TraceEvent>) {
-        let claimed = self.len.load(Relaxed).min(MAX_EVENTS_PER_THREAD);
+    fn read_into(&self, out: &mut Vec<TraceEvent>) {
+        let claimed = self.len.load(Relaxed).min(MAX_EVENTS_PER_STORE);
         for idx in 0..claimed {
             let Some(chunk) = self.chunks[idx / CHUNK].get() else {
                 break;
             };
             // A claimed slot may still be mid-write on its owner thread;
             // skip it rather than block.
-            if let Some((gen, ev)) = chunk[idx % CHUNK].get() {
-                if *gen == generation {
-                    out.push(ev.clone());
-                }
+            if let Some(ev) = chunk[idx % CHUNK].get() {
+                out.push(ev.clone());
             }
         }
     }
 }
 
-/// Global list of every thread's buffer (same lifetime rule as metric
-/// shards: the `Arc` keeps events of exited worker threads readable).
-fn buffers() -> &'static Mutex<Vec<Arc<EventBuffer>>> {
-    static BUFFERS: OnceLock<Mutex<Vec<Arc<EventBuffer>>>> = OnceLock::new();
-    BUFFERS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Generation counter: bumped by [`reset_events`]; readers only surface
-/// events recorded under the current generation.
-static GENERATION: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    static BUFFER: OnceLock<Arc<EventBuffer>> = const { OnceLock::new() };
-}
-
-fn with_buffer<R>(f: impl FnOnce(&EventBuffer) -> R) -> R {
-    BUFFER.with(|cell| {
-        let buf = cell.get_or_init(|| {
-            let buf = Arc::new(EventBuffer::new());
-            buffers()
-                .lock()
-                .expect("obs trace buffers")
-                .push(buf.clone());
-            buf
-        });
-        f(buf)
-    })
-}
-
 fn record_event(ev: TraceEvent) {
-    let generation = GENERATION.load(Relaxed);
-    if !with_buffer(|b| b.push(generation, ev)) {
+    if !with_store(|s| s.events.push(ev)) {
         crate::counter!("trace.events.dropped").incr();
     }
 }
 
-/// All trace events recorded since the last [`reset_events`], across every
-/// thread, sorted by start time (ties broken by span id).
+/// Every trace event recorded in this process, across every thread,
+/// sorted by start time (ties broken by span id).
 pub fn trace_events() -> Vec<TraceEvent> {
-    let generation = GENERATION.load(Relaxed);
-    let bufs: Vec<Arc<EventBuffer>> = buffers().lock().expect("obs trace buffers").clone();
     let mut out = Vec::new();
-    for b in &bufs {
-        b.read_into(generation, &mut out);
+    for s in every_store() {
+        s.events.read_into(&mut out);
     }
     out.sort_by_key(|e| (e.start_ns, e.span_id));
     out
-}
-
-/// Discards all buffered trace events (by bumping the generation — slots
-/// already written stay allocated but become invisible). Called by
-/// [`crate::reset_all`].
-pub fn reset_events() {
-    GENERATION.fetch_add(1, Relaxed);
 }
 
 /// Records a zero-duration instant event under the current span (attribute
@@ -452,23 +406,11 @@ impl Drop for TraceSpan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Mode;
-    use std::sync::Mutex;
+    use crate::{with_mode, Mode};
 
-    /// Serializes the tests below: each one sets the process-global mode
-    /// and wipes the process-global event buffers, which would otherwise
-    /// race with another test's spans.
-    static MODE_LOCK: Mutex<()> = Mutex::new(());
-
-    /// Runs `f` in `mode` with empty event buffers, holding [`MODE_LOCK`],
-    /// and restores `Mode::Disabled` afterwards.
-    fn with_mode<R>(mode: Mode, f: impl FnOnce() -> R) -> R {
-        let _guard = MODE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        crate::set_mode(Some(mode));
-        crate::reset_all();
-        let out = f();
-        crate::set_mode(Some(Mode::Disabled));
-        out
+    /// Whether any recorded event carries `name`.
+    fn recorded(name: &str) -> bool {
+        trace_events().iter().any(|e| e.name == name)
     }
 
     #[test]
@@ -531,7 +473,7 @@ mod tests {
             {
                 let _s = crate::trace_span!("trace.test.disabled.seconds");
             }
-            assert!(trace_events().is_empty());
+            assert!(!recorded("trace.test.disabled.seconds"));
         });
     }
 
@@ -580,7 +522,7 @@ mod tests {
             let mut span = crate::trace_span!("trace.test.late_inert.seconds");
             span.add_attrs([("pivots", AttrValue::from(1usize))]);
             drop(span);
-            assert!(trace_events().is_empty());
+            assert!(!recorded("trace.test.late_inert.seconds"));
         });
     }
 
@@ -602,38 +544,37 @@ mod tests {
     }
 
     #[test]
-    fn a_thread_with_one_event_allocates_one_small_chunk() {
-        with_mode(Mode::Summary, || {
-            let chunks = std::thread::spawn(|| {
-                crate::trace_event!("trace.test.chunk");
-                with_buffer(|b| {
-                    b.chunks
-                        .iter()
-                        .filter_map(OnceLock::get)
-                        .map(|chunk| chunk.len())
-                        .collect::<Vec<_>>()
-                })
-            })
-            .join()
-            .expect("recording thread");
-            assert_eq!(chunks.len(), 1, "one chunk allocated: {chunks:?}");
-            assert!(chunks[0] <= 512, "chunk of {} slots", chunks[0]);
-            assert_eq!(
-                MAX_EVENTS_PER_THREAD, 65_536,
-                "the per-thread cap is unchanged"
-            );
-        });
-    }
-
-    #[test]
-    fn reset_hides_old_events() {
-        with_mode(Mode::Summary, || {
-            {
-                let _s = crate::trace_span!("trace.test.reset.seconds");
-            }
-            assert!(!trace_events().is_empty());
-            reset_events();
-            assert!(trace_events().is_empty());
-        });
+    fn a_store_allocates_event_chunks_as_events_arrive() {
+        let buffer = EventBuffer::new();
+        let chunk_lens = || {
+            buffer
+                .chunks
+                .iter()
+                .filter_map(OnceLock::get)
+                .map(|chunk| chunk.len())
+                .collect::<Vec<_>>()
+        };
+        assert!(chunk_lens().is_empty(), "a new store holds no chunk");
+        let event = |span_id| TraceEvent {
+            name: "trace.test.chunk",
+            trace_id: 1,
+            span_id,
+            parent_id: None,
+            thread: 0,
+            start_ns: 0,
+            dur_ns: 0,
+            instant: true,
+            attrs: Vec::new(),
+        };
+        assert!(buffer.push(event(1)));
+        assert_eq!(chunk_lens(), [CHUNK], "the first event allocates one chunk");
+        for span_id in 2..=CHUNK as u64 {
+            assert!(buffer.push(event(span_id)));
+        }
+        assert_eq!(chunk_lens(), [CHUNK], "a full chunk allocates no other");
+        assert!(buffer.push(event(CHUNK as u64 + 1)));
+        assert_eq!(chunk_lens(), [CHUNK, CHUNK]);
+        assert_eq!(CHUNK, 512);
+        assert_eq!(MAX_EVENTS_PER_STORE, 65_536, "the per-store cap");
     }
 }

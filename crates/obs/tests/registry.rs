@@ -1,25 +1,11 @@
 //! Deterministic registry tests: multi-thread merge, percentile edges,
 //! disabled-mode no-op, sink rendering.
 //!
-//! The registry and the tracing mode are process-global, so every test that
-//! flips the mode runs under one lock and restores `Mode::Disabled` before
-//! releasing it; metric names are unique per test so value assertions never
-//! interfere.
+//! The registry and the tracing mode are process-global: every test that
+//! needs a mode runs under [`with_mode`], which serializes its callers, and
+//! metric names are unique per test so value assertions never interfere.
 
-use std::sync::Mutex;
-
-use dls_obs::{set_mode, Mode};
-
-/// Serializes tests that touch the global mode.
-static MODE_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_mode<R>(mode: Mode, f: impl FnOnce() -> R) -> R {
-    let _guard = MODE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    set_mode(Some(mode));
-    let out = f();
-    set_mode(Some(Mode::Disabled));
-    out
-}
+use dls_obs::{with_mode, Mode};
 
 #[test]
 fn counters_merge_across_threads() {
@@ -169,16 +155,6 @@ fn counters_record_even_when_disabled() {
         c.add(3);
         assert_eq!(c.value(), 3);
     });
-}
-
-#[test]
-fn reset_clears_values_but_keeps_handles() {
-    let c = dls_obs::counter!("test.reset.counter");
-    c.add(41);
-    c.reset();
-    assert_eq!(c.value(), 0);
-    c.incr();
-    assert_eq!(c.value(), 1);
 }
 
 #[test]

@@ -4,28 +4,12 @@
 //! document (the reader skips claimed-but-unwritten buffer slots), and
 //! every JSONL line must parse on its own.
 //!
-//! Runs as its own test binary so flipping the process-global mode cannot
-//! race the `registry.rs` suite; within the binary, the two tests take
-//! turns through [`with_mode`].
+//! The two tests take turns through [`with_mode`], which serializes its
+//! callers, and use their own span names.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-use dls_obs::{set_mode, Mode};
-
-/// Serializes the tests that set the process-global mode.
-static MODE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs `f` in `mode` with an empty registry, holding [`MODE_LOCK`], and
-/// restores `Mode::Disabled` afterwards.
-fn with_mode<R>(mode: Mode, f: impl FnOnce() -> R) -> R {
-    let _guard = MODE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    set_mode(Some(mode));
-    dls_obs::reset_all();
-    let out = f();
-    set_mode(Some(Mode::Disabled));
-    out
-}
+use dls_obs::{with_mode, Mode};
 
 fn assert_valid_json(body: &str, what: &str) {
     if let Err(e) = xtask::parse_json(body) {
@@ -78,16 +62,11 @@ fn chrome_export_parses_while_spans_are_recorded() {
         assert!(body.contains("test.conc.inner.seconds"));
         assert!(body.contains("test.conc.instant"));
 
-        let events = dls_obs::trace_events();
-        let outer = events
+        let outer = dls_obs::trace_events()
             .iter()
             .filter(|e| e.name == "test.conc.outer.seconds")
             .count();
-        let cap_note = events.len() >= dls_obs::MAX_EVENTS_PER_THREAD;
-        assert!(
-            outer >= 1000 || cap_note,
-            "both threads' spans recorded (got {outer})"
-        );
+        assert_eq!(outer, 3000, "both threads' spans recorded");
     });
     let _ = std::fs::remove_file(&path);
 }

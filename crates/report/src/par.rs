@@ -186,14 +186,15 @@ mod tests {
 
     #[test]
     fn item_spans_nest_under_the_callers_span() {
-        dls_obs::set_mode(Some(dls_obs::Mode::Summary));
-        {
-            let _batch = dls_obs::trace_span!("par.test.batch.seconds");
-            let items: Vec<u64> = (0..16).collect();
-            let out = par_map(&items, |&x| x + 1);
-            assert_eq!(out.len(), 16);
-        }
-        let events = dls_obs::trace_events();
+        let events = dls_obs::with_mode(dls_obs::Mode::Summary, || {
+            {
+                let _batch = dls_obs::trace_span!("par.test.batch.seconds");
+                let items: Vec<u64> = (0..16).collect();
+                let out = par_map(&items, |&x| x + 1);
+                assert_eq!(out.len(), 16);
+            }
+            dls_obs::trace_events()
+        });
         let batch = events
             .iter()
             .find(|e| e.name == "par.test.batch.seconds")

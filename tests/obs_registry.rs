@@ -7,7 +7,7 @@
 use dls::core::lp_model::{scenario_model, solve_scenario};
 use dls::core::prelude::*;
 use dls::lp::{solve_with, SolverOptions};
-use dls::obs::{set_mode, Mode};
+use dls::obs::{with_mode, Mode, Snapshot};
 use dls::platform::{Platform, WorkerId};
 
 fn fixture() -> Platform {
@@ -21,33 +21,36 @@ fn ids(xs: &[usize]) -> Vec<WorkerId> {
 #[test]
 fn solve_scenario_populates_the_advertised_metrics_on_both_engines() {
     // Timing spans only record while a mode is active; force one
-    // programmatically so the test is independent of `DLS_TRACE`.
-    set_mode(Some(Mode::Summary));
-    dls::obs::reset_all();
+    // programmatically so the test is independent of `DLS_TRACE`. Counts
+    // are differences of two snapshots taken around the solves.
+    let (before, snap, events) = with_mode(Mode::Summary, || {
+        let before = dls::obs::snapshot();
+        let p = fixture();
+        let order = ids(&[0, 1, 2, 3]);
 
-    let p = fixture();
-    let order = ids(&[0, 1, 2, 3]);
-
-    let revised = solve_scenario(&p, &order, &order, PortModel::OnePort).unwrap();
-    let (ir, _) = scenario_model(&p, &order, &order, PortModel::OnePort).unwrap();
-    let lp = ir.problem();
-    let opts = SolverOptions::for_size(lp.num_vars(), lp.num_constraints());
-    let tableau = solve_with::<f64>(lp, &opts).unwrap();
-    assert!((revised.throughput - tableau.objective).abs() < 1e-9);
-
-    let snap = dls::obs::snapshot();
-    set_mode(Some(Mode::Disabled));
+        let revised = solve_scenario(&p, &order, &order, PortModel::OnePort).unwrap();
+        let (ir, _) = scenario_model(&p, &order, &order, PortModel::OnePort).unwrap();
+        let lp = ir.problem();
+        let opts = SolverOptions::for_size(lp.num_vars(), lp.num_constraints());
+        let tableau = solve_with::<f64>(lp, &opts).unwrap();
+        assert!((revised.throughput - tableau.objective).abs() < 1e-9);
+        (before, dls::obs::snapshot(), dls::obs::trace_events())
+    });
+    let count = |s: &Snapshot, name| s.counter(name).unwrap_or(0);
+    let counted = |name| count(&snap, name) - count(&before, name);
+    let observations = |s: &Snapshot, name| s.histogram(name).map_or(0, |h| h.count);
+    let observed = |name| observations(&snap, name) - observations(&before, name);
 
     // Counters: `solve_model` counts its solves (all cold) under
     // `basis_cache.miss` (here exactly the one `solve_scenario` made; the
     // direct tableau solve bypasses it), each engine counts its entry
     // point, and the revised path refactorizes at least once (the initial
     // slack-basis factorization).
-    let solves = snap.counter("basis_cache.miss").unwrap_or(0);
+    let solves = counted("basis_cache.miss");
     assert_eq!(solves, 1, "solve_model counted {solves} solves");
-    assert!(snap.counter("revised.solve").unwrap_or(0) >= 1);
-    assert!(snap.counter("tableau.solve").unwrap_or(0) >= 1);
-    assert!(snap.counter("revised.refactorizations").unwrap_or(0) >= 1);
+    assert!(counted("revised.solve") >= 1);
+    assert!(counted("tableau.solve") >= 1);
+    assert!(counted("revised.refactorizations") >= 1);
 
     // Histograms: iteration counts from both engines, phase timings from
     // the shared pipeline. Names must match the README inventory verbatim.
@@ -60,7 +63,7 @@ fn solve_scenario_populates_the_advertised_metrics_on_both_engines() {
         let h = snap
             .histogram(name)
             .unwrap_or_else(|| panic!("histogram '{name}' not populated"));
-        assert!(h.count >= 1, "'{name}' empty");
+        assert!(observed(name) >= 1, "'{name}' empty");
         assert!(h.min >= 0.0, "'{name}' negative observation");
     }
     let iters = snap.histogram("revised.iterations").unwrap();
@@ -80,12 +83,16 @@ fn solve_scenario_populates_the_advertised_metrics_on_both_engines() {
         ),
         ("tableau.solve", &["tableau.pivot.seconds"][..]),
     ] {
-        let solves = snap.counter(engine).unwrap_or(0);
+        let solves = counted(engine);
         for name in phases {
             let h = snap
                 .histogram(name)
                 .unwrap_or_else(|| panic!("histogram '{name}' not populated"));
-            assert_eq!(h.count, solves, "'{name}' has one observation per {engine}");
+            assert_eq!(
+                observed(name),
+                solves,
+                "'{name}' has one observation per {engine}"
+            );
             assert!(h.min >= 0.0, "'{name}' negative observation");
         }
     }
@@ -102,7 +109,6 @@ fn solve_scenario_populates_the_advertised_metrics_on_both_engines() {
     // The solve path emits a causal trace tree alongside the histograms:
     // the scenario root must exist and the engine's solve span must nest
     // directly under it.
-    let events = dls::obs::trace_events();
     let root = events
         .iter()
         .find(|e| e.name == "core.solve_scenario.seconds")
