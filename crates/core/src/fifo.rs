@@ -44,14 +44,9 @@ pub fn optimal_fifo(platform: &Platform) -> Result<LpSchedule, CoreError> {
         let sol = solve_from_chain_prefix(&mirrored)?;
         // Flip the schedule back in time: feasible and optimal on the
         // original platform with the same loads and throughput.
-        let schedule = sol.schedule.mirror();
         Ok(LpSchedule {
-            schedule,
-            throughput: sol.throughput,
-            // Idle variables are not time-symmetric; physical idles should
-            // be recomputed from the timeline.
-            lp_idles: vec![0.0; platform.num_workers()],
-            iterations: sol.iterations,
+            schedule: sol.schedule.mirror(),
+            ..sol
         })
     }
 }

@@ -41,7 +41,9 @@
 //! `alpha`/`send_start`/`return_start` groups, `precedence` rows for the
 //! resolved one-port disjunctions) and solved through
 //! [`lp_model::solve_model`], the same cold solve path as the scenario
-//! LPs.
+//! LPs. Every row but the horizon is a `≥ 0` precedence row, which the
+//! engines' standardization turns into a `≤ 0` row at its own slack, so
+//! each lead LP starts feasible from the slack basis and runs no phase 1.
 //!
 //! [`MasterPolicy::Interleaved`]: ../../dls_sim/enum.MasterPolicy.html
 

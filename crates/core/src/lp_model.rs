@@ -72,11 +72,6 @@ pub struct LpSchedule {
     pub schedule: Schedule,
     /// Optimal throughput `ρ = Σ α_i` for `T = 1`.
     pub throughput: f64,
-    /// The LP's idle variables `x_i`, by platform worker index
-    /// (non-participants carry 0). Note the LP may distribute slack
-    /// differently from the earliest-feasible timeline; use
-    /// [`crate::timeline::Timeline`] for physical idle times.
-    pub lp_idles: Vec<f64>,
     /// Simplex pivots used, summed over every LP the answer took (a FIFO
     /// working set that grows solves more than one).
     pub iterations: usize,
@@ -88,8 +83,6 @@ pub struct LpSchedule {
 pub struct LpVars {
     /// `α` variables, one per enrolled worker (send order).
     pub alphas: Vec<VarId>,
-    /// `x` (idle) variables, one per enrolled worker (send order).
-    pub idles: Vec<VarId>,
 }
 
 /// Builds the scenario **schedule-model IR** for `(σ1, σ2)` under `model`
@@ -198,7 +191,6 @@ pub fn scenario_model_with_rhs(
 
     let vars = LpVars {
         alphas: alpha_group.var_ids(),
-        idles: idle_group.var_ids(),
     };
     Ok((ir, vars))
 }
@@ -271,16 +263,13 @@ fn package(
     iterations: usize,
 ) -> Result<LpSchedule, CoreError> {
     let mut loads = vec![0.0; platform.num_workers()];
-    let mut lp_idles = vec![0.0; platform.num_workers()];
     for (k, &id) in set.iter().enumerate() {
         loads[id.index()] = sol.value(vars.alphas[k]).max(0.0);
-        lp_idles[id.index()] = sol.value(vars.idles[k]).max(0.0);
     }
     let schedule = Schedule::new(platform, send_order.to_vec(), return_order.to_vec(), loads)?;
     Ok(LpSchedule {
         throughput: sol.objective,
         schedule,
-        lp_idles,
         iterations,
     })
 }
@@ -606,9 +595,6 @@ mod tests {
                 first.schedule.load(id).to_bits()
             );
         }
-        for (a, b) in again.lp_idles.iter().zip(&first.lp_idles) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]
@@ -701,8 +687,8 @@ mod tests {
                 }
                 assert_eq!(ir.row_kinds().collect::<Vec<_>>(), kinds);
                 // Variable handles line up with the golden declaration order.
-                assert_eq!(vars.alphas.len(), send.len());
-                assert_eq!(vars.idles[0].index(), send.len());
+                let alphas: Vec<usize> = vars.alphas.iter().map(|v| v.index()).collect();
+                assert_eq!(alphas, (0..q).collect::<Vec<_>>());
             }
         }
     }

@@ -282,7 +282,10 @@ impl ScheduleModel {
     /// Σ durations`, i.e. `later - earlier - Σ durations ≥ 0`. This is the
     /// one-port *disjunction resolved by a fixed order*: once the port
     /// sequence is pinned (by σ/FIFO), each adjacent pair needs exactly one
-    /// of these rows.
+    /// of these rows. The row stays a `≥ 0` row here (the analyzer checks
+    /// it as one); the engines' standardization negates it into a `≤ 0`
+    /// row that starts feasible at its own slack, so a chain of these rows
+    /// needs no phase 1.
     pub fn precedence(
         &mut self,
         later: MVar,
@@ -294,7 +297,9 @@ impl ScheduleModel {
         self.add_row(RowKind::Precedence, terms, Relation::Ge, 0.0);
     }
 
-    /// An ordering row against the start of time: `event ≥ Σ durations`.
+    /// An ordering row against the start of time: `event ≥ Σ durations`,
+    /// a `≥ 0` row that, like [`precedence`](Self::precedence), starts
+    /// feasible at its own slack once standardized.
     pub fn release(&mut self, event: MVar, durations: impl IntoIterator<Item = (MVar, f64)>) {
         let mut terms: Vec<(MVar, f64)> = vec![(event, 1.0)];
         terms.extend(durations.into_iter().map(|(v, c)| (v, -c)));

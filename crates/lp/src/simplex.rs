@@ -6,12 +6,15 @@
 //!
 //! * **Standard form.** Internally everything is a maximization over
 //!   non-negative variables with rows normalized to non-negative right-hand
-//!   sides. `<=` rows get a slack, `>=` rows a surplus plus an artificial,
-//!   `==` rows an artificial.
+//!   sides. A `>=` row with a zero right-hand side (the IR's precedence
+//!   rows) is negated into a `<=` row like a negative right-hand side is.
+//!   `<=` rows get a slack, `>=` rows (a positive budget) a surplus plus an
+//!   artificial, `==` rows an artificial.
 //! * **Phase 1** maximizes minus the sum of artificials from the trivial
-//!   slack/artificial basis; a nonzero optimum means infeasible. Residual
-//!   basic artificials are driven out by degenerate pivots where possible;
-//!   rows where that is impossible are redundant and become inert.
+//!   slack/artificial basis; a nonzero optimum means infeasible. It runs
+//!   only when some row has an artificial. Residual basic artificials are
+//!   driven out by degenerate pivots where possible; rows where that is
+//!   impossible are redundant and become inert.
 //! * **Phase 2** prices only non-artificial columns. Dantzig's rule is used
 //!   until `bland_after` pivots, then Bland's rule guarantees termination on
 //!   degenerate instances (e.g. Beale's cycling example, covered in tests).
@@ -311,7 +314,10 @@ pub(crate) struct StdRow<S> {
     pub nzv: Vec<S>,
     pub relation: Relation,
     pub rhs: S,
-    /// `true` when the row was negated to make its rhs non-negative.
+    /// `true` when the row was negated: a row with a negative rhs, so its
+    /// rhs turns non-negative, or a `>=` row with a zero rhs, so it turns
+    /// into a `<=` row that starts feasible at its slack. Both engines
+    /// negate the row's dual back on the way out.
     pub flipped: bool,
 }
 
@@ -365,11 +371,15 @@ pub(crate) fn standardize<S: Scalar>(problem: &Problem) -> StandardForm<S> {
         let mut rhs = S::from_f64(con.rhs);
         let mut relation = con.relation;
         let mut flipped = false;
-        if rhs.is_negative() {
+        // A `>=` row with a zero budget (a precedence row) is negated too:
+        // `-a·x <= 0` holds at its own slack, so it needs no artificial.
+        let zero_ge = relation == Relation::Ge && rhs == S::zero();
+        if rhs.is_negative() || zero_ge {
             for &i in &touched {
                 acc[i] = -acc[i].clone();
             }
-            rhs = -rhs;
+            // `0 - rhs`, not `-rhs`: a zero budget stays `+0`.
+            rhs = S::zero() - rhs;
             relation = match relation {
                 Relation::Le => Relation::Ge,
                 Relation::Ge => Relation::Le,
@@ -714,6 +724,78 @@ mod tests {
         let s = solve(&p).unwrap();
         assert_close(s.objective, 10.0);
         assert!(s.value(y) >= s.value(x) + 2.0 - 1e-7);
+    }
+
+    #[test]
+    fn zero_budget_ge_rows_start_at_their_slack() {
+        // x - 2y >= 0 standardizes to -x + 2y <= 0: a logical column, no
+        // artificial, so no phase 1.
+        let mut p = Problem::maximize();
+        let x = p.add_var(1.0);
+        let y = p.add_var(1.0);
+        p.add_constraint([(x, 1.0), (y, -2.0)], Relation::Ge, 0.0);
+        let std_form = standardize::<f64>(&p);
+        let row = &std_form.rows[0];
+        assert_eq!(row.relation, Relation::Le);
+        assert!(row.flipped);
+        assert_eq!(row.nz, [0, 1]);
+        assert_eq!(row.nzv, [-1.0, 2.0]);
+        assert_eq!(row.rhs.to_bits(), 0.0_f64.to_bits());
+        let layout = column_layout(2, &[row.relation]);
+        assert_eq!(layout.logical_col[0], 2);
+        assert_eq!(layout.artificial_col[0], usize::MAX);
+        assert_eq!(layout.cols, 3);
+    }
+
+    #[test]
+    fn precedence_chains_have_no_artificial_column() {
+        // The interleaved shape through the IR: a release row, a port chain
+        // of precedence rows and one deadline horizon row.
+        let mut m = crate::model::ScheduleModel::maximize();
+        let alpha = m.group("alpha", [1.0; 2]);
+        let start = m.group("start", [0.0; 3]);
+        m.release(start.var(0), [(alpha.var(0), 2.0)]);
+        m.precedence(start.var(1), start.var(0), [(alpha.var(0), 1.0)]);
+        m.precedence(start.var(2), start.var(1), [(alpha.var(1), 3.0)]);
+        m.deadline([(start.var(2), 1.0), (alpha.var(1), 1.0)], 1.0);
+        let std_form = standardize::<f64>(m.problem());
+        let relations: Vec<Relation> = std_form.rows.iter().map(|r| r.relation).collect();
+        assert_eq!(relations, [Relation::Le; 4]);
+        let layout = column_layout(m.num_vars(), &relations);
+        assert!(
+            (0..layout.cols).all(|c| !layout.is_artificial(c)),
+            "{:?}",
+            layout.kinds
+        );
+    }
+
+    #[test]
+    fn binding_zero_budget_ge_row_has_a_non_positive_dual() {
+        // max 2x + y s.t. y - x >= 0, x + y <= 4 -> (2, 2), z = 6. The
+        // `>=` row binds with dual -1/2 and the `<=` row has dual 3/2.
+        let mut p = Problem::maximize();
+        let x = p.add_var(2.0);
+        let y = p.add_var(1.0);
+        p.add_constraint([(y, 1.0), (x, -1.0)], Relation::Ge, 0.0);
+        p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
+        let opts = SolverOptions::for_size(p.num_vars(), p.num_constraints());
+        for exact in [
+            solve_exact::<Rational>(&p).unwrap(),
+            crate::revised::solve_revised_with::<Rational>(&p, &opts, None)
+                .unwrap()
+                .solution,
+        ] {
+            assert_eq!(exact.objective, Rational::from_int(6));
+            assert_eq!(exact.duals, [Rational::new(-1, 2), Rational::new(3, 2)]);
+        }
+        for s in [
+            solve(&p).unwrap(),
+            crate::revised::solve_revised(&p).unwrap(),
+        ] {
+            assert_close(s.objective, 6.0);
+            assert_close(s.duals[0], -0.5);
+            assert_close(s.duals[1], 1.5);
+        }
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! feasibility of the returned point, optimality via weak/strong duality,
 //! and agreement between the `f64` and exact-rational backends. A second
 //! generator draws scheduling-shaped LPs (some infeasible or unbounded) on
-//! which the two engines must reach the same objective or the same verdict.
+//! which the two engines must reach the same objective or the same verdict,
+//! and a third draws interleaved-master precedence LPs, whose `≥ 0` rows
+//! the engines start from their slacks.
 
 use dls_lp::{
     solve, solve_exact, solve_revised, solve_revised_with, LpError, Problem, Rational, Relation,
-    ScheduleModel, Solution, SolverOptions,
+    Scalar, ScheduleModel, Solution, SolverOptions,
 };
 use proptest::prelude::*;
 
@@ -172,6 +174,31 @@ proptest! {
             revised_exact(&p).map(|s| s.objective)
         );
     }
+
+    /// Precedence LPs: the tableau, the revised engine and the exact
+    /// backend reach the same optimum, each float engine's point satisfies
+    /// every row, and every `≥ 0` row's dual is non-positive (raising its
+    /// budget can only tighten a maximization).
+    #[test]
+    fn engines_agree_on_precedence_lps(p in precedence_lp()) {
+        let exact = solve_exact::<Rational>(&p).expect("exact solve");
+        let reference = exact.objective.to_f64();
+        prop_assert!(exact.duals.iter().zip(p.constraints()).all(|(y, c)| {
+            c.relation != Relation::Ge || *y <= Rational::zero()
+        }), "exact: positive dual on a >= row: {:?}", exact.duals);
+        for e in &ENGINES {
+            let s = (e.f64)(&p).expect("precedence LP must solve");
+            prop_assert!((s.objective - reference).abs() <= 1e-9 * reference.abs().max(1.0),
+                "{}: objective {} vs exact {reference}", e.name, s.objective);
+            prop_assert!(p.check_feasible(&s.x, 1e-7).is_none(),
+                "{}: infeasible point returned: {:?}", e.name, s.x);
+            for (y, c) in s.duals.iter().zip(p.constraints()) {
+                if c.relation == Relation::Ge {
+                    prop_assert!(*y <= 1e-9, "{}: positive dual on a >= row: {y}", e.name);
+                }
+            }
+        }
+    }
 }
 
 /// Random scheduling LPs through the `ScheduleModel` IR: nested-prefix
@@ -212,6 +239,70 @@ fn star_lp() -> impl Strategy<Value = Problem> {
             }
             m.lower()
         })
+}
+
+/// Random interleaved-master LPs through the `ScheduleModel` IR: an
+/// `alpha` group, a `start` group with one member per port operation, and
+/// the operations of a random merge of `q` sends and `q` returns (sends and
+/// returns each in worker order, every return after its own send). The
+/// merge's port chain and each later worker's compute chain are
+/// `precedence` rows, the first worker's compute chain is a `release` row
+/// against time zero, and one `deadline` row bounds the last operation.
+/// Every row except the horizon is a `≥ 0` row.
+fn precedence_lp() -> impl Strategy<Value = Problem> {
+    (1usize..=4).prop_flat_map(|q| {
+        (
+            prop::collection::vec((1i32..=4, 1i32..=4, 1i32..=4), q),
+            prop::collection::vec(1i32..=3, q),
+            prop::collection::vec(any::<bool>(), 2 * q),
+            1i32..=8,
+        )
+            .prop_map(move |(workers, obj, picks, horizon)| {
+                // Merge positions of each worker's send and return.
+                let (mut send_at, mut ret_at) = (Vec::with_capacity(q), Vec::with_capacity(q));
+                for (slot, &pick_send) in picks.iter().enumerate() {
+                    let can_send = send_at.len() < q;
+                    if can_send && (pick_send || ret_at.len() == send_at.len()) {
+                        send_at.push(slot);
+                    } else {
+                        ret_at.push(slot);
+                    }
+                }
+                // Worker and duration of the operation in each slot.
+                let mut ops = vec![(0, 0); 2 * q];
+                for (k, (&(c, _, d), (&s, &r))) in
+                    workers.iter().zip(send_at.iter().zip(&ret_at)).enumerate()
+                {
+                    ops[s] = (k, c);
+                    ops[r] = (k, d);
+                }
+                let mut m = ScheduleModel::maximize();
+                let alpha = m.group("alpha", obj.iter().map(|&o| o as f64));
+                let start = m.group("start", vec![0.0; 2 * q]);
+                for slot in 1..2 * q {
+                    let (k, dur) = ops[slot - 1];
+                    m.precedence(
+                        start.var(slot),
+                        start.var(slot - 1),
+                        [(alpha.var(k), dur as f64)],
+                    );
+                }
+                for (k, &(c, w, _)) in workers.iter().enumerate() {
+                    let compute = [(alpha.var(k), (c + w) as f64)];
+                    if k == 0 {
+                        m.release(start.var(ret_at[0]), compute);
+                    } else {
+                        m.precedence(start.var(ret_at[k]), start.var(send_at[k]), compute);
+                    }
+                }
+                let (k, dur) = ops[2 * q - 1];
+                m.deadline(
+                    [(start.var(2 * q - 1), 1.0), (alpha.var(k), dur as f64)],
+                    horizon as f64,
+                );
+                m.lower()
+            })
+    })
 }
 
 /// Helper: VarId construction by index is not public; rebuild through a
